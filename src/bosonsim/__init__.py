@@ -21,9 +21,7 @@ from .bounds import (
     validate_bound_monte_carlo,
 )
 from .combinat import (
-    CycleDecomposition,
     SymmetricMeans,
-    cycle_decompose,
     overlap_class_sum,
     partial_derangements,
     rencontres,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundSpec",
     "ChainConfig",
-    "CycleDecomposition",
     "DegenerateTargetError",
     "DivergenceError",
     "EnsembleReport",
@@ -69,7 +66,6 @@ __all__ = [
     "HomogeneousModel",
     "SymmetricMeans",
     "TruncationResult",
-    "cycle_decompose",
     "exact_probability",
     "exact_probability_by_order",
     "gaussian_matrix",

@@ -5,7 +5,8 @@ whose fields are overridden by explicit flags, writes its artifact to
 ``--output`` or stdout, and is deterministic given the seed.  The seed is
 resolved as flag, then config field, then the BOSONSIM_SEED environment
 variable.  Exit codes: 0 success, 2 config/usage error, 3 diverging bound
-parameter, 4 degenerate sampler target.
+parameter, 4 degenerate sampler target.  Any other exception is a bug and
+propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -116,10 +117,14 @@ def _load_config(path: str | None, command: str) -> dict:
     unknown = set(config) - allowed
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    output = config.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError("config field 'output' must be a file path")
     return config
 
 
-def _setting(args, config: dict, name: str, default=None, required: bool = False):
+def _setting(args, config: dict, name: str, default=None, required: bool = False, convert=None):
+    """Flag, then config field, then default; ``convert`` errors become ValueError."""
     value = getattr(args, name, None)
     if value is None:
         value = config.get(name)
@@ -127,14 +132,18 @@ def _setting(args, config: dict, name: str, default=None, required: bool = False
         value = default
     if value is None and required:
         raise ValueError(f"missing required setting {name!r}")
-    return value
+    if value is None or convert is None:
+        return value
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"setting {name!r} has the wrong type: {value!r}") from None
 
 
 def _resolve_seed(args, config: dict, default: int = 0) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
+    seed = _setting(args, config, "seed", convert=int)
+    if seed is not None:
+        return seed
     env = os.environ.get(_SEED_ENV)
     if env is not None:
         return int(env)
@@ -210,7 +219,7 @@ def _cmd_prob(args) -> int:
 def _cmd_truncate(args) -> int:
     config = _load_config(args.config, "truncate")
     inst = _load_instance(args, config)
-    k = int(_setting(args, config, "k", required=True))
+    k = _setting(args, config, "k", required=True, convert=int)
     strategy = _setting(args, config, "strategy", default="direct")
     result = truncated_probability(inst, k, strategy)
     payload = result.to_dict()
@@ -222,40 +231,40 @@ def _cmd_truncate(args) -> int:
 
 def _bound_spec_from_settings(args, config: dict, k: int):
     choices = [
-        ("homogeneous_x", _setting(args, config, "x")),
-        ("quadratic_mean", _setting(args, config, "m2_root")),
-        ("max_visibility", _setting(args, config, "x_max")),
+        ("homogeneous_x", _setting(args, config, "x", convert=float)),
+        ("quadratic_mean", _setting(args, config, "m2_root", convert=float)),
+        ("max_visibility", _setting(args, config, "x_max", convert=float)),
     ]
     given = [(kind, value) for kind, value in choices if value is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --x, --m2-root, --x-max")
     kind, parameter = given[0]
-    return BoundSpec(kind=kind, parameter=float(parameter), k=k)
+    return BoundSpec(kind=kind, parameter=parameter, k=k)
 
 
 def _cmd_bound(args) -> int:
     config = _load_config(args.config, "bound")
-    k = _setting(args, config, "k")
-    epsilon = _setting(args, config, "epsilon")
+    k = _setting(args, config, "k", convert=int)
+    epsilon = _setting(args, config, "epsilon", convert=float)
     if k is None and epsilon is None:
         raise ValueError("give --k for a bound value and/or --epsilon for a minimal order")
     payload: dict = {"schema": 1}
     if k is not None:
-        spec = _bound_spec_from_settings(args, config, int(k))
+        spec = _bound_spec_from_settings(args, config, k)
         payload.update(kind=spec.kind, parameter=spec.parameter, k=spec.k, l1_bound=l1_bound(spec))
     if epsilon is not None:
         spec = _bound_spec_from_settings(args, config, 0)
-        order = min_truncation_order(spec.parameter, float(epsilon), kind=spec.kind)
-        payload.update(kind=spec.kind, parameter=spec.parameter, epsilon=float(epsilon), min_order=order)
+        order = min_truncation_order(spec.parameter, epsilon, kind=spec.kind)
+        payload.update(kind=spec.kind, parameter=spec.parameter, epsilon=epsilon, min_order=order)
     _emit_json(payload, _setting(args, config, "output"))
     return 0
 
 
 def _cmd_curves(args) -> int:
     config = _load_config(args.config, "curves")
-    sigma = float(_setting(args, config, "sigma", required=True))
-    epsilons = _parse_float_list(_setting(args, config, "epsilon", required=True))
-    mu_grid = _parse_grid(_setting(args, config, "mu", required=True))
+    sigma = _setting(args, config, "sigma", required=True, convert=float)
+    epsilons = _setting(args, config, "epsilon", required=True, convert=_parse_float_list)
+    mu_grid = _setting(args, config, "mu", required=True, convert=_parse_grid)
     rows = truncation_order_curves(sigma, epsilons, mu_grid)
     lines = ["mu,epsilon,k_max_bound,k_m2_bound"]
     for row in rows:
@@ -268,19 +277,19 @@ def _cmd_curves(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config, "verify")
-    n = int(_setting(args, config, "n", required=True))
-    m = int(_setting(args, config, "m", required=True))
-    k = int(_setting(args, config, "k", required=True))
-    trials = int(_setting(args, config, "trials", required=True))
-    threads = int(_setting(args, config, "threads", default=1))
-    x = _setting(args, config, "x")
-    x_vec = _setting(args, config, "x_vec")
+    n = _setting(args, config, "n", required=True, convert=int)
+    m = _setting(args, config, "m", required=True, convert=int)
+    k = _setting(args, config, "k", required=True, convert=int)
+    trials = _setting(args, config, "trials", required=True, convert=int)
+    threads = _setting(args, config, "threads", default=1, convert=int)
+    x = _setting(args, config, "x", convert=float)
+    x_vec = _setting(args, config, "x_vec", convert=_parse_float_list)
     if (x is None) == (x_vec is None):
         raise ValueError("give exactly one of --x and --x-vec")
     if x is not None:
-        model = HomogeneousModel(float(x))
+        model = HomogeneousModel(x)
     else:
-        model = GeneralizedOBBModel(tuple(_parse_float_list(x_vec)))
+        model = GeneralizedOBBModel(tuple(x_vec))
     seed = _resolve_seed(args, config)
     report = validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed, workers=threads)
     _emit_json(report.to_dict(), _setting(args, config, "output"))
@@ -290,12 +299,12 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     config = _load_config(args.config, "sample")
     inst = _load_instance(args, config, output_optional=True)
-    k = int(_setting(args, config, "k", required=True))
+    k = _setting(args, config, "k", required=True, convert=int)
     strategy = _setting(args, config, "strategy", default="direct")
     chain = ChainConfig(
-        num_samples=int(_setting(args, config, "num_samples", required=True)),
-        burn_in=int(_setting(args, config, "burn_in", default=1000)),
-        thinning=int(_setting(args, config, "thinning", default=10)),
+        num_samples=_setting(args, config, "num_samples", required=True, convert=int),
+        burn_in=_setting(args, config, "burn_in", default=1000, convert=int),
+        thinning=_setting(args, config, "thinning", default=10, convert=int),
         proposal=_setting(args, config, "proposal"),
         seed=_resolve_seed(args, config),
     )
@@ -333,7 +342,7 @@ def main(argv=None) -> int:
     except DegenerateTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,13 +15,8 @@ import numpy as np
 
 __all__ = [
     "identity",
-    "invert",
-    "compose",
-    "is_permutation",
     "rencontres",
     "partial_derangements",
-    "CycleDecomposition",
-    "cycle_decompose",
     "SymmetricMeans",
     "symmetric_means",
     "overlap_class_sum",
@@ -35,32 +30,6 @@ def identity(n: int) -> tuple[int, ...]:
     (0, 1, 2)
     """
     return tuple(range(n))
-
-
-def invert(perm) -> tuple[int, ...]:
-    """Inverse permutation in word form."""
-    inverse = [0] * len(perm)
-    for i, image in enumerate(perm):
-        inverse[image] = i
-    return tuple(inverse)
-
-
-def compose(outer, inner) -> tuple[int, ...]:
-    """Composition outer∘inner: position i maps to outer[inner[i]]."""
-    return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
-def is_permutation(perm) -> bool:
-    """Check that ``perm`` is a bijection on {0, ..., len(perm)-1}."""
-    n = len(perm)
-    seen = [False] * n
-    for image in perm:
-        if not isinstance(image, (int, np.integer)) or not 0 <= image < n:
-            return False
-        if seen[image]:
-            return False
-        seen[image] = True
-    return True
 
 
 def _subfactorial(j: int) -> int:
@@ -122,50 +91,6 @@ def partial_derangements(n: int, moved: int):
             for src, dst in zip(support, images):
                 word[src] = dst
             yield tuple(word)
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles of a permutation, covering every point."""
-
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-    fixed_points: frozenset[int]
-
-    def as_permutation(self) -> tuple[int, ...]:
-        """Recompose the cycles into a word-form permutation."""
-        word = list(range(self.n))
-        for cycle in self.cycles:
-            for pos, point in enumerate(cycle):
-                word[point] = cycle[(pos + 1) % len(cycle)]
-        return tuple(word)
-
-
-def cycle_decompose(perm) -> CycleDecomposition:
-    """Split a permutation into disjoint cycles.
-
-    Cycles are ordered by their smallest element and start at it; length-1
-    cycles are kept so the cycles partition all points.
-    """
-    if not is_permutation(perm):
-        raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
-    n = len(perm)
-    visited = [False] * n
-    cycles = []
-    fixed = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        cycle = []
-        point = start
-        while not visited[point]:
-            visited[point] = True
-            cycle.append(point)
-            point = perm[point]
-        cycles.append(tuple(cycle))
-        if len(cycle) == 1:
-            fixed.append(start)
-    return CycleDecomposition(n=n, cycles=tuple(cycles), fixed_points=frozenset(fixed))
 
 
 @dataclass(frozen=True)

@@ -167,21 +167,24 @@ def quadratic_mean_visibility(model) -> float:
 
 
 def model_from_dict(data: dict):
-    """Build a model from its JSON descriptor."""
-    if "type" not in data:
-        raise ValueError("model descriptor needs a 'type' field")
+    """Build a model from its JSON descriptor; a malformed one raises ValueError."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise ValueError("model descriptor must be a JSON object with a 'type' field")
     kind = data["type"]
-    if kind == "homogeneous":
-        _reject_unknown(data, {"type", "x"})
-        return HomogeneousModel(x=float(data["x"]))
-    if kind == "obb":
-        _reject_unknown(data, {"type", "x"})
-        return GeneralizedOBBModel(x=tuple(data["x"]))
-    if kind == "explicit":
-        _reject_unknown(data, {"type", "s_real", "s_imag"})
-        real = np.asarray(data["s_real"], dtype=float)
-        imag = np.asarray(data.get("s_imag", np.zeros_like(real)), dtype=float)
-        return ExplicitModel(real + 1j * imag)
+    try:
+        if kind == "homogeneous":
+            _reject_unknown(data, {"type", "x"})
+            return HomogeneousModel(x=float(data["x"]))
+        if kind == "obb":
+            _reject_unknown(data, {"type", "x"})
+            return GeneralizedOBBModel(x=tuple(data["x"]))
+        if kind == "explicit":
+            _reject_unknown(data, {"type", "s_real", "s_imag"})
+            real = np.asarray(data["s_real"], dtype=float)
+            imag = np.asarray(data.get("s_imag", np.zeros_like(real)), dtype=float)
+            return ExplicitModel(real + 1j * imag)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad {kind!r} model descriptor ({type(exc).__name__}: {exc})") from None
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -1,9 +1,9 @@
-"""Exact permanent kernels and the block expansion used by the truncated evaluator.
+"""The permanent kernel and the block expansion used by the truncated evaluator.
 
-All kernels are exact, double-precision, and deterministic: Ryser and Glynn
-iterate in Gray-code order with running sums, the naive kernel sums the full
-symmetric group.  The block expansion splits the permanent of a Hadamard
-product into small complex permanents times larger non-negative ones.
+Every permanent goes through one exact, double-precision, deterministic
+kernel, ``permanent`` (Ryser's formula in Gray-code order).  The block
+expansion splits the permanent of a Hadamard product into small complex
+permanents times larger non-negative ones.
 """
 from __future__ import annotations
 
@@ -18,26 +18,14 @@ __all__ = [
     "submatrix",
 ]
 
-_NAIVE_LIMIT = 10
 
+def permanent(matrix) -> complex:
+    """Permanent of a square matrix by Ryser's formula, O(2^n * n).
 
-def permanent(matrix, method: str = "ryser") -> complex:
-    """Permanent of a square matrix.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix.  The empty 0x0 matrix has permanent 1
-        (empty-product convention).
-    method : {"ryser", "glynn", "naive"}
-        "ryser" and "glynn" run in O(2^n * n) using Gray-code updates of
-        running row/column sums; "naive" sums all n! permutations and is
-        restricted to n <= 10.
-
-    Returns
-    -------
-    complex
-        The permanent.
+    Sums, over the non-empty column subsets S, (-1)^(n - |S|) times the
+    product of the row sums restricted to S.  The subsets are visited in
+    Gray-code order, which flips one column per step.  The empty 0x0
+    matrix has permanent 1 (empty-product convention).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -47,30 +35,6 @@ def permanent(matrix, method: str = "ryser") -> complex:
     n = a.shape[0]
     if n == 0:
         return complex(1.0)
-    if method == "ryser":
-        return _permanent_ryser(a)
-    if method == "glynn":
-        return _permanent_glynn(a)
-    if method == "naive":
-        if n > _NAIVE_LIMIT:
-            raise ValueError(f"naive method restricted to n <= {_NAIVE_LIMIT}")
-        return _permanent_naive(a)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _permanent_naive(a: np.ndarray) -> complex:
-    n = a.shape[0]
-    rows = np.arange(n)
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        total += np.prod(a[rows, perm])
-    return complex(total)
-
-
-def _permanent_ryser(a: np.ndarray) -> complex:
-    # Inclusion-exclusion over column subsets; the Gray code flips one column
-    # per step so the running row sums are updated in O(n).
-    n = a.shape[0]
     row_sums = np.zeros(n, dtype=complex)
     total = 0.0 + 0.0j
     popcount = 0
@@ -91,27 +55,7 @@ def _permanent_ryser(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def _permanent_glynn(a: np.ndarray) -> complex:
-    # Average over +-1 row signings, first sign pinned to +1; Gray code flips
-    # one signing per step so the running column sums are updated in O(n).
-    n = a.shape[0]
-    if n == 1:
-        return complex(a[0, 0])
-    col_sums = a.sum(axis=0).astype(complex)
-    delta = np.ones(n)
-    total = np.prod(col_sums)
-    sign = 1
-    for s in range(1, 1 << (n - 1)):
-        row = (s & -s).bit_length()  # rows 1..n-1 flip; row 0 stays +1
-        delta[row] = -delta[row]
-        col_sums += 2.0 * delta[row] * a[row, :]
-        sign = -sign
-        term = np.prod(col_sums)
-        total += sign * term
-    return complex(total / 2 ** (n - 1))
-
-
-def hadamard_permanent(matrix, perm, method: str = "ryser") -> complex:
+def hadamard_permanent(matrix, perm) -> complex:
     """Permanent of ``matrix * conj(matrix[perm, :])`` (entrywise product).
 
     With the identity permutation this is the permanent of the squared
@@ -124,10 +68,10 @@ def hadamard_permanent(matrix, perm, method: str = "ryser") -> complex:
     word = np.asarray(perm, dtype=int)
     if word.shape != (a.shape[0],):
         raise ValueError("permutation length must match the matrix size")
-    return permanent(a * np.conj(a[word, :]), method=method)
+    return permanent(a * np.conj(a[word, :]))
 
 
-def laplace_split_permanent(matrix, perm, method: str = "ryser") -> complex:
+def laplace_split_permanent(matrix, perm) -> complex:
     """Evaluate ``hadamard_permanent`` by expanding about the moved rows.
 
     The rows moved by ``perm`` (say j of them) are expanded over all C(n, j)
@@ -154,8 +98,8 @@ def laplace_split_permanent(matrix, perm, method: str = "ryser") -> complex:
     all_cols = frozenset(range(n))
     for cols in itertools.combinations(range(n), j):
         rest = sorted(all_cols.difference(cols))
-        small = permanent(moved_rows[:, cols], method=method)
-        large = permanent(nonneg[:, rest], method=method)
+        small = permanent(moved_rows[:, cols])
+        large = permanent(nonneg[:, rest])
         total += small * large
     return complex(total)
 

@@ -161,17 +161,25 @@ class ExperimentInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentInstance":
+        """Parse an instance descriptor; a malformed one raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("instance must be a JSON object")
         allowed = {"schema", "unitary", "ensemble", "input", "output", "model"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown instance fields: {sorted(unknown)}")
         if data.get("schema", 1) != 1:
             raise ValueError("unsupported instance schema version")
+        if "model" not in data:
+            raise ValueError("instance needs a 'model' field")
         model = model_from_dict(data["model"])
         if "unitary" in data:
             block = data["unitary"]
-            real = np.asarray(block["re"], dtype=float)
-            imag = np.asarray(block.get("im", np.zeros_like(real)), dtype=float)
+            try:
+                real = np.asarray(block["re"], dtype=float)
+                imag = np.asarray(block.get("im", np.zeros_like(real)), dtype=float)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"bad 'unitary' field ({type(exc).__name__}: {exc})") from None
             matrix = real + 1j * imag
         elif "ensemble" in data:
             matrix = EnsembleSpec.from_dict(data["ensemble"]).build()
@@ -179,12 +187,11 @@ class ExperimentInstance:
             raise ValueError("instance needs a 'unitary' or an 'ensemble' field")
         if "input" not in data and "output" not in data:
             return cls.from_matrix(matrix, model)
-        return cls(
-            unitary=matrix,
-            input_occupation=tuple(data["input"]),
-            output_occupation=tuple(data["output"]),
-            model=model,
-        )
+        try:
+            occ_in, occ_out = (tuple(int(c) for c in data[key]) for key in ("input", "output"))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad occupation lists ({type(exc).__name__}: {exc})") from None
+        return cls(unitary=matrix, input_occupation=occ_in, output_occupation=occ_out, model=model)
 
 
 @dataclass
@@ -214,29 +221,46 @@ class TruncationResult:
         }
 
 
-def _real_part(value: complex, scale: float) -> float:
-    if abs(value.imag) > _IMAG_RESIDUE * max(1.0, scale):
-        raise ArithmeticError(f"imaginary residue {value.imag:g} exceeds tolerance")
+def _real_part(value: complex, magnitude: float) -> float:
+    # The imaginary parts cancel in conjugate pairs (tau with its inverse), so
+    # what is left is roundoff relative to the summed term magnitudes.
+    if abs(value.imag) > _IMAG_RESIDUE * magnitude:
+        raise ArithmeticError(f"imaginary residue {value.imag:g} above {_IMAG_RESIDUE:g} x {magnitude:g}")
     return float(value.real)
 
 
-def _order_sum(matrix, overlaps, n: int, order: int, evaluate) -> complex:
-    total = 0.0 + 0.0j
-    for tau in partial_derangements(n, order):
-        weight = overlap_product(overlaps, tau)
-        if weight == 0.0:
-            continue
-        total += weight * evaluate(matrix, tau)
-    return total
+def _order_walk(inst: ExperimentInstance, k: int, evaluate) -> list[float]:
+    """Contributions of interference orders 0..k, one permutation class per order.
+
+    ``evaluate(matrix, tau)`` is the Hadamard permanent for permutation tau;
+    entry 1 stays zero because no permutation moves exactly one point.
+    """
+    n = inst.n
+    overlaps = inst.model.overlap_matrix(n)
+    matrix = inst.interference_matrix
+    norm = inst.normalization
+    per_order = [0.0] * (k + 1)
+    for j in itertools.chain((0,), range(2, k + 1)):
+        total = 0.0 + 0.0j
+        magnitude = 0.0
+        for tau in partial_derangements(n, j):
+            weight = overlap_product(overlaps, tau)
+            if weight == 0.0:
+                continue
+            term = weight * evaluate(matrix, tau)
+            total += term
+            magnitude += abs(term)
+        per_order[j] = _real_part(total / norm, magnitude / norm)
+    return per_order
 
 
 def exact_probability(inst: ExperimentInstance) -> float:
     """Probability of the instance's detection outcome, by direct sum.
 
-    Sums over the full symmetric group; cost grows as n! * 2^n * n, so the
-    photon number is capped at 12.  For a unitary transfer matrix the result
-    lies in [0, 1] up to roundoff, for arbitrary matrices it is only
-    guaranteed real.
+    Sums over the full symmetric group, independently of the per-order
+    walk; cost grows as n! * 2^n * n, so the photon number is capped at 12.
+    For a unitary transfer matrix the result lies in [0, 1] up to roundoff,
+    for arbitrary matrices it is only guaranteed real.
     """
     n = inst.n
     if n > _EXACT_LIMIT:
@@ -244,13 +268,16 @@ def exact_probability(inst: ExperimentInstance) -> float:
     overlaps = inst.model.overlap_matrix(n)
     matrix = inst.interference_matrix
     total = 0.0 + 0.0j
+    magnitude = 0.0
     for sigma in itertools.permutations(range(n)):
         weight = overlap_product(overlaps, sigma)
         if weight == 0.0:
             continue
-        total += weight * hadamard_permanent(matrix, sigma)
-    total /= inst.normalization
-    return _real_part(total, abs(total))
+        term = weight * hadamard_permanent(matrix, sigma)
+        total += term
+        magnitude += abs(term)
+    norm = inst.normalization
+    return _real_part(total / norm, magnitude / norm)
 
 
 def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
@@ -260,17 +287,9 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     photons; entry 1 is always zero and the entries sum to the exact
     probability.
     """
-    n = inst.n
-    if n > _EXACT_LIMIT:
+    if inst.n > _EXACT_LIMIT:
         raise ValueError(f"exact evaluation is limited to n <= {_EXACT_LIMIT}")
-    overlaps = inst.model.overlap_matrix(n)
-    matrix = inst.interference_matrix
-    norm = inst.normalization
-    orders = np.zeros(n + 1)
-    for j in itertools.chain((0,), range(2, n + 1)):
-        contribution = _order_sum(matrix, overlaps, n, j, hadamard_permanent) / norm
-        orders[j] = _real_part(contribution, abs(contribution))
-    return orders
+    return np.array(_order_walk(inst, inst.n, hadamard_permanent))
 
 
 def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "direct") -> TruncationResult:
@@ -295,14 +314,8 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
         evaluate = laplace_split_permanent
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    overlaps = inst.model.overlap_matrix(n)
-    matrix = inst.interference_matrix
-    norm = inst.normalization
     start = time.perf_counter()
-    per_order = [0.0] * (k + 1)
-    for j in itertools.chain((0,), range(2, k + 1)):
-        contribution = _order_sum(matrix, overlaps, n, j, evaluate) / norm
-        per_order[j] = _real_part(contribution, abs(contribution))
+    per_order = _order_walk(inst, k, evaluate)
     elapsed = time.perf_counter() - start
     return TruncationResult(
         k=k,

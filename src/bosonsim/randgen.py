@@ -111,13 +111,19 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleSpec":
+        """Parse an ensemble descriptor; a malformed one raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("ensemble must be a JSON object")
         allowed = {"kind", "m", "seed", "n"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown ensemble fields: {sorted(unknown)}")
-        return cls(
-            kind=data["kind"],
-            m=int(data["m"]),
-            seed=int(data["seed"]),
-            n=int(data["n"]) if "n" in data else None,
-        )
+        try:
+            return cls(
+                kind=data["kind"],
+                m=int(data["m"]),
+                seed=int(data["seed"]),
+                n=int(data["n"]) if "n" in data else None,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad ensemble descriptor ({type(exc).__name__}: {exc})") from None

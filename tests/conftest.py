@@ -1,9 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These helpers deliberately avoid the library's own kernels: the permanent
-oracle sums the full symmetric group with numpy products, class sums are
-built by filtering itertools.permutations, and distances are computed
-directly from definitions.
+oracles sum the full symmetric group with numpy products or use Glynn's
+formula, class sums are built by filtering itertools.permutations, and
+distances are computed directly from definitions.
 """
 from __future__ import annotations
 
@@ -20,6 +20,29 @@ def brute_permanent(matrix) -> complex:
         return complex(1.0)
     rows = np.arange(n)
     return complex(sum(np.prod(a[rows, perm]) for perm in itertools.permutations(range(n))))
+
+
+def glynn_permanent(matrix) -> complex:
+    """Permanent by Glynn's formula, an oracle independent of the library's Ryser kernel.
+
+    perm(A) = 2^-(n-1) * sum over signings d in {+1, -1}^n with d_0 = +1 of
+    prod(d) * prod_j (sum_i d_i A_ij); Glynn, "The permanent of a square
+    matrix", Eur. J. Combin. 31 (2010).
+    """
+    a = np.asarray(matrix, dtype=complex)
+    n = a.shape[0]
+    if n == 0:
+        return complex(1.0)
+    total = 0.0 + 0.0j
+    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+        delta = np.array((1.0,) + signs)
+        total += np.prod(delta) * np.prod(delta @ a)
+    return complex(total / 2 ** (n - 1))
+
+
+def inverse_permutation(perm) -> tuple[int, ...]:
+    """Inverse of a word-form permutation: position perm[i] maps back to i."""
+    return tuple(int(i) for i in np.argsort(perm))
 
 
 def perms_with_moved_count(n: int, moved: int) -> list[tuple[int, ...]]:

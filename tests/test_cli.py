@@ -230,3 +230,40 @@ class TestConfigFiles:
 
     def test_missing_config_file(self, capsys):
         assert main(["bound", "--config", "/nonexistent/cfg.json", "--k", "1", "--x", "0.5"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("model", None),
+            ("model", {"type": "homogeneous"}),
+            ("model", {"type": "homogeneous", "x": [0.5]}),
+            ("unitary", [[1.0]]),
+            ("input", 3),
+        ],
+    )
+    def test_malformed_instance_is_config_error(self, capsys, tmp_path, instance_file, field, value):
+        data = json.loads(instance_file.read_text())
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["prob", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("fields", [{"k": [2]}, {"k": 2, "output": [1]}])
+    def test_setting_of_wrong_type_is_config_error(self, capsys, tmp_path, fields):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"x": 0.5, **fields}))
+        assert main(["bound", "--config", str(config)]) == 2
+
+    def test_programming_error_propagates(self, capsys, instance_file, monkeypatch):
+        def broken(inst):
+            raise TypeError("a bug, not a config error")
+
+        monkeypatch.setattr("bosonsim.cli.exact_probability", broken)
+        with pytest.raises(TypeError):
+            main(["prob", "--instance", str(instance_file)])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bosonsim.combinat import (
-    cycle_decompose,
     overlap_class_sum,
     partial_derangements,
     rencontres,
@@ -68,31 +67,6 @@ class TestPartialDerangements:
             list(partial_derangements(3, 4))
         with pytest.raises(ValueError):
             list(partial_derangements(3, -1))
-
-
-class TestCycleDecompose:
-    def test_identity(self):
-        dec = cycle_decompose((0, 1, 2))
-        assert dec.fixed_points == frozenset({0, 1, 2})
-        assert all(len(c) == 1 for c in dec.cycles)
-
-    def test_transposition_plus_fixed(self):
-        dec = cycle_decompose((1, 0, 2))
-        assert dec.fixed_points == frozenset({2})
-        assert (0, 1) in dec.cycles
-
-    def test_recomposition_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            perm = tuple(int(v) for v in rng.permutation(6))
-            dec = cycle_decompose(perm)
-            assert dec.as_permutation() == perm
-            covered = sorted(point for cycle in dec.cycles for point in cycle)
-            assert covered == list(range(6))
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            cycle_decompose((0, 0, 2))
 
 
 class TestSymmetricMeans:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonsim.combinat import invert, partial_derangements
+from bosonsim.combinat import partial_derangements
 from bosonsim.distinguishability import (
     ExplicitModel,
     GeneralizedOBBModel,
@@ -11,6 +11,7 @@ from bosonsim.distinguishability import (
     overlap_product,
     quadratic_mean_visibility,
 )
+from conftest import inverse_permutation
 
 
 class TestOverlapMatrix:
@@ -114,7 +115,7 @@ class TestOverlapProduct:
         s = ExplicitModel(vectors @ vectors.conj().T).overlap_matrix(4)
         for _ in range(20):
             tau = tuple(int(v) for v in rng.permutation(4))
-            assert overlap_product(s, tau) == pytest.approx(np.conj(overlap_product(s, invert(tau))), rel=1e-12)
+            assert overlap_product(s, tau) == pytest.approx(np.conj(overlap_product(s, inverse_permutation(tau))), rel=1e-12)
 
 
 class TestQuadraticMean:

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bosonsim.combinat import invert
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
-from conftest import brute_permanent, partitions, perm_from_cycle_lengths
+from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
 
 def _random_complex(rng, n):
@@ -30,16 +29,14 @@ class TestPermanent:
         rng = np.random.default_rng(1)
         a = _random_complex(rng, 5)
         reference = brute_permanent(a)
-        for method in ("naive", "ryser", "glynn"):
-            assert permanent(a, method) == pytest.approx(reference, rel=1e-10)
+        for value in (permanent(a), glynn_permanent(a)):
+            assert value == pytest.approx(reference, rel=1e-10)
 
     def test_methods_agree_up_to_modest_sizes(self):
         rng = np.random.default_rng(2)
         for n in range(1, 9):
             a = _random_complex(rng, n)
-            r = permanent(a, "ryser")
-            g = permanent(a, "glynn")
-            assert g == pytest.approx(r, rel=1e-9)
+            assert glynn_permanent(a) == pytest.approx(permanent(a), rel=1e-9)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -59,14 +56,6 @@ class TestPermanent:
         with pytest.raises(ValueError):
             permanent(np.ones((2, 3)))
 
-    def test_naive_size_cap(self):
-        with pytest.raises(ValueError):
-            permanent(np.eye(11), "naive")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            permanent(np.eye(2), "fastest")
-
 
 class TestHadamardPermanent:
     def test_identity_permutation_is_nonnegative_real(self):
@@ -83,7 +72,7 @@ class TestHadamardPermanent:
             a = _random_complex(rng, n)
             tau = tuple(int(v) for v in rng.permutation(n))
             forward = hadamard_permanent(a, tau)
-            backward = hadamard_permanent(a, invert(tau))
+            backward = hadamard_permanent(a, inverse_permutation(tau))
             assert forward == pytest.approx(np.conj(backward), rel=1e-10)
             pair_sum = forward + backward
             assert abs(pair_sum.imag) <= 1e-12 * max(1.0, abs(pair_sum))

@@ -21,6 +21,16 @@ from bosonsim.randgen import haar_unitary
 BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
+class _SkewedModel:
+    """Duck-typed model whose overlap matrix is not Hermitian, so no Gram matrix has it."""
+
+    def overlap_matrix(self, n):
+        return np.array([[1.0, 0.9, 0.0], [0.0, 1.0, 0.9], [0.9, 0.0, 1.0]], dtype=complex)
+
+    def to_dict(self):
+        return {"type": "skewed"}
+
+
 def _haar_instance(rng, n, m, model=None):
     u = haar_unitary(m, rng)
     in_modes = set(int(v) for v in rng.choice(m, n, replace=False))
@@ -137,6 +147,21 @@ class TestExactProbability:
         with pytest.raises(ValueError):
             exact_probability(inst)
 
+    def test_imaginary_residue_is_relative_to_term_sizes(self):
+        # Non-Hermitian overlaps leave an imaginary part that is a fixed share
+        # of the summed |terms|; scaling the matrix down must not hide it.
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for scale in (1.0, 1e-2):
+            inst = ExperimentInstance.from_matrix(scale * a, _SkewedModel())
+            with pytest.raises(ArithmeticError):
+                exact_probability(inst)
+            with pytest.raises(ArithmeticError):
+                exact_probability_by_order(inst)
+            for strategy in ("direct", "laplace"):
+                with pytest.raises(ArithmeticError):
+                    truncated_probability(inst, 3, strategy)
+
 
 class TestByOrderDecomposition:
     def test_distinguishable_photons_have_only_classical_order(self):
@@ -191,6 +216,22 @@ class TestTruncation:
             direct = truncated_probability(inst, k, "direct").total
             split = truncated_probability(inst, k, "laplace").total
             assert split == pytest.approx(direct, rel=1e-9, abs=1e-15)
+
+    def test_truncated_distribution_sums_to_one(self):
+        # Every order j >= 2 sums to zero over all outputs, collisional ones
+        # included, so each truncation keeps the total probability at 1.
+        rng = np.random.default_rng(19)
+        for n, m in ((3, 4), (4, 5)):
+            u = haar_unitary(m, rng)
+            occ_in = tuple(1 if i < n else 0 for i in range(m))
+            model = GeneralizedOBBModel(tuple(rng.uniform(0.05, 0.98, n)))
+            instances = [ExperimentInstance(u, occ_in, occ, model) for occ in output_configurations(m, n)]
+            for strategy in ("direct", "laplace"):
+                for k in range(n + 1):
+                    results = [truncated_probability(inst, k, strategy) for inst in instances]
+                    total = math.fsum(r.total for r in results)
+                    magnitude = math.fsum(abs(v) for r in results for v in r.per_order)
+                    assert abs(total - 1.0) <= 1e-12 * magnitude, (n, strategy, k)
 
     def test_result_bookkeeping(self):
         rng = np.random.default_rng(11)
