@@ -1,12 +1,20 @@
 """The permanent kernel and the block expansion used by the truncated evaluator.
 
 Every permanent goes through one exact, double-precision, deterministic
-kernel, ``permanent`` (Ryser's formula in Gray-code order).  The block
-expansion splits the permanent of a Hadamard product into small complex
-permanents times larger non-negative ones.
+kernel: Ryser's formula evaluated with numpy over all column subsets at
+once.  A cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks which columns
+each non-empty subset holds, so ``a @ bits`` gives every subset's row sums
+in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The kernel
+takes a stack of matrices and works through it in chunks, over the stack and
+over the subsets, so that no intermediate holds more than 2^14 complex
+entries.  ``permanent`` and ``hadamard_permanent`` accept stacks (a 2-d
+permutation array gives one Hadamard permanent per row); the block expansion
+splits the permanent of a Hadamard product into small complex permanents
+times larger non-negative ones and evaluates each kind as one stack.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,57 +26,132 @@ __all__ = [
     "submatrix",
 ]
 
+# Largest intermediate, in complex entries, that the kernel builds at once.
+_CHUNK = 1 << 14
+# Largest n whose whole subset table is cached (under 2 MB for n = 1..12 together).
+_CACHED_N = 12
 
-def permanent(matrix) -> complex:
-    """Permanent of a square matrix by Ryser's formula, O(2^n * n).
 
-    Sums, over the non-empty column subsets S, (-1)^(n - |S|) times the
-    product of the row sums restricted to S.  The subsets are visited in
-    Gray-code order, which flips one column per step.  The empty 0x0
-    matrix has permanent 1 (empty-product convention).
+def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership table and Ryser signs of the column subsets start..stop-1 (as bit masks)."""
+    masks = np.arange(start, stop)
+    bits = (masks >> np.arange(n)[:, None]) & 1
+    signs = 1.0 - 2.0 * ((n - bits.sum(axis=0)) % 2)
+    return bits.astype(complex), signs.astype(complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    bits, signs = _subsets(n, 1, 1 << n)
+    bits.setflags(write=False)
+    signs.setflags(write=False)
+    return bits, signs
+
+
+def _subset_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns start..stop-1 of the table of non-empty subsets (masks start+1..stop)."""
+    if n <= _CACHED_N:
+        bits, signs = _subset_table(n)
+        return bits[:, start:stop], signs[start:stop]
+    return _subsets(n, start + 1, stop + 1)
+
+
+def _ryser(count: int, n: int, block) -> np.ndarray:
+    """Permanents of ``count`` finite n x n matrices, without input checks.
+
+    ``block(lo, hi)`` returns matrices lo..hi-1 as a (hi - lo, n, n) complex
+    array; it is called once per chunk of the stack, so a caller can build
+    the matrices chunk by chunk.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
     if n == 0:
-        return complex(1.0)
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    popcount = 0
-    for s in range(1, 1 << n):
-        col = (s & -s).bit_length() - 1
-        gray = s ^ (s >> 1)
-        if (gray >> col) & 1:
-            row_sums += a[:, col]
-            popcount += 1
-        else:
-            row_sums -= a[:, col]
-            popcount -= 1
-        term = np.prod(row_sums)
-        if (n - popcount) % 2:
-            total -= term
-        else:
-            total += term
-    return complex(total)
+        return np.ones(count, dtype=complex)
+    subsets = (1 << n) - 1
+    width = min(subsets, _CHUNK // n)
+    step = max(1, _CHUNK // (n * width))
+    out = np.zeros(count, dtype=complex)
+    for lo in range(0, count, step):
+        rows = block(lo, min(lo + step, count)).reshape(-1, n)
+        for start in range(0, subsets, width):
+            bits, signs = _subset_chunk(n, start, min(start + width, subsets))
+            row_sums = (rows @ bits).reshape(-1, n, bits.shape[1])
+            out[lo : lo + step] += row_sums.prod(axis=1) @ signs
+    return out
 
 
-def hadamard_permanent(matrix, perm) -> complex:
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _square(matrix, stack: bool = False) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or (a.ndim > 2 and not stack):
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
+def permanent(matrix) -> complex | np.ndarray:
+    """Permanent of a square matrix, or of each matrix in a stack, by Ryser's formula.
+
+    perm(A) = sum over the non-empty column subsets S of (-1)^(n - |S|)
+    times the product over rows of the row sums restricted to S, which is
+    O(2^n * n^2) work here (the row sums of all subsets come from one matrix
+    product with the subset table).  A (n, n) matrix gives a ``complex``; a
+    stack (..., n, n) gives a complex array of shape (...).  The empty 0x0
+    matrix has permanent 1 (empty-product convention).  Entries must be
+    finite.
+
+    Numerics: the error is roundoff on the subset terms, which can be far
+    larger than the permanent they cancel down to.  Against Glynn's formula
+    on complex Gaussian matrices (30 per size), |Ryser - Glynn| stayed below
+    1e-15 * perm(|A|) for every n = 2..13, while the gap relative to
+    |perm(A)| grew from 1e-15 at n = 2..4 to a median of 4e-14 and a worst
+    case of 1e-12 at n = 12, and 1e-13 and 3e-11 at n = 13.  Beyond n = 13
+    it is not measured.
+    """
+    a = _finite(_square(matrix, stack=True))
+    n = a.shape[-1]
+    count = int(np.prod(a.shape[:-2]))
+    flat = a.reshape(count, n, n)
+    values = _ryser(count, n, lambda lo, hi: flat[lo:hi])
+    return complex(values[0]) if a.ndim == 2 else values.reshape(a.shape[:-2])
+
+
+def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     """Permanent of ``matrix * conj(matrix[perm, :])`` (entrywise product).
 
-    With the identity permutation this is the permanent of the squared
-    moduli, a non-negative real; permuting by the inverse conjugates the
-    result.
+    ``perm`` is one permutation in word form (length n), which gives a
+    ``complex``, or a 2-d array with one permutation per row, which gives
+    one Hadamard permanent per row as a complex array; the product matrices
+    are formed chunk by chunk inside the kernel, never all at once.  With
+    the identity permutation the value is the permanent of the squared
+    moduli, a non-negative real; permuting by the inverse conjugates it.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = _square(matrix)
+    n = a.shape[0]
     word = np.asarray(perm, dtype=int)
-    if word.shape != (a.shape[0],):
+    if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
-    return permanent(a * np.conj(a[word, :]))
+    words = word[None] if word.ndim == 1 else word
+
+    def products(lo, hi):
+        return _finite(a * np.conj(a[words[lo:hi], :]))
+
+    values = _ryser(len(words), n, products)
+    return complex(values[0]) if word.ndim == 1 else values
+
+
+@functools.lru_cache(maxsize=32)
+def _column_splits(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """All j-column subsets of n columns in lexicographic order, with their sorted complements."""
+    cols = np.array(list(itertools.combinations(range(n), j)), dtype=int)
+    keep = np.ones((len(cols), n), dtype=bool)
+    keep[np.arange(len(cols))[:, None], cols] = False
+    rest = np.nonzero(keep)[1].reshape(len(cols), n - j)
+    cols.setflags(write=False)
+    rest.setflags(write=False)
+    return cols, rest
 
 
 def laplace_split_permanent(matrix, perm) -> complex:
@@ -78,30 +161,25 @@ def laplace_split_permanent(matrix, perm) -> complex:
     column subsets; each term is the product of a j x j complex permanent and
     an (n-j) x (n-j) permanent of squared moduli, which is non-negative.
     Cost is C(n, j) * (2^j * j + 2^(n-j) * (n-j)) kernel operations per call,
-    so a truncation capping j keeps the complex blocks small.  Subsets are
-    visited in lexicographic order for a reproducible summation order.
+    so a truncation capping j keeps the complex blocks small.  The C(n, j)
+    complex blocks go through the kernel as one stack and the C(n, j)
+    non-negative blocks as another, subsets in lexicographic order, each
+    stack built chunk by chunk.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = _square(matrix)
     word = np.asarray(perm, dtype=int)
     n = a.shape[0]
     if word.shape != (n,):
         raise ValueError("permutation length must match the matrix size")
-    moved = [i for i in range(n) if word[i] != i]
-    fixed = [i for i in range(n) if word[i] == i]
-    j = len(moved)
-    product = a * np.conj(a[word, :])
-    nonneg = np.abs(a[fixed, :]) ** 2
-    moved_rows = product[moved, :]
-    total = 0.0 + 0.0j
-    all_cols = frozenset(range(n))
-    for cols in itertools.combinations(range(n), j):
-        rest = sorted(all_cols.difference(cols))
-        small = permanent(moved_rows[:, cols])
-        large = permanent(nonneg[:, rest])
-        total += small * large
-    return complex(total)
+    moved = word != np.arange(n)
+    j = int(moved.sum())
+    product = _finite(a * np.conj(a[word, :]))
+    nonneg = np.abs(a[~moved, :]) ** 2
+    cols, rest = _column_splits(n, j)
+    moved_rows = product[moved]
+    small = _ryser(len(cols), j, lambda lo, hi: moved_rows[:, cols[lo:hi]].transpose(1, 0, 2))
+    large = _ryser(len(rest), n - j, lambda lo, hi: nonneg[:, rest[lo:hi]].transpose(1, 0, 2))
+    return complex(np.sum(small * large))
 
 
 def submatrix(matrix, input_modes, output_modes) -> np.ndarray:

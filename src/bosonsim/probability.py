@@ -232,26 +232,29 @@ def _real_part(value: complex, magnitude: float) -> float:
 def _order_walk(inst: ExperimentInstance, k: int, evaluate) -> list[float]:
     """Contributions of interference orders 0..k, one permutation class per order.
 
-    ``evaluate(matrix, tau)`` is the Hadamard permanent for permutation tau;
-    entry 1 stays zero because no permutation moves exactly one point.
+    ``evaluate(matrix, taus)`` returns the Hadamard permanents of the
+    permutations in the rows of ``taus``, so each order is one call; the
+    zero-weight permutations are dropped first.  Entry 1 stays zero because
+    no permutation moves exactly one point.
     """
     n = inst.n
-    overlaps = inst.model.overlap_matrix(n)
+    overlaps = np.asarray(inst.model.overlap_matrix(n))
     matrix = inst.interference_matrix
     norm = inst.normalization
+    rows = np.arange(n)
     per_order = [0.0] * (k + 1)
     for j in itertools.chain((0,), range(2, k + 1)):
-        total = 0.0 + 0.0j
-        magnitude = 0.0
-        for tau in partial_derangements(n, j):
-            weight = overlap_product(overlaps, tau)
-            if weight == 0.0:
-                continue
-            term = weight * evaluate(matrix, tau)
-            total += term
-            magnitude += abs(term)
-        per_order[j] = _real_part(total / norm, magnitude / norm)
+        taus = np.array(list(partial_derangements(n, j)), dtype=int)
+        weights = overlaps[rows, taus].prod(axis=1)
+        nonzero = weights != 0.0
+        terms = weights[nonzero] * evaluate(matrix, taus[nonzero])
+        per_order[j] = _real_part(complex(terms.sum()) / norm, float(np.abs(terms).sum()) / norm)
     return per_order
+
+
+def _laplace_rows(matrix, taus) -> np.ndarray:
+    """``laplace_split_permanent`` of each permutation in the rows of ``taus``."""
+    return np.array([laplace_split_permanent(matrix, tau) for tau in taus], dtype=complex)
 
 
 def exact_probability(inst: ExperimentInstance) -> float:
@@ -311,7 +314,7 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
             raise ValueError(f"direct strategy is limited to n <= {_EXACT_LIMIT}")
         evaluate = hadamard_permanent
     elif strategy == "laplace":
-        evaluate = laplace_split_permanent
+        evaluate = _laplace_rows
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     start = time.perf_counter()

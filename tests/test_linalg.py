@@ -1,14 +1,27 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
+# Agreement tolerance relative to the largest term either formula can sum.
+# perm(|A|) is no such bound: Ryser's subset terms need not vanish when it
+# does (a matrix with two zero columns gives 4e-16j against perm(|A|) = 0).
+TERM_TOL = 1e-12
 
-def _random_complex(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+def _random_complex(rng, n, batch=()):
+    shape = (*batch, n, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _term_scale(matrices) -> np.ndarray:
+    """Product of the row (Ryser) or column (Glynn) absolute sums, whichever is larger."""
+    absolute = np.abs(matrices)
+    return np.maximum(absolute.sum(axis=-1).prod(axis=-1), absolute.sum(axis=-2).prod(axis=-1))
 
 
 class TestPermanent:
@@ -56,6 +69,89 @@ class TestPermanent:
         with pytest.raises(ValueError):
             permanent(np.ones((2, 3)))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                permanent([[1.0, bad], [0.0, 1.0]])
+
+    def test_numerics_at_twelve(self):
+        # Ryser's subset sum cancels more as n grows; on a Gaussian n = 12
+        # matrix the gap to Glynn is still at roundoff of perm(|A|).
+        a = _random_complex(np.random.default_rng(12), 12)
+        value, reference = permanent(a), glynn_permanent(a)
+        assert abs(value - reference) <= 1e-15 * permanent(np.abs(a)).real
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+class TestStacks:
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(13)
+        for n in range(9):
+            for batch in (0, 1, 5):
+                stack = _random_complex(rng, n, (batch,))
+                values = permanent(stack)
+                assert values.shape == (batch,)
+                single = np.array([permanent(a) for a in stack], dtype=complex)
+                assert np.all(np.abs(values - single) <= TERM_TOL * _term_scale(stack))
+
+    def test_leading_axes_are_kept(self):
+        stack = _random_complex(np.random.default_rng(14), 3, (2, 4))
+        values = permanent(stack)
+        assert values.shape == (2, 4)
+        assert values[1, 2] == pytest.approx(permanent(stack[1, 2]), rel=1e-12)
+
+    def test_stack_larger_than_one_chunk(self):
+        stack = _random_complex(np.random.default_rng(15), 5, (1000,))
+        values = permanent(stack)
+        scale = TERM_TOL * _term_scale(stack)
+        assert np.all(np.abs(values - np.array([permanent(a) for a in stack])) <= scale)
+        assert np.all(np.abs(values - np.array([glynn_permanent(a) for a in stack])) <= scale)
+
+    def test_more_subsets_than_one_chunk(self):
+        stack = _random_complex(np.random.default_rng(16), 13, (2,))
+        values = permanent(stack)
+        scale = TERM_TOL * _term_scale(stack)
+        for a, value, tol in zip(stack, values, scale):
+            assert abs(value - permanent(a)) <= tol
+            assert abs(value - glynn_permanent(a)) <= tol
+
+    def test_hadamard_rows_match_single_calls(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 4, 6):
+            a = _random_complex(rng, n)
+            taus = np.array([rng.permutation(n) for _ in range(7)])
+            values = hadamard_permanent(a, taus)
+            assert values.shape == (7,)
+            for tau, value in zip(taus, values):
+                scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+                assert abs(value - hadamard_permanent(a, tau)) <= scale
+        assert hadamard_permanent(np.eye(3), np.zeros((0, 3), dtype=int)).shape == (0,)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            permanent(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones(3))
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@st.composite
+def _complex_stacks(draw):
+    n = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (n, n)
+    return draw(arrays(float, shape, elements=_ENTRY)) + 1j * draw(arrays(float, shape, elements=_ENTRY))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_stacks())
+def test_ryser_and_glynn_agree(matrices):
+    stack = matrices[None] if matrices.ndim == 2 else matrices
+    values, scale = np.atleast_1d(permanent(matrices)), np.atleast_1d(_term_scale(matrices))
+    for a, value, size in zip(stack, values, scale):
+        assert abs(value - glynn_permanent(a)) <= TERM_TOL * size
+
 
 class TestHadamardPermanent:
     def test_identity_permutation_is_nonnegative_real(self):
@@ -88,6 +184,18 @@ class TestHadamardPermanent:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             hadamard_permanent(np.eye(3), (0, 1))
+        with pytest.raises(ValueError):
+            hadamard_permanent(np.eye(3), np.zeros((2, 2, 3), dtype=int))
+
+    @pytest.mark.parametrize("evaluate", [hadamard_permanent, laplace_split_permanent])
+    def test_rejects_overflow_and_nan(self, evaluate):
+        # Finite entries whose Hadamard product overflows are rejected like non-finite ones.
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            evaluate(np.full((3, 3), 1e200), (1, 2, 0))
+        bad = np.eye(3, dtype=complex)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            evaluate(bad, (1, 0, 2))
 
 
 class TestLaplaceSplit:
