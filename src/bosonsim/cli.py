@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-vec", dest="x_vec", help="comma-separated per-photon visibilities")
     p.add_argument("--k", type=int, help="truncation order")
     p.add_argument("--trials", type=int, help="number of Monte-Carlo trials (>= 50)")
-    p.add_argument("--threads", type=int, help="worker count; results do not depend on it")
+    p.add_argument("--threads", type=int, help="accepted for compatibility (>= 1); it has no effect")
 
     p = sub.add_parser("sample", help="Metropolis samples from the truncated distribution")
     common(p)
@@ -281,7 +281,8 @@ def _cmd_verify(args) -> int:
     m = _setting(args, config, "m", required=True, convert=int)
     k = _setting(args, config, "k", required=True, convert=int)
     trials = _setting(args, config, "trials", required=True, convert=int)
-    threads = _setting(args, config, "threads", default=1, convert=int)
+    if _setting(args, config, "threads", default=1, convert=int) < 1:
+        raise ValueError("threads must be a positive integer")
     x = _setting(args, config, "x", convert=float)
     x_vec = _setting(args, config, "x_vec", convert=_parse_float_list)
     if (x is None) == (x_vec is None):
@@ -291,7 +292,7 @@ def _cmd_verify(args) -> int:
     else:
         model = GeneralizedOBBModel(tuple(x_vec))
     seed = _resolve_seed(args, config)
-    report = validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed, workers=threads)
+    report = validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed)
     _emit_json(report.to_dict(), _setting(args, config, "output"))
     return 0
 

@@ -49,6 +49,9 @@ class HomogeneousModel:
         np.fill_diagonal(s, 1.0)
         return s
 
+    def visibilities(self, n: int) -> np.ndarray:
+        return np.full(n, self.x)
+
     def squared_visibilities(self, n: int) -> np.ndarray:
         return np.full(n, self.x * self.x)
 
@@ -81,10 +84,13 @@ class GeneralizedOBBModel:
         np.fill_diagonal(s, 1.0)
         return s
 
-    def squared_visibilities(self, n: int | None = None) -> np.ndarray:
+    def visibilities(self, n: int | None = None) -> np.ndarray:
         if n is not None and n != self.n:
             raise ValueError(f"model carries {self.n} visibilities, instance has n={n}")
-        v = np.asarray(self.x)
+        return np.asarray(self.x)
+
+    def squared_visibilities(self, n: int | None = None) -> np.ndarray:
+        v = self.visibilities(n)
         return v * v
 
     def to_dict(self) -> dict:

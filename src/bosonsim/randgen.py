@@ -3,7 +3,7 @@
 Every generator accepts either a 64-bit seed or a ``numpy.random.Generator``.
 Identical seeds give bitwise-identical outputs; ensembles used by Monte-Carlo
 runs derive one independent sub-stream per trial from (master seed, trial
-index), so results do not depend on how trials are scheduled across workers.
+index), so results do not depend on the order in which trials are evaluated.
 """
 from __future__ import annotations
 

@@ -17,6 +17,8 @@ from bosonsim.bounds import (
 )
 from bosonsim.combinat import partial_derangements
 from bosonsim.distinguishability import GeneralizedOBBModel, HomogeneousModel
+from bosonsim.probability import ExperimentInstance, exact_probability_by_order
+from bosonsim.randgen import gaussian_matrix, trial_rng
 
 
 class TestL1Bound:
@@ -251,10 +253,19 @@ class TestMonteCarloValidation:
         assert report.bound_satisfied
         assert report.model == model.to_dict()
 
-    def test_worker_count_does_not_change_results(self):
-        serial = validate_bound_monte_carlo(3, 9, 1, HomogeneousModel(0.6), trials=60, seed=2, workers=1)
-        threaded = validate_bound_monte_carlo(3, 9, 1, HomogeneousModel(0.6), trials=60, seed=2, workers=3)
-        assert serial.to_dict() == threaded.to_dict()
+    def test_stacked_errors_match_per_trial_orders(self):
+        # n = 6 stacks are evaluated in groups of 40, so 90 trials span three groups.
+        n, m, k, trials, seed = 6, 36, 2, 90, 2
+        model = GeneralizedOBBModel((0.9, 0.0, 0.8, 0.7, 1.0, 0.6))
+        errors = np.array([
+            exact_probability_by_order(ExperimentInstance.from_matrix(gaussian_matrix(n, m, trial_rng(seed, t)), model))[k + 1 :].sum()
+            for t in range(trials)
+        ])
+        report = validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed)
+        scale = float(np.mean(np.abs(errors)))
+        assert report.mean_abs_error == pytest.approx(scale, rel=1e-12)
+        assert abs(report.mean_error - np.mean(errors)) <= 1e-12 * scale
+        assert report.error_variance == pytest.approx(np.var(errors, ddof=1), rel=1e-10)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,7 @@ class TestVerifyCommand:
         _, serial = _run(capsys, base)
         _, threaded = _run(capsys, base + ["--threads", "4"])
         assert serial == threaded
+        assert main(base + ["--threads", "0"]) == 2
 
     def test_obb_vector(self, capsys):
         code, out = _run(capsys, ["verify", "--n", "3", "--m", "9", "--x-vec", "0.9,0.5,0.7", "--k", "1", "--trials", "50", "--seed", "3"])

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bosonsim.combinat import partial_derangements, rencontres
 from bosonsim.distinguishability import ExplicitModel, GeneralizedOBBModel, HomogeneousModel
 from bosonsim.linalg import permanent
 from bosonsim.probability import (
     ExperimentInstance,
+    _class_table,
+    _mixture_orders,
     exact_probability,
     exact_probability_by_order,
     mode_assignment,
@@ -16,7 +21,8 @@ from bosonsim.probability import (
     truncation_cost_estimate,
     truncation_error,
 )
-from bosonsim.randgen import haar_unitary
+from bosonsim.randgen import gaussian_matrix, haar_unitary
+from conftest import glynn_permanent
 
 BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -189,6 +195,115 @@ class TestByOrderDecomposition:
         for _ in range(5):
             orders = exact_probability_by_order(_haar_instance(rng, 3, 6))
             assert orders[1] == 0.0
+
+
+class TestClassTables:
+    def test_tables_match_the_generator(self):
+        for n in range(1, 8):
+            for j in range(n + 1):
+                table = _class_table(n, j)
+                assert table.shape == (rencontres(n, n - j), n)
+                assert [tuple(row) for row in table] == list(partial_derangements(n, j))
+                assert not table.flags.writeable
+
+
+def _term_scale(orders) -> float:
+    return float(np.abs(orders).sum())
+
+
+@st.composite
+def _obb_instances(draw):
+    """A Haar instance with n <= 7 photons, a possibly collisional output, and x with 0s and 1s."""
+    n = draw(st.integers(1, 7))
+    m = n + draw(st.integers(0, 3))
+    u = haar_unitary(m, draw(st.integers(0, 2**32 - 1)))
+    out_modes = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    x = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    occ_in = tuple([1] * n + [0] * (m - n))
+    return ExperimentInstance(u, occ_in, tuple(np.bincount(out_modes, minlength=m)), GeneralizedOBBModel(x))
+
+
+class TestMixtureEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(_obb_instances())
+    def test_matches_walk_and_symmetric_group_sum(self, inst):
+        mixture = exact_probability_by_order(inst)
+        walk = np.array(truncated_probability(inst, inst.n).per_order)
+        scale = _term_scale(walk)
+        assert np.all(np.abs(mixture - walk) <= 1e-12 * scale)
+        assert abs(mixture.sum() - exact_probability(inst)) <= 1e-12 * scale
+        assert mixture[1] == 0.0
+
+    def test_relabelling_photons_with_their_visibilities(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 8):
+            matrix = gaussian_matrix(n, 2 * n, rng)
+            x = rng.uniform(0.0, 1.0, n)
+            orders = exact_probability_by_order(ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel(x)))
+            relabel = rng.permutation(n)
+            moved = exact_probability_by_order(
+                ExperimentInstance.from_matrix(matrix[relabel], GeneralizedOBBModel(x[relabel]))
+            )
+            assert np.all(np.abs(moved - orders) <= 1e-12 * _term_scale(orders))
+
+    def test_homogeneous_equals_uniform_obb(self):
+        rng = np.random.default_rng(22)
+        for n, x in ((3, 0.0), (5, 0.5), (6, 0.7), (7, 1.0)):
+            matrix = gaussian_matrix(n, 2 * n, rng)
+            homogeneous = exact_probability_by_order(ExperimentInstance.from_matrix(matrix, HomogeneousModel(x)))
+            obb = exact_probability_by_order(ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel((x,) * n)))
+            assert np.array_equal(homogeneous, obb)
+
+    def test_explicit_overlaps_take_the_walk_to_the_same_orders(self):
+        rng = np.random.default_rng(27)
+        obb = _haar_instance(rng, 5, 8)
+        explicit = ExperimentInstance(
+            obb.unitary, obb.input_occupation, obb.output_occupation, ExplicitModel(obb.model.overlap_matrix(5))
+        )
+        mixture, walk = exact_probability_by_order(obb), exact_probability_by_order(explicit)
+        assert np.all(np.abs(mixture - walk) <= 1e-12 * _term_scale(walk))
+
+    def test_stack_matches_each_matrix_alone(self):
+        # n = 6 stacks are evaluated in groups of 40 matrices, so 45 span two groups.
+        rng = np.random.default_rng(23)
+        x = rng.uniform(0.0, 1.0, 6)
+        stack = np.array([gaussian_matrix(6, 12, rng) for _ in range(45)])
+        together = _mixture_orders(stack, x)
+        assert together.shape == (45, 7)
+        for matrix, orders in zip(stack, together):
+            alone = _mixture_orders(matrix[None], x)[0]
+            assert np.all(np.abs(orders - alone) <= 1e-12 * _term_scale(alone))
+        assert _mixture_orders(stack[:0], x).shape == (0, 7)
+
+    def test_nine_photons_beyond_the_walk(self):
+        matrix = gaussian_matrix(9, 18, np.random.default_rng(24))
+        orders = _mixture_orders(matrix[None], np.ones(9))[0]
+        assert abs(orders.sum() - abs(glynn_permanent(matrix)) ** 2) <= 1e-12 * _term_scale(orders)
+        classical = _mixture_orders(matrix[None], np.zeros(9))[0]
+        assert classical[0] == pytest.approx(glynn_permanent(np.abs(matrix) ** 2).real, rel=1e-12)
+        assert np.all(classical[1:] == 0.0)
+
+    def test_order_one_residue_fails_fast(self, monkeypatch):
+        import bosonsim.probability as probability
+
+        subset_sums = probability._subset_sums
+
+        def skewed(stack):
+            sums = subset_sums(stack)
+            sums[:, 1] *= 1.0 + 1e-6  # F({0}) no longer equals F(empty set)
+            return sums
+
+        monkeypatch.setattr(probability, "_subset_sums", skewed)
+        inst = _haar_instance(np.random.default_rng(25), 4, 6)
+        with pytest.raises(ArithmeticError):
+            exact_probability_by_order(inst)
+
+    def test_visibility_count_must_match(self):
+        inst = _haar_instance(np.random.default_rng(26), 4, 6, GeneralizedOBBModel((0.5,) * 3))
+        with pytest.raises(ValueError):
+            exact_probability_by_order(inst)
+        with pytest.raises(ValueError):
+            _mixture_orders(inst.interference_matrix[None], np.full(3, 0.5))
 
 
 class TestTruncation:
