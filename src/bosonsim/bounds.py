@@ -10,8 +10,9 @@ distribution:
 
     l1 <= sqrt(y**(k+1) / (1 - y))
 
-with ratio y = x**2 for a uniform visibility x and y = (quadratic mean of
-the pairwise visibilities) for per-photon visibilities.
+with ratio y = (quadratic mean of the pairwise visibilities) for
+per-photon visibilities.  The homogeneous model is the uniform case of the
+per-photon (OBB) model, and for it the ratio is exactly x**2.
 """
 from __future__ import annotations
 
@@ -21,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import rencontres, symmetric_means
-from .distinguishability import (
-    GeneralizedOBBModel,
-    HomogeneousModel,
-    quadratic_mean_visibility,
-)
+from .distinguishability import GeneralizedOBBModel, quadratic_mean_visibility
 from .probability import _mixture_orders
 from .randgen import gaussian_matrix, trial_rng
 
@@ -108,7 +105,7 @@ def min_truncation_order(parameter: float, epsilon: float, kind: str = "homogene
     k = max(0, math.ceil(math.log(target) / math.log(y) - 1.0))
 
     def bound_at(order: int) -> float:
-        return math.sqrt(y ** (order + 1) / (1.0 - y))
+        return l1_bound(BoundSpec(kind, parameter, order))
 
     while bound_at(k) > epsilon:
         k += 1
@@ -155,16 +152,6 @@ def truncation_order_curves(sigma: float, epsilons, mu_grid) -> list[dict]:
     return rows
 
 
-def _model_ratio_and_values(n: int, model):
-    if isinstance(model, HomogeneousModel):
-        return model.x * model.x, model.squared_visibilities(n)
-    if isinstance(model, GeneralizedOBBModel):
-        if model.n != n:
-            raise ValueError(f"model carries {model.n} visibilities, expected n={n}")
-        return quadratic_mean_visibility(model), model.squared_visibilities()
-    raise ValueError("variance prediction needs a homogeneous or OBB model")
-
-
 def predicted_variance(n: int, m: int, k: int, model) -> float:
     """Geometric-series approximation of the truncation-error variance.
 
@@ -177,7 +164,8 @@ def predicted_variance(n: int, m: int, k: int, model) -> float:
         raise ValueError("n and m must be positive integers")
     if k < 0:
         raise ValueError("k must be non-negative")
-    ratio, _ = _model_ratio_and_values(n, model)
+    ratio = quadratic_mean_visibility(model)
+    model.visibilities(n)  # an OBB vector must carry n visibilities
     tail = sum(ratio**j for j in range(k + 1, n + 1) if j != 1)
     return float(math.factorial(n)) ** 2 / float(m) ** (2 * n) * tail
 
@@ -195,8 +183,9 @@ def predicted_variance_exact(n: int, m: int, k: int, model) -> float:
         raise ValueError("n and m must be positive integers")
     if k < 0:
         raise ValueError("k must be non-negative")
-    _, values = _model_ratio_and_values(n, model)
-    means = symmetric_means(values).means
+    if not isinstance(model, GeneralizedOBBModel):
+        raise ValueError("variance prediction needs a homogeneous or OBB model")
+    means = symmetric_means(np.square(model.visibilities(n))).means
     n_fact = math.factorial(n)
     total = 0.0
     for j in range(k + 1, n + 1):
@@ -268,7 +257,10 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     variance (with a 4/sqrt(trials) slack), the mean error must be within
     four standard errors of zero, and the mean absolute error scaled by
     C(m, n) * n! / m**n (the number of non-collisional outputs times the
-    typical outcome weight) must stay below the L1 bound.
+    typical outcome weight) must stay below the L1 bound.  The bound takes
+    the quadratic-mean ratio of the model (x * x for a uniform visibility
+    x); a ratio of 1, or an OBB vector without n visibilities, raises
+    before any trial is drawn.
     """
     if n > _MC_PHOTON_LIMIT:
         raise ValueError(f"exact per-trial references are limited to n <= {_MC_PHOTON_LIMIT}")
@@ -276,10 +268,11 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
         raise ValueError("need at least 50 trials")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    ratio, _ = _model_ratio_and_values(n, model)
+    spec = BoundSpec(kind="quadratic_mean", parameter=quadratic_mean_visibility(model), k=k)
+    x = model.visibilities(n)
 
     matrices = np.array([gaussian_matrix(n, m, trial_rng(seed, trial)) for trial in range(trials)])
-    errors = _trial_error(matrices, model.visibilities(n), k)
+    errors = _trial_error(matrices, x, k)
 
     mean_abs = float(np.mean(np.abs(errors)))
     mean = float(np.mean(errors))
@@ -288,14 +281,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     predicted = predicted_variance(n, m, k, model)
     slack = 4.0 / math.sqrt(trials)
 
-    if isinstance(model, HomogeneousModel):
-        spec = BoundSpec(kind="homogeneous_x", parameter=model.x, k=k)
-    else:
-        spec = BoundSpec(kind="quadratic_mean", parameter=ratio, k=k)
-    try:
-        l1 = l1_bound(spec)
-    except DivergenceError:
-        l1 = math.inf
+    l1 = l1_bound(spec)
     outcome_scale = math.comb(m, n) * math.factorial(n) / float(m) ** n
     scaled_l1 = outcome_scale * mean_abs
 

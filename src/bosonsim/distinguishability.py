@@ -1,12 +1,12 @@
 """Partial-distinguishability models and the pairwise overlap matrix.
 
-Three model variants are supported:
+Two model families are supported:
 
-* homogeneous: every photon pair has the same overlap x, so
-  S_ij = x + (1 - x) * delta_ij;
 * generalized orthogonal-bad-bit (OBB): photon i is split between a common
   target mode (weight sqrt(x_i)) and its own orthogonal mode, giving
-  S_ii = 1 and S_ij = sqrt(x_i * x_j) for i != j;
+  S_ii = 1 and S_ij = sqrt(x_i) * sqrt(x_j) for i != j.  The homogeneous
+  model is its uniform case: one visibility x for every photon, at any
+  photon count, so S_ij = x for i != j (computed as sqrt(x) * sqrt(x));
 * explicit: an arbitrary Gram matrix of unit internal states.
 
 Visibilities x_i are restricted to real values in [0, 1]; complex phases on
@@ -35,33 +35,8 @@ _MATRIX_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HomogeneousModel:
-    """All photon pairs share the same overlap ``x`` in [0, 1]."""
-
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError("x must lie in [0, 1]")
-
-    def overlap_matrix(self, n: int) -> np.ndarray:
-        s = np.full((n, n), complex(self.x))
-        np.fill_diagonal(s, 1.0)
-        return s
-
-    def visibilities(self, n: int) -> np.ndarray:
-        return np.full(n, self.x)
-
-    def squared_visibilities(self, n: int) -> np.ndarray:
-        return np.full(n, self.x * self.x)
-
-    def to_dict(self) -> dict:
-        return {"type": "homogeneous", "x": self.x}
-
-
-@dataclass(frozen=True)
 class GeneralizedOBBModel:
-    """Per-photon visibilities ``x``; pair (i, j) has overlap sqrt(x_i * x_j)."""
+    """Per-photon visibilities ``x``; pair (i, j) has overlap sqrt(x_i) * sqrt(x_j)."""
 
     x: tuple[float, ...]
 
@@ -72,29 +47,36 @@ class GeneralizedOBBModel:
         if any(v < 0.0 or v > 1.0 for v in self.x):
             raise ValueError("all visibilities must lie in [0, 1]")
 
-    @property
-    def n(self) -> int:
-        return len(self.x)
+    def visibilities(self, n: int) -> np.ndarray:
+        if n != len(self.x):
+            raise ValueError(f"model carries {len(self.x)} visibilities, instance has n={n}")
+        return np.asarray(self.x)
 
     def overlap_matrix(self, n: int) -> np.ndarray:
-        if n != self.n:
-            raise ValueError(f"model carries {self.n} visibilities, instance has n={n}")
-        root = np.sqrt(np.asarray(self.x))
+        root = np.sqrt(self.visibilities(n))
         s = np.outer(root, root).astype(complex)
         np.fill_diagonal(s, 1.0)
         return s
 
-    def visibilities(self, n: int | None = None) -> np.ndarray:
-        if n is not None and n != self.n:
-            raise ValueError(f"model carries {self.n} visibilities, instance has n={n}")
-        return np.asarray(self.x)
-
-    def squared_visibilities(self, n: int | None = None) -> np.ndarray:
-        v = self.visibilities(n)
-        return v * v
-
     def to_dict(self) -> dict:
         return {"type": "obb", "x": list(self.x)}
+
+
+@dataclass(frozen=True)
+class HomogeneousModel(GeneralizedOBBModel):
+    """The uniform OBB case: every photon has visibility ``x`` in [0, 1], for any photon count."""
+
+    x: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.x <= 1.0:
+            raise ValueError("x must lie in [0, 1]")
+
+    def visibilities(self, n: int) -> np.ndarray:
+        return np.full(n, self.x)
+
+    def to_dict(self) -> dict:
+        return {"type": "homogeneous", "x": self.x}
 
 
 class ExplicitModel:
@@ -159,17 +141,25 @@ def quadratic_mean_visibility(model) -> float:
 
     Pair (i, j) has visibility x_i * x_j; the quadratic mean is the square
     root of the order-2 symmetric mean of the squared per-photon
-    visibilities.  For the homogeneous model it reduces to x**2.  Explicit
-    overlap matrices are rejected: no comparable mean is defined for them.
+    visibilities q_i = x_i**2.  The q_i are scaled by their largest value
+    first, so a uniform vector gives exactly x * x at every photon count (the
+    homogeneous model counts as two photons).  Explicit overlap matrices are
+    rejected: no comparable mean is defined for them.
+
+    >>> quadratic_mean_visibility(HomogeneousModel(0.7)) == 0.7 * 0.7
+    True
+    >>> quadratic_mean_visibility(GeneralizedOBBModel((0.7,) * 3)) == 0.7 * 0.7
+    True
     """
-    if isinstance(model, HomogeneousModel):
-        return model.x * model.x
-    if isinstance(model, GeneralizedOBBModel):
-        if model.n < 2:
-            raise ValueError("need at least two photons for a pairwise mean")
-        means = symmetric_means(model.squared_visibilities()).means
-        return float(np.sqrt(means[2]))
-    raise ValueError("quadratic mean is only defined for homogeneous and OBB models")
+    if not isinstance(model, GeneralizedOBBModel):
+        raise ValueError("quadratic mean is only defined for homogeneous and OBB models")
+    # A scalar x (the homogeneous model) holds at any photon count; two photons stand for it.
+    photons = len(model.x) if np.ndim(model.x) else 2
+    if photons < 2:
+        raise ValueError("need at least two photons for a pairwise mean")
+    q = np.square(model.visibilities(photons))
+    top = q.max()
+    return float(top * np.sqrt(symmetric_means(q / (top or 1.0)).means[2]))
 
 
 def model_from_dict(data: dict):

@@ -67,7 +67,8 @@ class ChainConfig:
         return "single_mode_swap"
 
 
-def _validate_input(unitary, input_occupation):
+def _validate_input(unitary, input_occupation, model) -> ExperimentInstance:
+    """The chain's base instance: the input photons detected in the first n modes."""
     m = np.asarray(unitary).shape[0]
     occ = tuple(int(c) for c in input_occupation)
     if any(c not in (0, 1) for c in occ):
@@ -77,7 +78,12 @@ def _validate_input(unitary, input_occupation):
         raise ValueError("need at least one photon")
     if n > m:
         raise ValueError("need at least as many modes as photons")
-    return m, n, occ
+    return ExperimentInstance(
+        unitary=unitary,
+        input_occupation=occ,
+        output_occupation=_occupation_from_modes(range(n), m),
+        model=model,
+    )
 
 
 def _occupation_from_modes(modes, m: int) -> tuple[int, ...]:
@@ -131,16 +137,10 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     only emit one if it started there and stays during early steps).
     Identical (seed, config) pairs reproduce the exact sample sequence.
     """
-    m, n, occ = _validate_input(unitary, input_occupation)
+    base = _validate_input(unitary, input_occupation, model)
+    m, n = base.m, base.n
     rng = np.random.default_rng(config.seed)
     proposal = config.resolved_proposal(m)
-
-    base = ExperimentInstance(
-        unitary=unitary,
-        input_occupation=occ,
-        output_occupation=_occupation_from_modes(range(n), m),
-        model=model,
-    )
     targets: dict[tuple[int, ...], float] = {}
 
     def target(state: tuple[int, ...]) -> float:
@@ -173,15 +173,10 @@ def output_distribution(unitary, input_occupation, model, k: int,
     their probabilities; intended as the total-variation oracle for the
     chain.  Limited to C(m, n) <= 10^5 outputs.
     """
-    m, n, occ = _validate_input(unitary, input_occupation)
+    base = _validate_input(unitary, input_occupation, model)
+    m, n = base.m, base.n
     if math.comb(m, n) > _ENUMERATION_LIMIT:
         raise ValueError(f"too many outputs to enumerate: C({m}, {n}) > {_ENUMERATION_LIMIT}")
-    base = ExperimentInstance(
-        unitary=unitary,
-        input_occupation=occ,
-        output_occupation=_occupation_from_modes(range(n), m),
-        model=model,
-    )
     states = list(output_configurations(m, n, noncollisional=True))
     weights = np.array([_clamped_target(base.with_output(s), k, strategy) for s in states])
     mass = weights.sum()

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bosonsim import bounds
 from bosonsim.bounds import (
     BoundSpec,
     DivergenceError,
@@ -266,6 +267,20 @@ class TestMonteCarloValidation:
         assert report.mean_abs_error == pytest.approx(scale, rel=1e-12)
         assert abs(report.mean_error - np.mean(errors)) <= 1e-12 * scale
         assert report.error_variance == pytest.approx(np.var(errors, ddof=1), rel=1e-10)
+
+    @pytest.mark.parametrize("model, error", [
+        (HomogeneousModel(1.0), DivergenceError),
+        (GeneralizedOBBModel((1.0,) * 3), DivergenceError),
+        (GeneralizedOBBModel((0.5,) * 2), ValueError),
+    ])
+    def test_bad_model_fails_before_any_trial(self, model, error, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the model was checked")
+
+        monkeypatch.setattr(bounds, "gaussian_matrix", no_trials)
+        monkeypatch.setattr(bounds, "_trial_error", no_trials)
+        with pytest.raises(error):
+            validate_bound_monte_carlo(3, 9, 1, model, trials=50, seed=1)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,24 @@ class TestVerifyCommand:
 
     def test_rejects_both_visibility_forms(self, capsys):
         assert main(["verify", "--n", "3", "--m", "9", "--x", "0.5", "--x-vec", "0.5,0.5,0.5", "--k", "1", "--trials", "50"]) == 2
+
+    def test_divergent_model_exit_code(self, capsys):
+        assert main(["verify", "--n", "3", "--m", "9", "--x", "1", "--k", "1", "--trials", "50"]) == 3
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_uniform_reports_are_pinned(self, capsys, k):
+        # A uniform visibility x gives the bound ratio x * x bit for bit, in either model form.
+        argv = ["verify", "--n", "5", "--m", "25", "--k", str(k), "--trials", "50", "--seed", "7"]
+        _, homogeneous = _run(capsys, argv + ["--x", "0.7"])
+        _, uniform = _run(capsys, argv + ["--x-vec", "0.7,0.7,0.7,0.7,0.7"])
+        report, other = json.loads(homogeneous), json.loads(uniform)
+        y = 0.7 * 0.7
+        tail = sum(y**j for j in range(k + 1, 6) if j != 1)
+        assert report["predicted_variance"] == float(math.factorial(5)) ** 2 / 25.0**10 * tail
+        assert report["predicted_l1_bound"] == math.sqrt(y ** (k + 1) / (1.0 - y))
+        assert report.pop("model") == {"type": "homogeneous", "x": 0.7}
+        assert other.pop("model") == {"type": "obb", "x": [0.7] * 5}
+        assert other == report
 
     def test_reference_run_satisfies_bound(self, capsys):
         code, out = _run(capsys, ["verify", "--n", "5", "--m", "25", "--x", "0.7", "--k", "1", "--trials", "500", "--seed", "7"])

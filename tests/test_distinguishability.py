@@ -32,7 +32,8 @@ class TestOverlapMatrix:
         x = 0.73
         a = overlap_matrix(HomogeneousModel(x), 5)
         b = overlap_matrix(GeneralizedOBBModel((x,) * 5), 5)
-        np.testing.assert_allclose(a, b, atol=1e-15)
+        np.testing.assert_array_equal(a, b)
+        assert isinstance(HomogeneousModel(x), GeneralizedOBBModel)
 
     def test_generated_matrices_are_gram(self):
         rng = np.random.default_rng(2)
@@ -128,11 +129,13 @@ class TestQuadraticMean:
 
     def test_uniform_vector_reduces_to_square(self):
         got = quadratic_mean_visibility(GeneralizedOBBModel((0.8,) * 5))
-        assert got == pytest.approx(0.64, rel=1e-12)
+        assert got == 0.8 * 0.8
 
     def test_explicit_model_unsupported(self):
         with pytest.raises(ValueError):
             quadratic_mean_visibility(ExplicitModel(np.eye(3)))
+        with pytest.raises(ValueError):
+            quadratic_mean_visibility(GeneralizedOBBModel((0.5,)))
 
 
 class TestDescriptors:
@@ -145,6 +148,12 @@ class TestDescriptors:
         for model in models:
             clone = model_from_dict(model.to_dict())
             np.testing.assert_allclose(clone.overlap_matrix(3), model.overlap_matrix(3))
+
+    def test_visibility_models_keep_their_type(self):
+        for model in (HomogeneousModel(0.45), GeneralizedOBBModel((0.2, 0.9, 1.0))):
+            clone = model_from_dict(model.to_dict())
+            assert type(clone) is type(model)
+            assert clone == model
 
     def test_rejects_unknown_type_and_fields(self):
         with pytest.raises(ValueError):
