@@ -166,6 +166,11 @@ def predicted_variance(n: int, m: int, k: int, model) -> float:
         raise ValueError("k must be non-negative")
     ratio = quadratic_mean_visibility(model)
     model.visibilities(n)  # an OBB vector must carry n visibilities
+    return _geometric_variance(n, m, k, ratio)
+
+
+def _geometric_variance(n: int, m: int, k: int, ratio: float) -> float:
+    """``predicted_variance`` for a given quadratic-mean ratio, without input checks."""
     tail = sum(ratio**j for j in range(k + 1, n + 1) if j != 1)
     return float(math.factorial(n)) ** 2 / float(m) ** (2 * n) * tail
 
@@ -278,7 +283,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     mean = float(np.mean(errors))
     variance = float(np.var(errors, ddof=1)) if trials > 1 else 0.0
     stderr = math.sqrt(variance / trials)
-    predicted = predicted_variance(n, m, k, model)
+    predicted = _geometric_variance(n, m, k, spec.parameter)
     slack = 4.0 / math.sqrt(trials)
 
     l1 = l1_bound(spec)

@@ -7,10 +7,11 @@ each non-empty subset holds, so ``a @ bits`` gives every subset's row sums
 in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The kernel
 takes a stack of matrices and works through it in chunks, over the stack and
 over the subsets, so that no intermediate holds more than 2^14 complex
-entries.  ``permanent`` and ``hadamard_permanent`` accept stacks (a 2-d
-permutation array gives one Hadamard permanent per row); the block expansion
-splits the permanent of a Hadamard product into small complex permanents
-times larger non-negative ones and evaluates each kind as one stack.
+entries.  ``permanent`` and ``hadamard_permanent`` accept stacks (with a
+2-d permutation array, one Hadamard permanent per matrix and row); the block
+expansion splits the permanent of a Hadamard product into small complex
+permanents times larger non-negative ones and evaluates each kind as one
+stack.
 """
 from __future__ import annotations
 
@@ -121,25 +122,35 @@ def permanent(matrix) -> complex | np.ndarray:
 def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     """Permanent of ``matrix * conj(matrix[perm, :])`` (entrywise product).
 
-    ``perm`` is one permutation in word form (length n), which gives a
-    ``complex``, or a 2-d array with one permutation per row, which gives
-    one Hadamard permanent per row as a complex array; the product matrices
-    are formed chunk by chunk inside the kernel, never all at once.  With
-    the identity permutation the value is the permanent of the squared
-    moduli, a non-negative real; permuting by the inverse conjugates it.
+    ``perm`` is one permutation in word form (length n) or a 2-d array with
+    one permutation per row; ``matrix`` is one n x n matrix or a stack
+    (..., n, n).  The result has shape (stack shape) + (rows of ``perm``),
+    one Hadamard permanent per matrix and permutation, and is a ``complex``
+    for one matrix and one permutation.  The product matrices are formed
+    chunk by chunk inside the kernel, never all at once.  With the identity
+    permutation the value is the permanent of the squared moduli, a
+    non-negative real; permuting by the inverse conjugates it.
     """
-    a = _square(matrix)
-    n = a.shape[0]
+    a = _square(matrix, stack=True)
+    n = a.shape[-1]
     word = np.asarray(perm, dtype=int)
     if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
     words = word[None] if word.ndim == 1 else word
+    one = a if a.ndim == 2 else a[0] if a.shape[:-2] == (1,) else None
+    if one is not None:  # one matrix: the products need no per-entry gather of matrices
+        values = _ryser(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
+    else:
+        flat = a.reshape(-1, n, n)
 
-    def products(lo, hi):
-        return _finite(a * np.conj(a[words[lo:hi], :]))
+        def products(lo, hi):
+            which, row = np.divmod(np.arange(lo, hi), len(words))
+            return _finite(flat[which] * np.conj(flat[which[:, None], words[row]]))
 
-    values = _ryser(len(words), n, products)
-    return complex(values[0]) if word.ndim == 1 else values
+        values = _ryser(len(flat) * len(words), n, products)
+    if a.ndim == 2 and word.ndim == 1:
+        return complex(values[0])
+    return values.reshape(a.shape[:-2] + word.shape[:-1])
 
 
 @functools.lru_cache(maxsize=32)

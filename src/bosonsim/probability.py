@@ -10,15 +10,17 @@ Truncating at order k keeps the at-most-k-photon interference terms, and the
 neglected tail is the truncation error.
 
 Two engines evaluate the orders.  The walk visits every permutation of each
-order it needs, class by class, which costs about (class size) x 2^n x n^2;
-it serves truncation at any k and the by-order split of explicit overlap
-matrices.  For the homogeneous and OBB models a permutation's overlap weight
-depends only on the set A of photons it moves, x_A = prod_{i in A} x_i, so
-the probability is a multilinear polynomial in the visibilities (the mixture
-formula of Renema et al., PRL 120, 220502 (2018)).  The mixture engine gets
-all n + 1 orders from one sum over the 2^n photon subsets, at about
-C(2n, n) pairs of sub-permanents per matrix instead of n! Hadamard
-permanents, and evaluates a whole stack of matrices at once.
+order it needs, class by class, which costs about (class size) x 2^n x n^2
+per matrix, with one kernel call per order for a whole stack of matrices;
+it serves truncation at any k (the sampler's targets included) and the
+by-order split of explicit overlap matrices.  For the homogeneous and OBB
+models a permutation's overlap weight depends only on the set A of photons
+it moves, x_A = prod_{i in A} x_i, so the probability is a multilinear
+polynomial in the visibilities (the mixture formula of Renema et al., PRL
+120, 220502 (2018)).  The mixture engine gets all n + 1 orders from one sum
+over the 2^n photon subsets, at about C(2n, n) pairs of sub-permanents per
+matrix instead of n! Hadamard permanents, and evaluates a whole stack of
+matrices at once.
 """
 from __future__ import annotations
 
@@ -152,14 +154,6 @@ class ExperimentInstance:
     def interference_matrix(self) -> np.ndarray:
         return submatrix(self.unitary, self.input_modes, self.output_modes)
 
-    def with_output(self, output_occupation) -> "ExperimentInstance":
-        return ExperimentInstance(
-            unitary=self.unitary,
-            input_occupation=self.input_occupation,
-            output_occupation=tuple(output_occupation),
-            model=self.model,
-        )
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,
@@ -234,12 +228,17 @@ class TruncationResult:
         }
 
 
-def _real_part(value: complex, magnitude: float) -> float:
+def _real_part(values, magnitudes) -> np.ndarray:
     # The imaginary parts cancel in conjugate pairs (tau with its inverse), so
     # what is left is roundoff relative to the summed term magnitudes.
-    if abs(value.imag) > _RESIDUE * magnitude:
-        raise ArithmeticError(f"imaginary residue {value.imag:g} above {_RESIDUE:g} x {magnitude:g}")
-    return float(value.real)
+    values, magnitudes = np.asarray(values, dtype=complex), np.asarray(magnitudes)
+    excess = np.abs(values.imag) > _RESIDUE * magnitudes
+    if excess.any():
+        i = int(np.argmax(excess))
+        raise ArithmeticError(
+            f"imaginary residue {values.flat[i].imag:g} above {_RESIDUE:g} x {magnitudes.flat[i]:g}"
+        )
+    return values.real
 
 
 @functools.lru_cache(maxsize=32)
@@ -250,32 +249,54 @@ def _class_table(n: int, moved: int) -> np.ndarray:
     return table
 
 
-def _order_walk(inst: ExperimentInstance, k: int, evaluate) -> list[float]:
-    """Contributions of interference orders 0..k, one permutation class per order.
+def _order_walk(matrices: np.ndarray, classes, k: int, evaluate) -> np.ndarray:
+    """Orders 0..k of each matrix in a (B, n, n) stack, without the normalization.
 
-    ``evaluate(matrix, taus)`` returns the Hadamard permanents of the
-    permutations in the rows of ``taus``, so each order is one call; the
-    zero-weight permutations are dropped first.  Entry 1 stays zero because
-    no permutation moves exactly one point.
+    ``classes`` holds (j, weights, taus) per order j = 0, 2..k: the
+    nonzero-weight permutations moving exactly j points, one per row of
+    ``taus``.  Each order is one ``evaluate(matrices, taus)`` call, giving
+    (B, T) Hadamard permanents, and each order of each matrix is checked
+    against that matrix's own summed |terms|.  Column 1 stays zero.
     """
-    n = inst.n
-    overlaps = np.asarray(inst.model.overlap_matrix(n))
-    matrix = inst.interference_matrix
-    norm = inst.normalization
-    rows = np.arange(n)
-    per_order = [0.0] * (k + 1)
+    sums = np.zeros((len(matrices), k + 1), dtype=complex)
+    magnitudes = np.zeros((len(matrices), k + 1))
+    for j, weights, taus in classes:
+        terms = weights * evaluate(matrices, taus)
+        sums[:, j], magnitudes[:, j] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    return _real_part(sums, magnitudes)
+
+
+def _laplace_rows(matrices, taus) -> np.ndarray:
+    """``laplace_split_permanent`` of each matrix of a stack with each permutation in the rows of ``taus``."""
+    values = [[laplace_split_permanent(a, tau) for tau in taus] for a in matrices]
+    return np.array(values, dtype=complex).reshape(len(matrices), len(taus))
+
+
+def _truncation_walk(model, n: int, k: int, strategy: str):
+    """Check the arguments of an order-k truncation and fix what does not depend on the output.
+
+    Returns ``walk(matrices)``, the ``_order_walk`` orders 0..k of a
+    (B, n, n) stack of interference matrices.  The overlap weights and the
+    class tables are computed here, once for any number of stacks.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    if strategy == "direct":
+        if n > _EXACT_LIMIT:
+            raise ValueError(f"direct strategy is limited to n <= {_EXACT_LIMIT}")
+        evaluate = hadamard_permanent
+    elif strategy == "laplace":
+        evaluate = _laplace_rows
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    overlaps, rows = np.asarray(model.overlap_matrix(n)), np.arange(n)
+    classes = []
     for j in itertools.chain((0,), range(2, k + 1)):
         taus = _class_table(n, j)
         weights = overlaps[rows, taus].prod(axis=1)
         nonzero = weights != 0.0
-        terms = weights[nonzero] * evaluate(matrix, taus[nonzero])
-        per_order[j] = _real_part(complex(terms.sum()) / norm, float(np.abs(terms).sum()) / norm)
-    return per_order
-
-
-def _laplace_rows(matrix, taus) -> np.ndarray:
-    """``laplace_split_permanent`` of each permutation in the rows of ``taus``."""
-    return np.array([laplace_split_permanent(matrix, tau) for tau in taus], dtype=complex)
+        classes.append((j, weights[nonzero], taus[nonzero]))
+    return functools.partial(_order_walk, classes=classes, k=k, evaluate=evaluate)
 
 
 def _pair_blocks(source: np.ndarray, index: np.ndarray):
@@ -385,7 +406,7 @@ def exact_probability(inst: ExperimentInstance) -> float:
         total += term
         magnitude += abs(term)
     norm = inst.normalization
-    return _real_part(total / norm, magnitude / norm)
+    return float(_real_part(total / norm, magnitude / norm))
 
 
 def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
@@ -402,8 +423,9 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
         raise ValueError(f"exact evaluation is limited to n <= {_EXACT_LIMIT}")
     visibilities = getattr(inst.model, "visibilities", None)
     if visibilities is None:
-        return np.array(_order_walk(inst, inst.n, hadamard_permanent))
-    orders = _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))
+        orders = _truncation_walk(inst.model, inst.n, inst.n, "direct")(inst.interference_matrix[None])
+    else:
+        orders = _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))
     return orders[0] / inst.normalization
 
 
@@ -418,19 +440,9 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     strategies return the same value up to roundoff, and k = n reproduces
     the exact probability.
     """
-    n = inst.n
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}")
-    if strategy == "direct":
-        if n > _EXACT_LIMIT:
-            raise ValueError(f"direct strategy is limited to n <= {_EXACT_LIMIT}")
-        evaluate = hadamard_permanent
-    elif strategy == "laplace":
-        evaluate = _laplace_rows
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    walk = _truncation_walk(inst.model, inst.n, k, strategy)
     start = time.perf_counter()
-    per_order = _order_walk(inst, k, evaluate)
+    per_order = (walk(inst.interference_matrix[None])[0] / inst.normalization).tolist()
     elapsed = time.perf_counter() - start
     return TruncationResult(
         k=k,

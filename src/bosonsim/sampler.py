@@ -7,6 +7,13 @@ zero: truncation can produce small negative values, and a Metropolis target
 must be non-negative, so clamping is the policy here (the probability layer
 reports truncated values unclamped).  The chain therefore samples the
 clamped, implicitly normalized truncated distribution.
+
+Targets are evaluated in blocks: the independence chain draws ``_BLOCK``
+steps (a proposal, then one uniform, per step), evaluates their new states
+in one stacked walk, then decides; single-mode swaps run blocks of one.
+The uniform is drawn on every step, so once a chain meets a zero-weight
+state its seeded sequence differs from releases that drew the uniform only
+on positive weights; seeded reruns are identical.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import ExperimentInstance, output_configurations, truncated_probability
+from .probability import ExperimentInstance, _truncation_walk, output_configurations
 
 __all__ = [
     "DegenerateTargetError",
@@ -27,6 +34,8 @@ __all__ = [
 _MAX_ZERO_STREAK = 10_000
 _ENUMERATION_LIMIT = 100_000
 _INDEPENDENCE_PROPOSAL_MAX_MODES = 64
+# Independence-chain steps per block, and outputs per stacked walk.
+_BLOCK = 256
 
 
 class DegenerateTargetError(RuntimeError):
@@ -93,38 +102,66 @@ def _occupation_from_modes(modes, m: int) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def _clamped_target(inst: ExperimentInstance, k: int, strategy: str) -> float:
-    return max(truncated_probability(inst, k, strategy).total, 0.0)
+def _chain_target(base: ExperimentInstance, k: int, strategy: str):
+    """The chain's batched target: ``weights(states)`` for a list of output occupations.
+
+    Each weight is ``max(truncated_probability(...).total, 0)`` of that
+    output.  The overlap weights, class tables and input rows are fixed once
+    per chain; the outputs go through the walk ``_BLOCK`` at a time.
+    """
+    walk = _truncation_walk(base.model, base.n, k, strategy)
+    rows = base.unitary[base.input_modes]
+
+    def weights(states) -> list[float]:
+        out = []
+        for lo in range(0, len(states), _BLOCK):
+            cols = np.nonzero(np.array(states[lo : lo + _BLOCK]))[1].reshape(-1, base.n)
+            orders = walk(rows[:, cols].transpose(1, 0, 2)).tolist()
+            out.extend(max(math.fsum(row), 0.0) for row in orders)
+        return out
+
+    return weights
 
 
-def _metropolis_chain(target, propose, initial, rng, num_samples, burn_in, thinning):
-    """Generic Metropolis walk for a symmetric proposal kernel.
+def _metropolis_chain(weights, propose, initial, rng, block, num_samples, burn_in, thinning):
+    """Generic Metropolis walk for a symmetric proposal kernel, in blocks of steps.
 
-    Accepts a move with probability min(1, target(s') / target(s));
-    zero-weight proposals are rejected, and a run of more than 10^4 of them
-    in a row (a chain stranded in a dead region) aborts.
+    Each step draws ``propose(current)`` and then one uniform.  A block's
+    states that have no weight yet go to ``weights`` (a list of states in, a
+    list of weights out) in one call before its decisions run, so every
+    distinct state is evaluated once per chain; with ``block > 1`` the
+    proposals are drawn ahead of the decisions and must not depend on the
+    current state.  A move is accepted with probability
+    min(1, target(s') / target(s)); zero-weight proposals are rejected, and a
+    run of more than 10^4 of them in a row (a chain stranded in a dead
+    region) aborts.
     """
     current = initial
-    current_weight = target(current)
+    targets = {}
     samples = []
     zero_streak = 0
     total_steps = burn_in + num_samples * thinning
-    for step in range(total_steps):
-        candidate = propose(current)
-        weight = target(candidate)
-        if weight <= 0.0:
-            zero_streak += 1
-            if zero_streak > _MAX_ZERO_STREAK:
-                raise DegenerateTargetError(
-                    f"{zero_streak} consecutive zero-weight proposals; target may be empty"
-                )
-        else:
-            zero_streak = 0
-            if current_weight <= 0.0 or rng.random() * current_weight < weight:
-                current = candidate
-                current_weight = weight
-        if step >= burn_in and (step - burn_in + 1) % thinning == 0:
-            samples.append(current)
+    for first in range(0, total_steps, block):
+        moves = [(propose(current), rng.random()) for _ in range(min(block, total_steps - first))]
+        fresh = [s for s in dict.fromkeys([current] + [c for c, _ in moves]) if s not in targets]
+        if fresh:
+            targets.update(zip(fresh, weights(fresh)))
+        current_weight = targets[current]
+        for step, (candidate, uniform) in enumerate(moves, first):
+            weight = targets[candidate]
+            if weight <= 0.0:
+                zero_streak += 1
+                if zero_streak > _MAX_ZERO_STREAK:
+                    raise DegenerateTargetError(
+                        f"{zero_streak} consecutive zero-weight proposals; target may be empty"
+                    )
+            else:
+                zero_streak = 0
+                if current_weight <= 0.0 or uniform * current_weight < weight:
+                    current = candidate
+                    current_weight = weight
+            if step >= burn_in and (step - burn_in + 1) % thinning == 0:
+                samples.append(current)
     return samples
 
 
@@ -135,20 +172,16 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     The proposal kernels are symmetric, so detailed balance holds for the
     clamped target; zero-weight states are never accepted (the chain can
     only emit one if it started there and stays during early steps).
-    Identical (seed, config) pairs reproduce the exact sample sequence.
+    Targets are evaluated in blocks and every step draws one uniform (see
+    the module docstring), so a seeded sequence that meets a zero-weight
+    state differs from releases that drew the uniform only on positive
+    weights; identical (seed, config) pairs reproduce the exact sequence.
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n
+    weights = _chain_target(base, k, strategy)
     rng = np.random.default_rng(config.seed)
     proposal = config.resolved_proposal(m)
-    targets: dict[tuple[int, ...], float] = {}
-
-    def target(state: tuple[int, ...]) -> float:
-        weight = targets.get(state)
-        if weight is None:
-            weight = _clamped_target(base.with_output(state), k, strategy)
-            targets[state] = weight
-        return weight
 
     def propose(state: tuple[int, ...]) -> tuple[int, ...]:
         if proposal == "uniform_noncollisional":
@@ -160,8 +193,9 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
         nxt[empty[rng.integers(len(empty))]] = 1
         return tuple(nxt)
 
+    block = _BLOCK if proposal == "uniform_noncollisional" else 1
     initial = _occupation_from_modes(rng.choice(m, size=n, replace=False), m)
-    return _metropolis_chain(target, propose, initial, rng,
+    return _metropolis_chain(weights, propose, initial, rng, block,
                              config.num_samples, config.burn_in, config.thinning)
 
 
@@ -178,7 +212,7 @@ def output_distribution(unitary, input_occupation, model, k: int,
     if math.comb(m, n) > _ENUMERATION_LIMIT:
         raise ValueError(f"too many outputs to enumerate: C({m}, {n}) > {_ENUMERATION_LIMIT}")
     states = list(output_configurations(m, n, noncollisional=True))
-    weights = np.array([_clamped_target(base.with_output(s), k, strategy) for s in states])
+    weights = np.array(_chain_target(base, k, strategy)(states))
     mass = weights.sum()
     if mass <= 0.0:
         raise DegenerateTargetError("all truncated output weights are zero")

@@ -127,6 +127,20 @@ class TestStacks:
                 assert abs(value - hadamard_permanent(a, tau)) <= scale
         assert hadamard_permanent(np.eye(3), np.zeros((0, 3), dtype=int)).shape == (0,)
 
+    def test_hadamard_stack_matches_single_calls(self):
+        rng = np.random.default_rng(19)
+        n = 4
+        stack = _random_complex(rng, n, (2, 3))
+        taus = np.array([rng.permutation(n) for _ in range(5)])
+        values = hadamard_permanent(stack, taus)
+        assert values.shape == (2, 3, 5)
+        assert hadamard_permanent(stack, taus[0]).shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            a = stack[index]
+            for tau, value in zip(taus, values[index]):
+                assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+        assert hadamard_permanent(stack[:0, 0], taus).shape == (0, 5)
+
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):
             permanent(np.ones((4, 2, 3)))

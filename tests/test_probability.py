@@ -13,6 +13,7 @@ from bosonsim.probability import (
     ExperimentInstance,
     _class_table,
     _mixture_orders,
+    _truncation_walk,
     exact_probability,
     exact_probability_by_order,
     mode_assignment,
@@ -304,6 +305,82 @@ class TestMixtureEngine:
             exact_probability_by_order(inst)
         with pytest.raises(ValueError):
             _mixture_orders(inst.interference_matrix[None], np.full(3, 0.5))
+
+
+@st.composite
+def _output_stacks(draw):
+    """A model, k, a strategy and 0..4 possibly collisional outputs of one Haar instance with n <= 5."""
+    n = draw(st.integers(1, 5))
+    m = n + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["homogeneous", "obb", "explicit"]))
+    if kind == "homogeneous":
+        model = HomogeneousModel(draw(st.sampled_from([0.0, 0.45, 1.0])))
+    elif kind == "obb":
+        model = GeneralizedOBBModel(tuple(draw(st.sampled_from([0.0, 1.0, 0.3, 0.85])) for _ in range(n)))
+    else:
+        vectors = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        model = ExplicitModel(vectors @ vectors.conj().T / np.outer(*[np.linalg.norm(vectors, axis=1)] * 2))
+    u = haar_unitary(m, rng)
+    occ_in = tuple([1] * n + [0] * (m - n))
+    outputs = [tuple(np.bincount(rng.integers(0, m, n), minlength=m)) for _ in range(draw(st.integers(0, 4)))]
+    instances = [ExperimentInstance(u, occ_in, occ, model) for occ in outputs]
+    return instances, model, n, draw(st.integers(0, n)), draw(st.sampled_from(["direct", "laplace"]))
+
+
+class TestStackedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(_output_stacks())
+    def test_stack_matches_each_matrix_and_truncation(self, case):
+        instances, model, n, k, strategy = case
+        walk = _truncation_walk(model, n, k, strategy)
+        stacked = walk(np.array([inst.interference_matrix for inst in instances]).reshape(-1, n, n))
+        assert stacked.shape == (len(instances), k + 1)
+        for inst, orders in zip(instances, stacked):
+            alone = walk(inst.interference_matrix[None])[0]
+            reference = truncated_probability(inst, k, strategy).per_order
+            scale = 1e-12 * _term_scale(alone)
+            assert np.all(np.abs(orders - alone) <= scale)
+            assert np.all(np.abs(orders / inst.normalization - reference) <= scale / inst.normalization)
+            assert k < 1 or orders[1] == 0.0
+
+    def test_stack_spanning_several_kernel_chunks(self):
+        # 40 matrices of n = 5 at k = 3 give 400 and 800 product matrices per
+        # order, against 105 per kernel chunk.
+        rng = np.random.default_rng(31)
+        stack = np.array([gaussian_matrix(5, 10, rng) for _ in range(40)])
+        for strategy in ("direct", "laplace"):
+            walk = _truncation_walk(GeneralizedOBBModel((0.9, 0.2, 0.7, 1.0, 0.5)), 5, 3, strategy)
+            together = walk(stack)
+            for matrix, orders in zip(stack, together):
+                alone = walk(matrix[None])[0]
+                assert np.all(np.abs(orders - alone) <= 1e-12 * _term_scale(alone))
+
+    def test_empty_stack(self):
+        for strategy in ("direct", "laplace"):
+            walk = _truncation_walk(HomogeneousModel(0.5), 4, 2, strategy)
+            assert walk(np.zeros((0, 4, 4))).shape == (0, 3)
+
+    def test_residue_in_one_matrix_of_a_stack_fails(self):
+        # Real matrices have real Hadamard permanents, so under non-Hermitian
+        # overlaps only the complex matrix leaves a residue; the check must be
+        # per matrix, not hidden by a larger neighbour's term sizes.
+        rng = np.random.default_rng(32)
+        real = 1e3 * rng.standard_normal((3, 3))
+        skewed = 1e-2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        for strategy in ("direct", "laplace"):
+            walk = _truncation_walk(_SkewedModel(), 3, 3, strategy)
+            assert walk(np.array([real, real])).shape == (2, 4)
+            with pytest.raises(ArithmeticError):
+                walk(np.array([real, skewed]))
+
+    def test_arguments_checked_before_any_stack(self):
+        with pytest.raises(ValueError):
+            _truncation_walk(HomogeneousModel(0.5), 3, 4, "direct")
+        with pytest.raises(ValueError):
+            _truncation_walk(HomogeneousModel(0.5), 3, 2, "adaptive")
+        with pytest.raises(ValueError):
+            _truncation_walk(GeneralizedOBBModel((0.5,) * 2), 3, 2, "direct")
 
 
 class TestTruncation:

@@ -8,9 +8,11 @@ from bosonsim.distinguishability import GeneralizedOBBModel, HomogeneousModel
 from bosonsim.linalg import permanent, submatrix
 from bosonsim.probability import output_configurations, truncated_probability, ExperimentInstance
 from bosonsim.randgen import haar_unitary
+import bosonsim.sampler as sampler
 from bosonsim.sampler import (
     ChainConfig,
     DegenerateTargetError,
+    _BLOCK,
     _metropolis_chain,
     metropolis_sample,
     output_distribution,
@@ -97,10 +99,11 @@ class TestChain:
         states = list(range(6))
         rng = np.random.default_rng(9)
         samples = _metropolis_chain(
-            target=lambda s: 1.0,
+            weights=lambda batch: [1.0] * len(batch),
             propose=lambda s: int(rng.integers(6)),
             initial=0,
             rng=rng,
+            block=_BLOCK,
             num_samples=12_000,
             burn_in=100,
             thinning=1,
@@ -159,6 +162,91 @@ class TestChain:
         samples = metropolis_sample(u, (1, 1, 0, 0, 0), model, 2, cfg)
         states, probs = output_distribution(u, (1, 1, 0, 0, 0), model, k=2)
         assert tv_distance(_empirical(samples, states), probs) < 0.08
+
+    def test_blocking_does_not_change_the_chain(self):
+        # Each step draws its proposal and then one uniform, so a chain of
+        # independence proposals run in blocks equals the same chain run step
+        # by step; 7 samples at thinning 50 after 3 burn-in steps are 353
+        # steps, not a multiple of the block.
+        u = haar_unitary(7, seed=20)
+        base = sampler._validate_input(u, (1, 1, 1, 0, 0, 0, 0), GeneralizedOBBModel((0.9, 0.5, 0.7)))
+        weights = sampler._chain_target(base, 2, "direct")
+        runs = []
+        for block in (_BLOCK, 1):
+            rng = np.random.default_rng(21)
+
+            def propose(state):
+                return sampler._occupation_from_modes(rng.choice(7, size=3, replace=False), 7)
+
+            runs.append(_metropolis_chain(weights, propose, propose(None), rng, block, 7, 3, 50))
+        assert (353 % _BLOCK) and len(runs[0]) == 7
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("proposal", ["uniform_noncollisional", "single_mode_swap"])
+    def test_chain_shorter_than_a_block(self, proposal):
+        u = haar_unitary(5, seed=22)
+        cfg = ChainConfig(num_samples=1, burn_in=0, thinning=1, proposal=proposal, seed=23)
+        samples = metropolis_sample(u, (1, 1, 0, 0, 0), HomogeneousModel(0.5), 2, cfg)
+        assert len(samples) == 1 and sum(samples[0]) == 2 and set(samples[0]) <= {0, 1}
+        assert samples == metropolis_sample(u, (1, 1, 0, 0, 0), HomogeneousModel(0.5), 2, cfg)
+
+    def test_zero_streak_carries_across_blocks(self, monkeypatch):
+        # States below zero weigh nothing.  Runs of 5, 5 and 6 zero-weight
+        # proposals cross the boundaries of 4-step blocks; with a limit of 5
+        # only the sixth zero of the last run aborts.
+        monkeypatch.setattr(sampler, "_MAX_ZERO_STREAK", 5)
+        script = [-1] * 5 + [1] + [-2] * 5 + [2] + [-3] * 6
+
+        def run(steps):
+            moves = iter(script)
+            return _metropolis_chain(
+                weights=lambda batch: [float(s >= 0) for s in batch],
+                propose=lambda s: next(moves),
+                initial=0,
+                rng=np.random.default_rng(24),
+                block=4,
+                num_samples=steps,
+                burn_in=0,
+                thinning=1,
+            )
+
+        assert run(len(script) - 1)[-1] == 2
+        with pytest.raises(DegenerateTargetError, match="^6 consecutive"):
+            run(len(script))
+
+    @pytest.mark.parametrize("proposal", ["uniform_noncollisional", "single_mode_swap"])
+    def test_each_state_evaluated_once_with_truncated_weight(self, monkeypatch, proposal):
+        # The batched weights must equal the clamped per-state truncation; the
+        # k = 2 target of this instance clamps some outputs to zero.
+        u = haar_unitary(6, seed=15)
+        model = HomogeneousModel(0.95)
+        occ_in = (1, 1, 1, 1, 0, 0)
+        seen = []
+        chain_target = sampler._chain_target
+
+        def recording(base, k, strategy):
+            weights = chain_target(base, k, strategy)
+
+            def record(states):
+                values = weights(states)
+                seen.extend(zip(states, values))
+                return values
+
+            return record
+
+        monkeypatch.setattr(sampler, "_chain_target", recording)
+        for strategy in ("direct", "laplace"):
+            seen.clear()
+            cfg = ChainConfig(num_samples=300, burn_in=50, thinning=2, proposal=proposal, seed=25)
+            samples = metropolis_sample(u, occ_in, model, 2, cfg, strategy)
+            counts = Counter(state for state, _ in seen)
+            assert set(counts.values()) == {1}
+            assert set(samples) <= set(counts)
+            assert any(weight == 0.0 for _, weight in seen)
+            for state, weight in seen:
+                result = truncated_probability(ExperimentInstance(u, occ_in, state, model), 2, strategy)
+                scale = float(np.abs(result.per_order).sum())
+                assert abs(weight - max(result.total, 0.0)) <= 1e-12 * scale
 
     def test_proposal_auto_selection(self):
         assert ChainConfig(num_samples=1, seed=0).resolved_proposal(64) == "uniform_noncollisional"
