@@ -17,7 +17,7 @@ per-photon (OBB) model, and for it the ratio is exactly x**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -220,24 +220,7 @@ class EnsembleReport:
     l1_bound_satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "model": self.model,
-            "mean_abs_error": self.mean_abs_error,
-            "mean_error": self.mean_error,
-            "error_variance": self.error_variance,
-            "predicted_variance": self.predicted_variance,
-            "predicted_l1_bound": self.predicted_l1_bound,
-            "scaled_l1_estimate": self.scaled_l1_estimate,
-            "bound_satisfied": self.bound_satisfied,
-            "mean_zero_consistent": self.mean_zero_consistent,
-            "l1_bound_satisfied": self.l1_bound_satisfied,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 _MC_PHOTON_LIMIT = 7

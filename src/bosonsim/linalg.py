@@ -1,4 +1,4 @@
-"""The permanent kernel and the block expansion used by the truncated evaluator.
+"""The permanent kernel and the sub-block permanents of the split expansions.
 
 Every permanent goes through one exact, double-precision, deterministic
 kernel: Ryser's formula evaluated with numpy over all column subsets at
@@ -7,11 +7,11 @@ each non-empty subset holds, so ``a @ bits`` gives every subset's row sums
 in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The kernel
 takes a stack of matrices and works through it in chunks, over the stack and
 over the subsets, so that no intermediate holds more than 2^14 complex
-entries.  ``permanent`` and ``hadamard_permanent`` accept stacks (with a
-2-d permutation array, one Hadamard permanent per matrix and row); the block
-expansion splits the permanent of a Hadamard product into small complex
-permanents times larger non-negative ones and evaluates each kind as one
-stack.
+entries.  The public functions accept stacks (with a 2-d permutation array,
+one Hadamard permanent per matrix and row).  The Laplace split here and the
+mixture engine in ``probability`` both sum small complex permanents times
+larger non-negative ones, and take every family of sub-blocks of a stack
+from ``_block_permanents`` as one kernel stack, gathered chunk by chunk.
 """
 from __future__ import annotations
 
@@ -31,6 +31,10 @@ __all__ = [
 _CHUNK = 1 << 14
 # Largest n whose whole subset table is cached (under 2 MB for n = 1..12 together).
 _CACHED_N = 12
+# Largest offset table, in entries, that the block gather builds at once (2 MB of int64).
+_OFFSETS = 1 << 18
+# Largest (matrices x permutations x column subsets) table that the block expansion holds at once.
+_TABLE = 1 << 16
 
 
 def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,9 +89,9 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _square(matrix, stack: bool = False) -> np.ndarray:
+def _square(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or (a.ndim > 2 and not stack):
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
 
@@ -111,7 +115,7 @@ def permanent(matrix) -> complex | np.ndarray:
     case of 1e-12 at n = 12, and 1e-13 and 3e-11 at n = 13.  Beyond n = 13
     it is not measured.
     """
-    a = _finite(_square(matrix, stack=True))
+    a = _finite(_square(matrix))
     n = a.shape[-1]
     count = int(np.prod(a.shape[:-2]))
     flat = a.reshape(count, n, n)
@@ -131,7 +135,7 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     permutation the value is the permanent of the squared moduli, a
     non-negative real; permuting by the inverse conjugates it.
     """
-    a = _square(matrix, stack=True)
+    a = _square(matrix)
     n = a.shape[-1]
     word = np.asarray(perm, dtype=int)
     if word.ndim not in (1, 2) or word.shape[-1] != n:
@@ -141,7 +145,7 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     if one is not None:  # one matrix: the products need no per-entry gather of matrices
         values = _ryser(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
     else:
-        flat = a.reshape(-1, n, n)
+        flat = a.reshape(int(np.prod(a.shape[:-2])), n, n)
 
         def products(lo, hi):
             which, row = np.divmod(np.arange(lo, hi), len(words))
@@ -165,32 +169,74 @@ def _column_splits(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, rest
 
 
-def laplace_split_permanent(matrix, perm) -> complex:
+def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, conj_rows=None) -> np.ndarray:
+    """Permanents of the sub-blocks source[s][rows[r], cols[c]] of an (S, n, n) stack, as (S, R, C).
+
+    With ``conj_rows`` each block is multiplied entrywise by conj(source[s][conj_rows[r], cols[c]]).
+    Block offsets are built per group of row sets, about ``_OFFSETS`` at a
+    time, and each kernel chunk is gathered from them; entries are not checked.
+    """
+    count, n, j = source.shape[0], source.shape[-1], cols.shape[1]
+    flat = source.reshape(-1)
+
+    def permanents(lo, hi):  # a function, so that one group's offsets are freed before the next
+        pairs = (hi - lo) * len(cols)
+        tables = [(index[lo:hi, None, :, None] * n + cols[None, :, None, :]).reshape(pairs, j, j)
+                  for index in (rows, conj_rows) if index is not None]
+
+        def block(first, last):
+            which, pair = np.divmod(np.arange(first, last), pairs)
+            base = (which * n * n)[:, None, None]
+            entries = flat[tables[0][pair] + base]
+            return entries * np.conj(flat[tables[1][pair] + base]) if len(tables) > 1 else entries
+
+        return _ryser(count * pairs, j, block).reshape(count, hi - lo, len(cols))
+
+    group = max(1, _OFFSETS // max(1, len(cols) * j * j))
+    # At least one group, so that no row sets give an empty (S, 0, C) table.
+    parts = [permanents(lo, min(lo + group, len(rows))) for lo in range(0, max(len(rows), 1), group)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     """Evaluate ``hadamard_permanent`` by expanding about the moved rows.
 
-    The rows moved by ``perm`` (say j of them) are expanded over all C(n, j)
-    column subsets; each term is the product of a j x j complex permanent and
-    an (n-j) x (n-j) permanent of squared moduli, which is non-negative.
-    Cost is C(n, j) * (2^j * j + 2^(n-j) * (n-j)) kernel operations per call,
-    so a truncation capping j keeps the complex blocks small.  The C(n, j)
-    complex blocks go through the kernel as one stack and the C(n, j)
-    non-negative blocks as another, subsets in lexicographic order, each
-    stack built chunk by chunk.
+    Same arguments and result shapes as ``hadamard_permanent``.  The j moved
+    rows are expanded over all C(n, j) column subsets C: each term is the
+    j x j complex permanent of the product rows over C times the permanent
+    of squared moduli over the fixed rows and the other columns.  Per count
+    j the complex blocks (per matrix, permutation and C) are one block stack
+    and the non-negative ones (per matrix, fixed-row set and C) another, in
+    groups of matrices of about ``_TABLE`` blocks: (permutations) * C(n, j) *
+    2^j * j + (fixed-row sets) * C(n, j) * 2^(n-j) * (n-j) kernel operations
+    per matrix, so capping j keeps the complex blocks small.
     """
     a = _square(matrix)
+    n = a.shape[-1]
     word = np.asarray(perm, dtype=int)
-    n = a.shape[0]
-    if word.shape != (n,):
+    if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
-    moved = word != np.arange(n)
-    j = int(moved.sum())
-    product = _finite(a * np.conj(a[word, :]))
-    nonneg = np.abs(a[~moved, :]) ** 2
-    cols, rest = _column_splits(n, j)
-    moved_rows = product[moved]
-    small = _ryser(len(cols), j, lambda lo, hi: moved_rows[:, cols[lo:hi]].transpose(1, 0, 2))
-    large = _ryser(len(rest), n - j, lambda lo, hi: nonneg[:, rest[lo:hi]].transpose(1, 0, 2))
-    return complex(np.sum(small * large))
+    words = word[None] if word.ndim == 1 else word
+    flat = a.reshape(int(np.prod(a.shape[:-2])), n, n)
+    moduli = _finite(np.abs(flat) ** 2)  # also bounds every product entry, |x y| <= max(|x|, |y|)^2
+    fixed = words == np.arange(n)
+    counts = n - fixed.sum(axis=1)
+    values = np.zeros((len(flat), len(words)), dtype=complex)
+    for j in np.unique(counts):
+        taus = np.flatnonzero(counts == j)
+        # Moved rows first, then fixed rows, each in ascending order.
+        moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
+        conj_rows = np.take_along_axis(words[taus], moved, axis=1)
+        cols, rest = _column_splits(n, j)
+        kept_sets, which = np.unique(kept, axis=0, return_inverse=True)
+        group = max(1, _TABLE // (len(taus) * len(cols)))
+        for lo in range(0, len(flat), group):  # one expression, so no group's tables outlive it
+            values[lo : lo + group, taus] = np.einsum(
+                "btk,btk->bt", _block_permanents(flat[lo : lo + group], moved, cols, conj_rows),
+                _block_permanents(moduli[lo : lo + group], kept_sets, rest).real[:, which.reshape(-1)])
+    if a.ndim == 2 and word.ndim == 1:
+        return complex(values[0, 0])
+    return values.reshape(a.shape[:-2] + word.shape[:-1])
 
 
 def submatrix(matrix, input_modes, output_modes) -> np.ndarray:

@@ -11,16 +11,17 @@ neglected tail is the truncation error.
 
 Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, class by class, which costs about (class size) x 2^n x n^2
-per matrix, with one kernel call per order for a whole stack of matrices;
-it serves truncation at any k (the sampler's targets included) and the
-by-order split of explicit overlap matrices.  For the homogeneous and OBB
-models a permutation's overlap weight depends only on the set A of photons
-it moves, x_A = prod_{i in A} x_i, so the probability is a multilinear
-polynomial in the visibilities (the mixture formula of Renema et al., PRL
-120, 220502 (2018)).  The mixture engine gets all n + 1 orders from one sum
-over the 2^n photon subsets, at about C(2n, n) pairs of sub-permanents per
-matrix instead of n! Hadamard permanents, and evaluates a whole stack of
-matrices at once.
+per matrix, with one evaluator call per order for a whole stack of matrices
+(``laplace_split_permanent`` for the Laplace strategy); it serves truncation
+at any k (the sampler's targets included) and the by-order split of
+explicit overlap matrices.  For the homogeneous and OBB models a
+permutation's overlap weight depends only on the set A of photons it moves,
+x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
+the visibilities (the mixture formula of Renema et al., PRL 120, 220502
+(2018)).  The mixture engine gets all n + 1 orders from one sum over the
+2^n photon subsets, at about C(2n, n) pairs of sub-permanents per matrix
+(from ``linalg._block_permanents``, like the Laplace split) instead of n!
+Hadamard permanents, and evaluates a whole stack of matrices at once.
 """
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinat import partial_derangements
+from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _CHUNK, _column_splits, _finite, _ryser, hadamard_permanent, laplace_split_permanent, submatrix
+from .linalg import _CHUNK, _block_permanents, _column_splits, _finite
+from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -228,16 +230,19 @@ class TruncationResult:
         }
 
 
+def _check_residue(residues: np.ndarray, magnitudes: np.ndarray, kind: str) -> None:
+    """Raise ArithmeticError where a structurally zero part exceeds _RESIDUE x its summed |terms|."""
+    excess = np.abs(residues) > _RESIDUE * magnitudes
+    if excess.any():
+        i = int(np.argmax(excess))
+        raise ArithmeticError(f"{kind} residue {residues.flat[i]:g} above {_RESIDUE:g} x {magnitudes.flat[i]:g}")
+
+
 def _real_part(values, magnitudes) -> np.ndarray:
     # The imaginary parts cancel in conjugate pairs (tau with its inverse), so
     # what is left is roundoff relative to the summed term magnitudes.
-    values, magnitudes = np.asarray(values, dtype=complex), np.asarray(magnitudes)
-    excess = np.abs(values.imag) > _RESIDUE * magnitudes
-    if excess.any():
-        i = int(np.argmax(excess))
-        raise ArithmeticError(
-            f"imaginary residue {values.flat[i].imag:g} above {_RESIDUE:g} x {magnitudes.flat[i]:g}"
-        )
+    values = np.asarray(values, dtype=complex)
+    _check_residue(values.imag, np.asarray(magnitudes), "imaginary")
     return values.real
 
 
@@ -266,12 +271,6 @@ def _order_walk(matrices: np.ndarray, classes, k: int, evaluate) -> np.ndarray:
     return _real_part(sums, magnitudes)
 
 
-def _laplace_rows(matrices, taus) -> np.ndarray:
-    """``laplace_split_permanent`` of each matrix of a stack with each permutation in the rows of ``taus``."""
-    values = [[laplace_split_permanent(a, tau) for tau in taus] for a in matrices]
-    return np.array(values, dtype=complex).reshape(len(matrices), len(taus))
-
-
 def _truncation_walk(model, n: int, k: int, strategy: str):
     """Check the arguments of an order-k truncation and fix what does not depend on the output.
 
@@ -286,7 +285,7 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
             raise ValueError(f"direct strategy is limited to n <= {_EXACT_LIMIT}")
         evaluate = hadamard_permanent
     elif strategy == "laplace":
-        evaluate = _laplace_rows
+        evaluate = laplace_split_permanent
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     overlaps, rows = np.asarray(model.overlap_matrix(n)), np.arange(n)
@@ -299,33 +298,13 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     return functools.partial(_order_walk, classes=classes, k=k, evaluate=evaluate)
 
 
-def _pair_blocks(source: np.ndarray, index: np.ndarray):
-    """Kernel ``block`` callback over the sub-blocks source[b][index[r], index[c]].
-
-    Block t of the stack has b, r, c = t // K^2, (t // K) % K, t % K for the
-    K subsets in the rows of ``index``; each chunk is cut out of ``source``
-    only when the kernel asks for it.
-    """
-    n, (subsets, width) = source.shape[-1], index.shape
-    pairs = subsets * subsets
-    # Flat offset, within one matrix, of every entry of every block.
-    offsets = (index[:, None, :, None] * n + index[None, :, None, :]).reshape(pairs, width, width)
-    flat = source.reshape(-1)
-
-    def block(lo, hi):
-        which, pair = np.divmod(np.arange(lo, hi), pairs)
-        return flat[offsets[pair] + (which * n * n)[:, None, None]]
-
-    return block
-
-
 def _subset_sums(stack: np.ndarray) -> np.ndarray:
     """F(B) for every row subset B (as a bit mask) of each matrix in a (g, n, n) stack.
 
     F(B) = sum over the column subsets C with |C| = |B| of |perm M_{B,C}|^2
     times perm(|M|^2) over the complementary rows and columns: the summed
     Hadamard permanents of all permutations that move only photons in B.
-    Each subset size is one kernel stack of complex blocks and one of
+    Each subset size is one block stack of complex blocks and one of
     non-negative blocks.
     """
     count, n = stack.shape[0], stack.shape[-1]
@@ -333,11 +312,9 @@ def _subset_sums(stack: np.ndarray) -> np.ndarray:
     sums = np.zeros((count, 1 << n))
     for size in range(n + 1):
         subsets, rest = _column_splits(n, size)
-        pairs = len(subsets) ** 2
-        small = _ryser(count * pairs, size, _pair_blocks(stack, subsets))
-        large = _ryser(count * pairs, n - size, _pair_blocks(moduli, rest)).real
-        terms = (np.abs(small) ** 2 * large).reshape(count, len(subsets), len(subsets))
-        sums[:, (1 << subsets).sum(axis=1)] = terms.sum(axis=2)
+        small = _block_permanents(stack, subsets, subsets)
+        large = _block_permanents(moduli, rest, rest).real
+        sums[:, (1 << subsets).sum(axis=1)] = (np.abs(small) ** 2 * large).sum(axis=2)
     return sums
 
 
@@ -374,11 +351,7 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     for j in range(n + 1):
         chosen = keep & (moved == j)
         orders[:, j] = sums[:, chosen] @ weights[chosen]
-    magnitude = np.abs(sums[:, keep]) @ weights[keep]
-    excess = np.abs(orders[:, 1]) > _RESIDUE * magnitude
-    if excess.any():
-        b = int(np.argmax(excess))
-        raise ArithmeticError(f"order-1 residue {orders[b, 1]:g} above {_RESIDUE:g} x {magnitude[b]:g}")
+    _check_residue(orders[:, 1], np.abs(sums[:, keep]) @ weights[keep], "order-1")
     orders[:, 1] = 0.0
     return orders
 
@@ -434,11 +407,10 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
 
     ``strategy="direct"`` evaluates each permanent whole (n <= 12);
     ``strategy="laplace"`` expands every term about the moved rows so the
-    complex permanents never exceed size k, at the price of
-    C(n, j)-term inner sums over non-negative permanents (see
+    complex permanents never exceed size k, at the price of C(n, j)-term
+    inner sums over non-negative permanents, shared by each order (see
     ``truncation_cost_estimate`` for the kernel-operation count).  Both
-    strategies return the same value up to roundoff, and k = n reproduces
-    the exact probability.
+    strategies agree up to roundoff; k = n reproduces the exact probability.
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     start = time.perf_counter()
@@ -463,17 +435,15 @@ def truncation_error(inst: ExperimentInstance, k: int, strategy: str = "direct")
 
 
 def truncation_cost_estimate(n: int, k: int) -> int:
-    """Kernel operations for the expanded evaluation of an order-k truncation.
+    """Kernel operations for the Laplace evaluation of an order-k truncation.
 
-    Counts, over orders j <= k, (class size) * C(n, j) * (2^j * j +
-    2^(n-j) * (n-j)) elementary operations, i.e. one small complex permanent
-    and one non-negative permanent per column subset and per permutation.
+    Counts, over orders j <= k, R(n, n-j) * C(n, j) * 2^j * j for the small
+    complex permanents (one per moving-j permutation and column subset) plus
+    C(n, j)^2 * 2^(n-j) * (n-j) for the non-negative ones (one per fixed-row
+    set and column subset, shared by the order).
     """
-    from .combinat import rencontres
-
     total = 0
     for j in itertools.chain((0,), range(2, k + 1)):
-        class_size = rencontres(n, n - j)
-        per_term = (1 << j) * j + (1 << (n - j)) * (n - j)
-        total += class_size * math.comb(n, j) * per_term
+        splits = math.comb(n, j)
+        total += rencontres(n, n - j) * splits * (1 << j) * j + splits**2 * (1 << (n - j)) * (n - j)
     return total

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
+from bosonsim.probability import _class_table
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
 # Agreement tolerance relative to the largest term either formula can sum.
@@ -140,6 +143,11 @@ class TestStacks:
             for tau, value in zip(taus, values[index]):
                 assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
         assert hadamard_permanent(stack[:0, 0], taus).shape == (0, 5)
+        # The Laplace split keeps the leading axes the same way.
+        scale = TERM_TOL * _term_scale(stack[:, :, None] * np.conj(stack[:, :, taus]))
+        assert np.all(np.abs(laplace_split_permanent(stack, taus) - values) <= scale)
+        assert laplace_split_permanent(stack, taus[0]).shape == (2, 3)
+        assert laplace_split_permanent(stack[:0, 0], taus).shape == (0, 5)
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):
@@ -210,6 +218,14 @@ class TestHadamardPermanent:
         bad[1, 2] = np.nan
         with pytest.raises(ValueError):
             evaluate(bad, (1, 0, 2))
+        # One bad matrix in a stack of good ones, for one permutation and for a table.
+        stack = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+        stack[2, 1, 2] = np.nan
+        with pytest.raises(ValueError):
+            evaluate(stack, (1, 0, 2))
+        stack[2, 1, 2] = stack[2, 0, 2] = 1e200
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            evaluate(stack, [(0, 1, 2), (1, 0, 2)])
 
 
 class TestLaplaceSplit:
@@ -243,6 +259,51 @@ class TestLaplaceSplit:
                 assert split == pytest.approx(whole, rel=1e-9, abs=1e-12)
                 pairs += 1
         assert pairs >= 25
+
+    def test_stacked_tables_match_hadamard(self):
+        # Tables mix the identity with permutations moving 2..n points (two per
+        # count, cycling the same rows both ways, so fixed-row sets repeat),
+        # shuffled, for stacks of 0, 1 and 5.
+        rng = np.random.default_rng(18)
+        for n in range(8):
+            taus = [np.arange(n)]
+            for j in range(2, n + 1):
+                moved = rng.choice(n, j, replace=False)
+                for shift in (1, -1):
+                    tau = np.arange(n)
+                    tau[moved] = np.roll(moved, shift)
+                    taus.append(tau)
+            taus = np.array(taus)[rng.permutation(len(taus))]
+            for batch in (0, 1, 5):
+                stack = _random_complex(rng, n, (batch,))
+                values = laplace_split_permanent(stack, taus)
+                assert values.shape == (batch, len(taus))
+                for a, row in zip(stack, values):
+                    assert laplace_split_permanent(a, taus).shape == (len(taus),)
+                    for tau, value in zip(taus, row):
+                        scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+                        assert abs(value - hadamard_permanent(a, tau)) <= scale
+                column = laplace_split_permanent(stack, taus[-1])
+                assert column.shape == (batch,)
+                scale = TERM_TOL * _term_scale(stack * np.conj(stack[:, taus[-1], :]))
+                assert np.all(np.abs(column - hadamard_permanent(stack, taus[-1])) <= scale)
+
+    def test_stack_memory_is_bounded(self):
+        # 256 matrices over the 112 permutations moving 3 of 8 points: held at
+        # once, the small-permanent table alone is 256 x 112 x 56 complex (26 MB).
+        rng = np.random.default_rng(20)
+        stack = _random_complex(rng, 8, (256,))
+        taus = _class_table(8, 3)
+        tracemalloc.start()
+        try:
+            values = laplace_split_permanent(stack, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        for b in (0, 255):
+            scale = TERM_TOL * _term_scale(stack[b] * np.conj(stack[b][taus[7], :]))
+            assert abs(values[b, 7] - hadamard_permanent(stack[b], taus[7])) <= scale
 
 
 class TestSubmatrix:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,25 @@ class TestMixtureEngine:
         assert classical[0] == pytest.approx(glynn_permanent(np.abs(matrix) ** 2).real, rel=1e-12)
         assert np.all(classical[1:] == 0.0)
 
+    def test_ten_photons_in_bounded_memory(self, monkeypatch):
+        # At n = 10 the sub-block offsets of one subset size would take 1.6M
+        # int64 at once; they are built for groups of row sets instead.
+        import bosonsim.linalg as linalg
+
+        rng = np.random.default_rng(27)
+        matrix = gaussian_matrix(10, 20, rng)
+        inst = ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel(rng.uniform(0, 1, 10)))
+        tracemalloc.start()
+        try:
+            orders = exact_probability_by_order(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        monkeypatch.setattr(linalg, "_OFFSETS", 1 << 30)  # every subset size in one group
+        whole = exact_probability_by_order(inst)
+        assert np.all(np.abs(orders - whole) <= 1e-12 * _term_scale(whole))
+
     def test_order_one_residue_fails_fast(self, monkeypatch):
         import bosonsim.probability as probability
 
@@ -492,9 +512,12 @@ class TestModelConsistency:
 
 class TestCostEstimate:
     def test_small_case_by_hand(self):
-        # n=3, k=2: order 0 contributes 1 * C(3,0) * (0 + 8*3) = 24;
-        # order 2 contributes 3 * C(3,2) * (4*2 + 2*1) = 90
+        # n=3, k=2: order 0 contributes 1 * 1 * 0 + 1^2 * 8*3 = 24;
+        # order 2 contributes 3 * C(3,2) * 4*2 + C(3,2)^2 * 2*1 = 72 + 18 = 90
         assert truncation_cost_estimate(3, 2) == 24 + 90
+        # n=4, k=3: order 0 gives 16*4 = 64; order 2 gives 6 * 6 * 8 + 36 * 4*2
+        # = 576; order 3 gives 8 * 4 * 8*3 + 16 * 2*1 = 800
+        assert truncation_cost_estimate(4, 3) == 64 + 576 + 800
 
     def test_monotone_in_k(self):
         costs = [truncation_cost_estimate(8, k) for k in range(9)]
