@@ -239,7 +239,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     truncation errors at order k of all trials come from one call of the
     mixture engine over the stack of matrices (see ``probability``): about
     C(2n, n) pairs of sub-permanents per trial, so a 50-trial n = 5
-    ensemble takes about 10 ms.  The report compares the empirical
+    ensemble takes about 2 ms.  The report compares the empirical
     statistics against the predicted variance and L1 bound: the mean
     absolute error must not exceed the square root of the predicted
     variance (with a 4/sqrt(trials) slack), the mean error must be within

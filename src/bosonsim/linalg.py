@@ -10,13 +10,19 @@ over the subsets, so that no intermediate holds more than 2^14 complex
 entries.  The public functions accept stacks (with a 2-d permutation array,
 one Hadamard permanent per matrix and row).  The Laplace split here and the
 mixture engine in ``probability`` both sum small complex permanents times
-larger non-negative ones, and take every family of sub-blocks of a stack
-from ``_block_permanents`` as one kernel stack, gathered chunk by chunk.
+larger non-negative ones, read from ``_lattice``, every sub-permanent of
+|M|^2 built by row expansion up to n = 12 (on a 2-core host, both lattices
+of a 50-matrix n = 5 stack take about 0.6 ms, and of one n = 10 matrix
+about 25 ms).  The Laplace split takes its complex j x j blocks from
+``_block_permanents`` as one kernel stack, and its non-negative ones from
+Ryser blocks instead where those cost less or n exceeds 12; the mixture
+takes the small ones from the lattice of M.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -33,8 +39,11 @@ _CHUNK = 1 << 14
 _CACHED_N = 12
 # Largest offset table, in entries, that the block gather builds at once (2 MB of int64).
 _OFFSETS = 1 << 18
-# Largest (matrices x permutations x column subsets) table that the block expansion holds at once.
+# Largest table, in entries, that a lattice gather or a group of Laplace blocks or lattices holds at once.
 _TABLE = 1 << 16
+# Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per
+# matrix, 853,776 (6.8 MB of float64) at n = 12 but 11.8 million (94 MB) at n = 14.
+_LATTICE_N = 12
 
 
 def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,22 +166,62 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     return values.reshape(a.shape[:-2] + word.shape[:-1])
 
 
-@functools.lru_cache(maxsize=32)
-def _column_splits(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """All j-column subsets of n columns in lexicographic order, with their sorted complements."""
-    cols = np.array(list(itertools.combinations(range(n), j)), dtype=int)
-    keep = np.ones((len(cols), n), dtype=bool)
-    keep[np.arange(len(cols))[:, None], cols] = False
-    rest = np.nonzero(keep)[1].reshape(len(cols), n - j)
-    cols.setflags(write=False)
-    rest.setflags(write=False)
-    return cols, rest
+@functools.lru_cache(maxsize=64)
+def _sets(n: int, s: int) -> np.ndarray:
+    """The s-subsets of range(n) in lexicographic order, as a read-only (C(n, s), s) array."""
+    sets = np.array(list(itertools.combinations(range(n), s)), dtype=int).reshape(math.comb(n, s), s)
+    sets.setflags(write=False)
+    return sets
 
 
-def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, conj_rows=None) -> np.ndarray:
-    """Permanents of the sub-blocks source[s][rows[r], cols[c]] of an (S, n, n) stack, as (S, R, C).
+@functools.lru_cache(maxsize=16)
+def _lattice_tables(n: int) -> tuple[np.ndarray, list]:
+    """The rank of each subset bit mask among the subsets of its size, and per size s = 0..n
+    (sets, masks, below, drop): the s-subsets in lexicographic order, their masks, the rank of
+    each without its lowest element and drop[i, c], the rank of set c without its i-th element.
 
-    With ``conj_rows`` each block is multiplied entrywise by conj(source[s][conj_rows[r], cols[c]]).
+    Complements reverse the order: the r-th s-subset's is the (C(n, s) - 1 - r)-th (n - s)-subset.
+    """
+    rank, levels = np.zeros(1 << n, dtype=int), []
+    for s in range(n + 1):
+        sets = _sets(n, s)
+        masks = (1 << sets).sum(axis=1)
+        rank[masks] = np.arange(len(sets))
+        levels.append((sets, masks, rank[masks ^ (1 << sets[:, :1]).sum(axis=1)], rank[masks ^ (1 << sets.T)]))
+    for table in itertools.chain((rank,), *levels):
+        table.setflags(write=False)
+    return rank, levels
+
+
+def _lattice(source: np.ndarray, top: int):
+    """Yield levels 0..top of the sub-permanent lattice of each matrix in an (S, n, n) stack.
+
+    Level s is an (R, R, S) array, R = C(n, s): entry [B, C, k] is perm(source[k][B, C]) for the
+    s-sets B and C ranked as in ``_lattice_tables``.  Expanding about the lowest row b of B,
+    perm(A_{B,C}) = sum over c in C of A_{b,c} perm(A_{B-b, C-c}), costs sum_s C(n, s)^2 s
+    multiply-adds per matrix, gathered about ``_TABLE`` entries at a time; entries are not checked.
+    """
+    count, n = source.shape[0], source.shape[-1]
+    levels = _lattice_tables(n)[1]
+    entries = source.transpose(1, 2, 0).reshape(n * n, count)
+    level = np.ones((1, 1, count), dtype=source.dtype)
+    yield level
+    for s in range(1, top + 1):
+        sets, _, below, drop = levels[s]
+        prev, stride = level.reshape(level.shape[0] * level.shape[1], count), level.shape[1]
+        level = np.empty((len(sets), len(sets), count), dtype=source.dtype)
+        step = max(1, _TABLE // (len(sets) * s * max(count, 1)))
+        for lo in range(0, len(sets), step):
+            rows = slice(lo, lo + step)
+            terms = entries.take(sets[rows, :1] * n + sets.T[:, None], axis=0)  # (s, rows, R, S)
+            terms *= prev.take(below[rows, None] * stride + drop[:, None], axis=0)
+            terms.sum(axis=0, out=level[rows])
+        yield level
+
+
+def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, conj_rows: np.ndarray) -> np.ndarray:
+    """The (S, R, C) permanents of source[s][rows[r], cols[c]] * conj(source[s][conj_rows[r], cols[c]]).
+
     Block offsets are built per group of row sets, about ``_OFFSETS`` at a
     time, and each kernel chunk is gathered from them; entries are not checked.
     """
@@ -181,14 +230,13 @@ def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, co
 
     def permanents(lo, hi):  # a function, so that one group's offsets are freed before the next
         pairs = (hi - lo) * len(cols)
-        tables = [(index[lo:hi, None, :, None] * n + cols[None, :, None, :]).reshape(pairs, j, j)
-                  for index in (rows, conj_rows) if index is not None]
+        left, right = ((index[lo:hi, None, :, None] * n + cols[None, :, None, :]).reshape(pairs, j, j)
+                       for index in (rows, conj_rows))
 
         def block(first, last):
             which, pair = np.divmod(np.arange(first, last), pairs)
             base = (which * n * n)[:, None, None]
-            entries = flat[tables[0][pair] + base]
-            return entries * np.conj(flat[tables[1][pair] + base]) if len(tables) > 1 else entries
+            return flat[left[pair] + base] * np.conj(flat[right[pair] + base])
 
         return _ryser(count * pairs, j, block).reshape(count, hi - lo, len(cols))
 
@@ -198,6 +246,19 @@ def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, co
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+def _complement_cost(n: int, sets: dict) -> tuple[int, bool]:
+    """Kernel operations for the Laplace complements, and whether the lattice gives them.
+
+    ``sets`` maps each moved count j to its number of fixed-row sets.  Ryser
+    blocks cost sets * C(n, j) * 2^(n-j) * (n-j) per count; the lattice of
+    |M|^2 costs sum_s C(n, s)^2 * s and is taken up to n = ``_LATTICE_N``
+    when it is no dearer.
+    """
+    ryser = sum(count * math.comb(n, j) * (n - j) << (n - j) for j, count in sets.items())
+    lattice = sum(math.comb(n, s) ** 2 * s for s in range(n + 1))
+    return (lattice, True) if n <= _LATTICE_N and lattice <= ryser else (ryser, False)
+
+
 def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     """Evaluate ``hadamard_permanent`` by expanding about the moved rows.
 
@@ -205,11 +266,15 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     rows are expanded over all C(n, j) column subsets C: each term is the
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
-    j the complex blocks (per matrix, permutation and C) are one block stack
-    and the non-negative ones (per matrix, fixed-row set and C) another, in
-    groups of matrices of about ``_TABLE`` blocks: (permutations) * C(n, j) *
-    2^j * j + (fixed-row sets) * C(n, j) * 2^(n-j) * (n-j) kernel operations
-    per matrix, so capping j keeps the complex blocks small.
+    j the complex blocks (per matrix, permutation and C) are one block
+    stack, at (permutations) * C(n, j) * 2^j * j kernel operations per
+    matrix, so capping j keeps them small.  The non-negative ones come from
+    the cheaper source by ``_complement_cost``: level n - j of the
+    ``_lattice`` of |M|^2, built once for every count and keeping only the
+    levels read (a full truncation up to n = ``_LATTICE_N``), or Ryser
+    blocks, one per fixed-row set and C, in bounded memory at any n (a few
+    permutations, or n above ``_LATTICE_N``).  Matrices go in groups of
+    about ``_TABLE`` blocks.
     """
     a = _square(matrix)
     n = a.shape[-1]
@@ -222,18 +287,28 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     fixed = words == np.arange(n)
     counts = n - fixed.sum(axis=1)
     values = np.zeros((len(flat), len(words)), dtype=complex)
-    for j in np.unique(counts):
-        taus = np.flatnonzero(counts == j)
-        # Moved rows first, then fixed rows, each in ascending order.
-        moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
-        conj_rows = np.take_along_axis(words[taus], moved, axis=1)
-        cols, rest = _column_splits(n, j)
-        kept_sets, which = np.unique(kept, axis=0, return_inverse=True)
-        group = max(1, _TABLE // (len(taus) * len(cols)))
-        for lo in range(0, len(flat), group):  # one expression, so no group's tables outlive it
+    moved_counts, sizes = np.unique(counts, return_counts=True)
+    lattice = _complement_cost(n, {int(j): min(int(t), math.comb(n, j)) for j, t in zip(moved_counts, sizes)})[1]
+    reads = set(n - moved_counts)
+    group = max(1, _TABLE // max(math.comb(2 * n, n), len(words) * math.comb(n, n // 2)))
+    for lo in range(0, len(flat), group):
+        block = flat[lo : lo + group]
+        levels = _lattice(moduli[lo : lo + group], max(reads, default=0)) if lattice else ()
+        held = {s: level for s, level in enumerate(levels) if s in reads}
+        for j in moved_counts:
+            taus = np.flatnonzero(counts == j)
+            # Moved rows first, then fixed rows, each in ascending order.
+            moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
+            conj_rows = np.take_along_axis(words[taus], moved, axis=1)
+            # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
+            if lattice:  # rows: the rank of each fixed-row set
+                complements = held[n - j][_lattice_tables(n)[0][(1 << kept).sum(axis=1)], ::-1]
+            else:  # |M|^2 blocks as M * conj(M), once per distinct fixed-row set
+                sets, which = np.unique(kept, axis=0, return_inverse=True)
+                complements = _block_permanents(block, sets, _sets(n, n - j)[::-1], sets).real
+                complements = complements.transpose(1, 2, 0)[which.reshape(-1)]
             values[lo : lo + group, taus] = np.einsum(
-                "btk,btk->bt", _block_permanents(flat[lo : lo + group], moved, cols, conj_rows),
-                _block_permanents(moduli[lo : lo + group], kept_sets, rest).real[:, which.reshape(-1)])
+                "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), complements)
     if a.ndim == 2 and word.ndim == 1:
         return complex(values[0, 0])
     return values.reshape(a.shape[:-2] + word.shape[:-1])

@@ -19,9 +19,10 @@ permutation's overlap weight depends only on the set A of photons it moves,
 x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
 the visibilities (the mixture formula of Renema et al., PRL 120, 220502
 (2018)).  The mixture engine gets all n + 1 orders from one sum over the
-2^n photon subsets, at about C(2n, n) pairs of sub-permanents per matrix
-(from ``linalg._block_permanents``, like the Laplace split) instead of n!
-Hadamard permanents, and evaluates a whole stack of matrices at once.
+2^n photon subsets, over C(2n, n) pairs of sub-permanents per matrix read
+from the ``linalg._lattice`` tables of M and |M|^2 instead of n! Hadamard
+permanents, for a whole stack of matrices at once (a 50-trial n = 5
+ensemble in about 1 ms, one n = 10 matrix in about 25 ms, on 2 cores).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _CHUNK, _block_permanents, _column_splits, _finite
+from .linalg import _TABLE, _complement_cost, _finite, _lattice, _lattice_tables
 from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
@@ -304,18 +305,18 @@ def _subset_sums(stack: np.ndarray) -> np.ndarray:
     F(B) = sum over the column subsets C with |C| = |B| of |perm M_{B,C}|^2
     times perm(|M|^2) over the complementary rows and columns: the summed
     Hadamard permanents of all permutations that move only photons in B.
-    Each subset size is one block stack of complex blocks and one of
-    non-negative blocks.
+    The factors are read from the lattices of M and of |M|^2, whose
+    complementary level lists the complements in reverse order.
     """
     count, n = stack.shape[0], stack.shape[-1]
-    moduli = _finite(np.abs(stack) ** 2)
-    sums = np.zeros((count, 1 << n))
-    for size in range(n + 1):
-        subsets, rest = _column_splits(n, size)
-        small = _block_permanents(stack, subsets, subsets)
-        large = _block_permanents(moduli, rest, rest).real
-        sums[:, (1 << subsets).sum(axis=1)] = (np.abs(small) ** 2 * large).sum(axis=2)
-    return sums
+    large = list(_lattice(_finite(np.abs(stack) ** 2), n))
+    levels = _lattice_tables(n)[1]
+    sums = np.zeros((1 << n, count))
+    for size, small in enumerate(_lattice(stack, n)):
+        terms = small.real**2 + small.imag**2
+        terms *= large[n - size][::-1, ::-1]
+        sums[levels[size][1]] = terms.sum(axis=1)
+    return sums.T
 
 
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
@@ -329,14 +330,14 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     their orders come out exactly 0.0.  Order 1 is structurally zero; its
     computed value is checked against 1e-10 x sum_A x_A |G(A)| (ArithmeticError
     above it) and then set to 0.0.  The stack is processed in groups whose
-    sub-permanent stacks hold about 2^14 entries.  Returns a (B, n + 1) array
-    without the occupation normalization.
+    lattices hold about ``linalg._TABLE`` entries.  Returns a (B, n + 1)
+    array without the occupation normalization.
     """
     count, n = matrices.shape[0], matrices.shape[-1]
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"model carries {x.size} visibilities, instance has n={n}")
-    group = max(1, _CHUNK // max(math.comb(n, size) ** 2 for size in range(n + 1)))
+    group = max(1, _TABLE // math.comb(2 * n, n))
     sums = np.zeros((count, 1 << n))
     for lo in range(0, count, group):
         sums[lo : lo + group] = _subset_sums(matrices[lo : lo + group])
@@ -388,9 +389,9 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     Entry j is the total contribution of permutations moving exactly j
     photons; entry 1 is always zero and the entries sum to the exact
     probability.  Homogeneous and OBB models take the mixture engine, about
-    C(2n, n) pairs of sub-permanents (n = 7 in under 10 ms, n = 9 in about
-    0.1 s on a 2-core host); explicit overlap matrices take the walk over all n!
-    permutations.
+    C(2n, n) pairs of sub-permanents (n = 7 in about 1 ms, n = 9 in about
+    8 ms and n = 12 in about 0.4 s on a 2-core host); explicit overlap
+    matrices take the walk over all n! permutations.
     """
     if inst.n > _EXACT_LIMIT:
         raise ValueError(f"exact evaluation is limited to n <= {_EXACT_LIMIT}")
@@ -438,12 +439,15 @@ def truncation_cost_estimate(n: int, k: int) -> int:
     """Kernel operations for the Laplace evaluation of an order-k truncation.
 
     Counts, over orders j <= k, R(n, n-j) * C(n, j) * 2^j * j for the small
-    complex permanents (one per moving-j permutation and column subset) plus
-    C(n, j)^2 * 2^(n-j) * (n-j) for the non-negative ones (one per fixed-row
-    set and column subset, shared by the order).
+    complex permanents (one per moving-j permutation and column subset),
+    plus the non-negative ones from the cheaper source that
+    ``laplace_split_permanent`` takes: the lattice of |M|^2, sum over
+    s = 1..n of C(n, s)^2 * s (built once, shared by every order, only up to
+    n = 12), or C(n, j)^2 * 2^(n-j) * (n-j) per order for Ryser blocks (one
+    per fixed-row set and column subset).  So (3, 2) costs 72 + 30 = 102,
+    (4, 3) costs 288 + 768 + 140 = 1196 and (13, 2) costs 48672 +
+    106496 + 137060352.
     """
-    total = 0
-    for j in itertools.chain((0,), range(2, k + 1)):
-        splits = math.comb(n, j)
-        total += rencontres(n, n - j) * splits * (1 << j) * j + splits**2 * (1 << (n - j)) * (n - j)
-    return total
+    orders = list(itertools.chain((0,), range(2, k + 1)))
+    total = sum(rencontres(n, n - j) * math.comb(n, j) * (1 << j) * j for j in orders)
+    return total + _complement_cost(n, {j: math.comb(n, j) for j in orders})[0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
+from bosonsim.linalg import _complement_cost, _lattice, _lattice_tables, hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import _class_table
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
@@ -175,6 +175,44 @@ def test_ryser_and_glynn_agree(matrices):
         assert abs(value - glynn_permanent(a)) <= TERM_TOL * size
 
 
+@st.composite
+def _lattice_stacks(draw):
+    n = draw(st.integers(0, 7))
+    shape = (draw(st.sampled_from([0, 1, 3])), n, n)
+    real = draw(arrays(float, shape, elements=_ENTRY))
+    if draw(st.booleans()):
+        return np.abs(real)
+    return real + 1j * draw(arrays(float, shape, elements=_ENTRY))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattice_stacks())
+def test_lattice_matches_the_kernel(stack):
+    # Every sub-permanent of the row-expansion lattice against Ryser on the cut-out block.
+    n = stack.shape[-1]
+    levels = _lattice_tables(n)[1]
+    count = 0
+    for size, level in enumerate(_lattice(stack, n)):
+        sets = levels[size][0]
+        assert level.shape == (len(sets), len(sets), len(stack))
+        for r, rows in enumerate(sets):
+            for c, cols in enumerate(sets):
+                blocks = stack[:, rows[:, None], cols]
+                gaps = np.abs(level[r, c] - permanent(blocks))
+                assert np.all(gaps <= TERM_TOL * _term_scale(blocks))
+        count += 1
+    assert count == n + 1
+
+
+def test_complements_reverse_the_lattice_order():
+    for n in range(9):
+        rank, levels = _lattice_tables(n)
+        for size in range(n + 1):
+            masks = levels[size][1]
+            assert np.array_equal(rank[masks], np.arange(len(masks)))
+            assert np.array_equal(levels[n - size][1][::-1], (1 << n) - 1 - masks)
+
+
 class TestHadamardPermanent:
     def test_identity_permutation_is_nonnegative_real(self):
         rng = np.random.default_rng(5)
@@ -228,6 +266,34 @@ class TestHadamardPermanent:
             evaluate(stack, [(0, 1, 2), (1, 0, 2)])
 
 
+def _check_stacked_tables(rng):
+    # Tables mix the identity with permutations moving 2..n points (two per
+    # count, cycling the same rows both ways, so fixed-row sets repeat),
+    # shuffled, for stacks of 0, 1 and 5.
+    for n in range(8):
+        taus = [np.arange(n)]
+        for j in range(2, n + 1):
+            moved = rng.choice(n, j, replace=False)
+            for shift in (1, -1):
+                tau = np.arange(n)
+                tau[moved] = np.roll(moved, shift)
+                taus.append(tau)
+        taus = np.array(taus)[rng.permutation(len(taus))]
+        for batch in (0, 1, 5):
+            stack = _random_complex(rng, n, (batch,))
+            values = laplace_split_permanent(stack, taus)
+            assert values.shape == (batch, len(taus))
+            for a, row in zip(stack, values):
+                assert laplace_split_permanent(a, taus).shape == (len(taus),)
+                for tau, value in zip(taus, row):
+                    scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+                    assert abs(value - hadamard_permanent(a, tau)) <= scale
+            column = laplace_split_permanent(stack, taus[-1])
+            assert column.shape == (batch,)
+            scale = TERM_TOL * _term_scale(stack * np.conj(stack[:, taus[-1], :]))
+            assert np.all(np.abs(column - hadamard_permanent(stack, taus[-1])) <= scale)
+
+
 class TestLaplaceSplit:
     def test_identity_permutation_single_term(self):
         rng = np.random.default_rng(8)
@@ -261,33 +327,42 @@ class TestLaplaceSplit:
         assert pairs >= 25
 
     def test_stacked_tables_match_hadamard(self):
-        # Tables mix the identity with permutations moving 2..n points (two per
-        # count, cycling the same rows both ways, so fixed-row sets repeat),
-        # shuffled, for stacks of 0, 1 and 5.
-        rng = np.random.default_rng(18)
-        for n in range(8):
-            taus = [np.arange(n)]
-            for j in range(2, n + 1):
-                moved = rng.choice(n, j, replace=False)
-                for shift in (1, -1):
-                    tau = np.arange(n)
-                    tau[moved] = np.roll(moved, shift)
-                    taus.append(tau)
-            taus = np.array(taus)[rng.permutation(len(taus))]
-            for batch in (0, 1, 5):
-                stack = _random_complex(rng, n, (batch,))
-                values = laplace_split_permanent(stack, taus)
-                assert values.shape == (batch, len(taus))
-                for a, row in zip(stack, values):
-                    assert laplace_split_permanent(a, taus).shape == (len(taus),)
-                    for tau, value in zip(taus, row):
-                        scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
-                        assert abs(value - hadamard_permanent(a, tau)) <= scale
-                column = laplace_split_permanent(stack, taus[-1])
-                assert column.shape == (batch,)
-                scale = TERM_TOL * _term_scale(stack * np.conj(stack[:, taus[-1], :]))
-                assert np.all(np.abs(column - hadamard_permanent(stack, taus[-1])) <= scale)
+        _check_stacked_tables(np.random.default_rng(18))
 
+    @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "ryser"])
+    def test_both_complement_sources_match_hadamard(self, monkeypatch, lattice):
+        import bosonsim.linalg as linalg
+
+        monkeypatch.setattr(linalg, "_complement_cost", lambda n, sets: (0, lattice))
+        _check_stacked_tables(np.random.default_rng(21))
+
+    def test_cost_picks_the_complement_source(self):
+        # n = 12: the lattice (12 * C(23, 11) = 16,224,936 operations) beats the
+        # 66^2 Ryser blocks of size 10 (44,605,440) but not one block of size 12
+        # (49,152); above n = 12 it is never built.
+        assert _complement_cost(12, {2: 66}) == (16224936, True)
+        assert _complement_cost(12, {0: 1}) == (49152, False)
+        assert _complement_cost(13, {0: 1, 2: 78}) == (106496 + 137060352, False)
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_large_n_in_bounded_memory(self, n):
+        # n = 12, all 66 transpositions: the lattice is built, and only the level
+        # read is kept (all levels would be 21.6 MB).  n = 14, the identity and a
+        # 3-cycle: the lattice's widest level alone would be 94 MB, so the
+        # complements are Ryser blocks.
+        rng = np.random.default_rng(22)
+        a = _random_complex(rng, n)
+        taus = _class_table(n, 2) if n == 12 else np.array([np.arange(n), [1, 2, 0, *range(3, n)]])
+        tracemalloc.start()
+        try:
+            values = laplace_split_permanent(a, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        for tau, value in zip(taus[:2], values):
+            scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+            assert abs(value - hadamard_permanent(a, tau)) <= scale
     def test_stack_memory_is_bounded(self):
         # 256 matrices over the 112 permutations moving 3 of 8 points: held at
         # once, the small-permanent table alone is 256 x 112 x 56 complex (26 MB).

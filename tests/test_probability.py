@@ -266,12 +266,12 @@ class TestMixtureEngine:
         assert np.all(np.abs(mixture - walk) <= 1e-12 * _term_scale(walk))
 
     def test_stack_matches_each_matrix_alone(self):
-        # n = 6 stacks are evaluated in groups of 40 matrices, so 45 span two groups.
+        # n = 6 stacks are evaluated in groups of 70 matrices, so 75 span two groups.
         rng = np.random.default_rng(23)
         x = rng.uniform(0.0, 1.0, 6)
-        stack = np.array([gaussian_matrix(6, 12, rng) for _ in range(45)])
+        stack = np.array([gaussian_matrix(6, 12, rng) for _ in range(75)])
         together = _mixture_orders(stack, x)
-        assert together.shape == (45, 7)
+        assert together.shape == (75, 7)
         for matrix, orders in zip(stack, together):
             alone = _mixture_orders(matrix[None], x)[0]
             assert np.all(np.abs(orders - alone) <= 1e-12 * _term_scale(alone))
@@ -285,14 +285,11 @@ class TestMixtureEngine:
         assert classical[0] == pytest.approx(glynn_permanent(np.abs(matrix) ** 2).real, rel=1e-12)
         assert np.all(classical[1:] == 0.0)
 
-    def test_ten_photons_in_bounded_memory(self, monkeypatch):
-        # At n = 10 the sub-block offsets of one subset size would take 1.6M
-        # int64 at once; they are built for groups of row sets instead.
-        import bosonsim.linalg as linalg
-
-        rng = np.random.default_rng(27)
-        matrix = gaussian_matrix(10, 20, rng)
-        inst = ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel(rng.uniform(0, 1, 10)))
+    def test_ten_photons_in_bounded_memory(self):
+        # At x = 1 the orders sum to |perm M|^2, here within the 1e-12 of the
+        # summed |orders| that the n <= 9 tests hold.
+        matrix = gaussian_matrix(10, 20, np.random.default_rng(27))
+        inst = ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel((1.0,) * 10))
         tracemalloc.start()
         try:
             orders = exact_probability_by_order(inst)
@@ -300,9 +297,45 @@ class TestMixtureEngine:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        monkeypatch.setattr(linalg, "_OFFSETS", 1 << 30)  # every subset size in one group
-        whole = exact_probability_by_order(inst)
-        assert np.all(np.abs(orders - whole) <= 1e-12 * _term_scale(whole))
+        assert abs(orders.sum() - abs(permanent(matrix)) ** 2) <= 1e-12 * _term_scale(orders)
+
+    def test_twelve_photons_in_bounded_memory(self):
+        # The whole lattice of |M|^2 (21.6 MB) and two levels of the lattice of
+        # M (24 MB) are held at once; the gathers between levels go in chunks.
+        matrix = gaussian_matrix(12, 24, np.random.default_rng(28))
+        inst = ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel((1.0,) * 12))
+        tracemalloc.start()
+        try:
+            orders = exact_probability_by_order(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
+        assert abs(orders.sum() - abs(glynn_permanent(matrix)) ** 2) <= 1e-12 * _term_scale(orders)
+
+    def test_stack_memory_is_bounded(self):
+        # 100 matrices at n = 8: held at once, their lattices would peak near 35 MB.
+        rng = np.random.default_rng(29)
+        stack = np.array([gaussian_matrix(8, 16, rng) for _ in range(100)])
+        x = rng.uniform(0.0, 1.0, 8)
+        tracemalloc.start()
+        try:
+            together = _mixture_orders(stack, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        for b in (0, 99):
+            alone = _mixture_orders(stack[b : b + 1], x)[0]
+            assert np.all(np.abs(together[b] - alone) <= 1e-12 * _term_scale(alone))
+
+    def test_rejects_non_finite_entries(self):
+        matrix = gaussian_matrix(4, 8, np.random.default_rng(30))
+        for bad in (np.nan, 1e200):  # |1e200|^2 overflows
+            stack = np.array([matrix, matrix])
+            stack[1, 2, 3] = bad
+            with pytest.raises(ValueError), np.errstate(over="ignore"):
+                _mixture_orders(stack, np.full(4, 0.5))
 
     def test_order_one_residue_fails_fast(self, monkeypatch):
         import bosonsim.probability as probability
@@ -512,12 +545,20 @@ class TestModelConsistency:
 
 class TestCostEstimate:
     def test_small_case_by_hand(self):
-        # n=3, k=2: order 0 contributes 1 * 1 * 0 + 1^2 * 8*3 = 24;
-        # order 2 contributes 3 * C(3,2) * 4*2 + C(3,2)^2 * 2*1 = 72 + 18 = 90
-        assert truncation_cost_estimate(3, 2) == 24 + 90
-        # n=4, k=3: order 0 gives 16*4 = 64; order 2 gives 6 * 6 * 8 + 36 * 4*2
-        # = 576; order 3 gives 8 * 4 * 8*3 + 16 * 2*1 = 800
-        assert truncation_cost_estimate(4, 3) == 64 + 576 + 800
+        # n=3, k=2: order 0 contributes 1 * 1 * 1*0 = 0 and order 2
+        # contributes 3 * C(3,2) * 4*2 = 72; the lattice of |M|^2 costs
+        # C(3,1)^2 * 1 + C(3,2)^2 * 2 + C(3,3)^2 * 3 = 9 + 18 + 3 = 30
+        assert truncation_cost_estimate(3, 2) == 72 + 30
+        # n=4, k=3: order 0 gives 0, order 2 gives 6 * 6 * 4*2 = 288, order 3
+        # gives 8 * 4 * 8*3 = 768; the lattice costs 16*1 + 36*2 + 16*3 + 1*4 = 140
+        assert truncation_cost_estimate(4, 3) == 288 + 768 + 140
+        # n=12, k=0: one Ryser block of 2^12*12 = 49152 beats the lattice's
+        # 12 * C(23, 11) = 16224936
+        assert truncation_cost_estimate(12, 0) == 49152
+        # n=13, k=2: no lattice above n = 12, so Ryser blocks: order 0 gives
+        # 1 * 2^13*13 = 106496, order 2 gives 78 * 78 * 4*2 = 48672 plus
+        # 78^2 * 2^11*11 = 137060352
+        assert truncation_cost_estimate(13, 2) == 106496 + 48672 + 137060352
 
     def test_monotone_in_k(self):
         costs = [truncation_cost_estimate(8, k) for k in range(9)]
