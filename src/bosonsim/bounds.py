@@ -48,8 +48,8 @@ class DivergenceError(ValueError):
 def _geometric_ratio(kind: str, parameter: float) -> float:
     if kind not in _KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
-    if parameter < 0.0:
-        raise ValueError("bound parameter must be non-negative")
+    if not 0.0 <= parameter:
+        raise ValueError(f"bound parameter must be non-negative, got {parameter}")
     if parameter >= 1.0:
         raise DivergenceError(f"bound diverges for parameter {parameter} >= 1")
     if kind == "quadratic_mean":

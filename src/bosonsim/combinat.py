@@ -116,7 +116,7 @@ def symmetric_means(values) -> SymmetricMeans:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-d vector")
-    if np.any(v < 0.0) or np.any(v > 1.0):
+    if not np.all((0.0 <= v) & (v <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
     n = v.size
     coeffs = np.zeros(n + 1)
@@ -138,7 +138,7 @@ def overlap_class_sum(x, moved: int) -> float:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("x must be a non-empty 1-d vector")
-    if np.any(v < 0.0) or np.any(v > 1.0):
+    if not np.all((0.0 <= v) & (v <= 1.0)):
         raise ValueError("visibilities must lie in [0, 1]")
     n = v.size
     if not 0 <= moved <= n:

@@ -44,7 +44,7 @@ class GeneralizedOBBModel:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         if len(self.x) == 0:
             raise ValueError("x must be non-empty")
-        if any(v < 0.0 or v > 1.0 for v in self.x):
+        if not all(0.0 <= v <= 1.0 for v in self.x):
             raise ValueError("all visibilities must lie in [0, 1]")
 
     def visibilities(self, n: int) -> np.ndarray:

@@ -4,19 +4,18 @@ Every permanent goes through one exact, double-precision, deterministic
 kernel: Ryser's formula evaluated with numpy over all column subsets at
 once.  A cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks which columns
 each non-empty subset holds, so ``a @ bits`` gives every subset's row sums
-in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The kernel
-takes a stack of matrices and works through it in chunks, over the stack and
-over the subsets, so that no intermediate holds more than 2^14 complex
-entries.  The public functions accept stacks (with a 2-d permutation array,
-one Hadamard permanent per matrix and row).  The Laplace split here and the
-mixture engine in ``probability`` both sum small complex permanents times
-larger non-negative ones, read from ``_lattice``, every sub-permanent of
-|M|^2 built by row expansion up to n = 12 (on a 2-core host, both lattices
-of a 50-matrix n = 5 stack take about 0.6 ms, and of one n = 10 matrix
-about 25 ms).  The Laplace split takes its complex j x j blocks from
-``_block_permanents`` as one kernel stack, and its non-negative ones from
-Ryser blocks instead where those cost less or n exceeds 12; the mixture
-takes the small ones from the lattice of M.
+in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The public
+functions accept stacks (with a 2-d permutation array, one Hadamard
+permanent per matrix and row).  The Laplace split here and the mixture
+engine in ``probability`` both sum small complex permanents times larger
+non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2
+built by row expansion up to n = 12.  The Laplace split takes its complex
+j x j blocks from ``_block_permanents`` as one kernel stack, and its
+non-negative ones from Ryser blocks instead where those cost less or n
+exceeds 12; the mixture takes the small ones from the lattice of M.  Every
+loop over a stack, subsets, row sets or lattice rows, here and in
+``probability``, goes in passes of as many items as fit one byte budget,
+``_BUDGET``.
 """
 from __future__ import annotations
 
@@ -33,22 +32,22 @@ __all__ = [
     "submatrix",
 ]
 
-# Largest intermediate, in complex entries, that the kernel builds at once.
-_CHUNK = 1 << 14
-# Largest n whose whole subset table is cached (under 2 MB for n = 1..12 together).
-_CACHED_N = 12
-# Largest offset table, in entries, that the block gather builds at once (2 MB of int64).
-_OFFSETS = 1 << 18
-# Largest table, in entries, that a lattice gather or a group of Laplace blocks or lattices holds at once.
-_TABLE = 1 << 16
+# Bytes that one pass of any loop here or in ``probability`` holds at once, and the largest subset
+# table that is cached (with its signs, 851,760 B at n = 12 and 1,834,784 B at n = 13).
+_BUDGET = 1 << 20
 # Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per
 # matrix, 853,776 (6.8 MB of float64) at n = 12 but 11.8 million (94 MB) at n = 14.
 _LATTICE_N = 12
 
 
+def _per_pass(item_bytes: int) -> int:
+    """How many items, each holding ``item_bytes`` at once, fit one pass of ``_BUDGET`` bytes (at least 1)."""
+    return _BUDGET // (item_bytes or 1) or 1
+
+
 def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Membership table and Ryser signs of the column subsets start..stop-1 (as bit masks)."""
-    masks = np.arange(start, stop)
+    """Membership table and Ryser signs of the non-empty column subsets start..stop-1 (masks start+1..stop)."""
+    masks = np.arange(start + 1, stop + 1)
     bits = (masks >> np.arange(n)[:, None]) & 1
     signs = 1.0 - 2.0 * ((n - bits.sum(axis=0)) % 2)
     return bits.astype(complex), signs.astype(complex)
@@ -56,37 +55,34 @@ def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    bits, signs = _subsets(n, 1, 1 << n)
+    bits, signs = _subsets(n, 0, (1 << n) - 1)
     bits.setflags(write=False)
     signs.setflags(write=False)
     return bits, signs
-
-
-def _subset_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns start..stop-1 of the table of non-empty subsets (masks start+1..stop)."""
-    if n <= _CACHED_N:
-        bits, signs = _subset_table(n)
-        return bits[:, start:stop], signs[start:stop]
-    return _subsets(n, start + 1, stop + 1)
 
 
 def _ryser(count: int, n: int, block) -> np.ndarray:
     """Permanents of ``count`` finite n x n matrices, without input checks.
 
     ``block(lo, hi)`` returns matrices lo..hi-1 as a (hi - lo, n, n) complex
-    array; it is called once per chunk of the stack, so a caller can build
-    the matrices chunk by chunk.
+    array; it is called once per pass over the stack, so a caller can build
+    the matrices pass by pass.
     """
     if n == 0:
         return np.ones(count, dtype=complex)
     subsets = (1 << n) - 1
-    width = min(subsets, _CHUNK // n)
-    step = max(1, _CHUNK // (n * width))
+    # A pass holds 16 n bytes of row sums per matrix and subset, counted four times over: passes four
+    # times as large ran stacks of small matrices up to 1.5x slower (2 MiB of L2 cache per core).
+    width = min(subsets, _per_pass(64 * n))
+    step = _per_pass(64 * n * width)
+    # The whole subset table (membership rows and signs) is cached while it fits the budget.
+    table = _subset_table(n) if 16 * (n + 1) << n <= _BUDGET else None
     out = np.zeros(count, dtype=complex)
     for lo in range(0, count, step):
         rows = block(lo, min(lo + step, count)).reshape(-1, n)
         for start in range(0, subsets, width):
-            bits, signs = _subset_chunk(n, start, min(start + width, subsets))
+            stop = min(start + width, subsets)
+            bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
             row_sums = (rows @ bits).reshape(-1, n, bits.shape[1])
             out[lo : lo + step] += row_sums.prod(axis=1) @ signs
     return out
@@ -199,7 +195,7 @@ def _lattice(source: np.ndarray, top: int):
     Level s is an (R, R, S) array, R = C(n, s): entry [B, C, k] is perm(source[k][B, C]) for the
     s-sets B and C ranked as in ``_lattice_tables``.  Expanding about the lowest row b of B,
     perm(A_{B,C}) = sum over c in C of A_{b,c} perm(A_{B-b, C-c}), costs sum_s C(n, s)^2 s
-    multiply-adds per matrix, gathered about ``_TABLE`` entries at a time; entries are not checked.
+    multiply-adds per matrix, gathered in passes of rows B within ``_BUDGET``; entries are not checked.
     """
     count, n = source.shape[0], source.shape[-1]
     levels = _lattice_tables(n)[1]
@@ -210,7 +206,7 @@ def _lattice(source: np.ndarray, top: int):
         sets, _, below, drop = levels[s]
         prev, stride = level.reshape(level.shape[0] * level.shape[1], count), level.shape[1]
         level = np.empty((len(sets), len(sets), count), dtype=source.dtype)
-        step = max(1, _TABLE // (len(sets) * s * max(count, 1)))
+        step = _per_pass(s * len(sets) * (2 * count * source.itemsize + 16))
         for lo in range(0, len(sets), step):
             rows = slice(lo, lo + step)
             terms = entries.take(sets[rows, :1] * n + sets.T[:, None], axis=0)  # (s, rows, R, S)
@@ -222,8 +218,8 @@ def _lattice(source: np.ndarray, top: int):
 def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, conj_rows: np.ndarray) -> np.ndarray:
     """The (S, R, C) permanents of source[s][rows[r], cols[c]] * conj(source[s][conj_rows[r], cols[c]]).
 
-    Block offsets are built per group of row sets, about ``_OFFSETS`` at a
-    time, and each kernel chunk is gathered from them; entries are not checked.
+    Block offsets are built per pass of row sets, and each kernel pass is
+    gathered from them; entries are not checked.
     """
     count, n, j = source.shape[0], source.shape[-1], cols.shape[1]
     flat = source.reshape(-1)
@@ -240,7 +236,7 @@ def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, co
 
         return _ryser(count * pairs, j, block).reshape(count, hi - lo, len(cols))
 
-    group = max(1, _OFFSETS // max(1, len(cols) * j * j))
+    group = _per_pass(16 * len(cols) * j * j)
     # At least one group, so that no row sets give an empty (S, 0, C) table.
     parts = [permanents(lo, min(lo + group, len(rows))) for lo in range(0, max(len(rows), 1), group)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -273,8 +269,8 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     ``_lattice`` of |M|^2, built once for every count and keeping only the
     levels read (a full truncation up to n = ``_LATTICE_N``), or Ryser
     blocks, one per fixed-row set and C, in bounded memory at any n (a few
-    permutations, or n above ``_LATTICE_N``).  Matrices go in groups of
-    about ``_TABLE`` blocks.
+    permutations, or n above ``_LATTICE_N``).  Matrices go in groups whose
+    complement sources and tables fit ``_BUDGET``.
     """
     a = _square(matrix)
     n = a.shape[-1]
@@ -290,7 +286,9 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     moved_counts, sizes = np.unique(counts, return_counts=True)
     lattice = _complement_cost(n, {int(j): min(int(t), math.comb(n, j)) for j, t in zip(moved_counts, sizes)})[1]
     reads = set(n - moved_counts)
-    group = max(1, _TABLE // max(math.comb(2 * n, n), len(words) * math.comb(n, n // 2)))
+    # Per matrix: the complements' source, then a complex block and a complement per permutation and C.
+    width = max((int(t) * math.comb(n, j) for j, t in zip(moved_counts, sizes)), default=0)
+    group = _per_pass((8 * math.comb(2 * n, n) if lattice else 16 * width) + 24 * width)
     for lo in range(0, len(flat), group):
         block = flat[lo : lo + group]
         levels = _lattice(moduli[lo : lo + group], max(reads, default=0)) if lattice else ()

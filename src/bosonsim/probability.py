@@ -36,7 +36,7 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _TABLE, _complement_cost, _finite, _lattice, _lattice_tables
+from .linalg import _complement_cost, _finite, _lattice, _lattice_tables, _per_pass
 from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
@@ -299,8 +299,8 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     return functools.partial(_order_walk, classes=classes, k=k, evaluate=evaluate)
 
 
-def _subset_sums(stack: np.ndarray) -> np.ndarray:
-    """F(B) for every row subset B (as a bit mask) of each matrix in a (g, n, n) stack.
+def _subset_sums(matrices: np.ndarray) -> np.ndarray:
+    """F(B) for every row subset B (as a bit mask) of each matrix in a (B, n, n) stack.
 
     F(B) = sum over the column subsets C with |C| = |B| of |perm M_{B,C}|^2
     times perm(|M|^2) over the complementary rows and columns: the summed
@@ -308,15 +308,18 @@ def _subset_sums(stack: np.ndarray) -> np.ndarray:
     The factors are read from the lattices of M and of |M|^2, whose
     complementary level lists the complements in reverse order.
     """
-    count, n = stack.shape[0], stack.shape[-1]
-    large = list(_lattice(_finite(np.abs(stack) ** 2), n))
+    count, n = matrices.shape[0], matrices.shape[-1]
     levels = _lattice_tables(n)[1]
-    sums = np.zeros((1 << n, count))
-    for size, small in enumerate(_lattice(stack, n)):
-        terms = small.real**2 + small.imag**2
-        terms *= large[n - size][::-1, ::-1]
-        sums[levels[size][1]] = terms.sum(axis=1)
-    return sums.T
+    sums = np.zeros((count, 1 << n))
+    group = _per_pass(8 * math.comb(2 * n, n) + 32 * math.comb(n, n // 2) ** 2)  # all of Q, two levels of P
+    for lo in range(0, count, group):
+        stack = matrices[lo : lo + group]
+        large = list(_lattice(_finite(np.abs(stack) ** 2), n))
+        for size, small in enumerate(_lattice(stack, n)):
+            terms = small.real**2 + small.imag**2
+            terms *= large[n - size][::-1, ::-1]
+            sums[lo : lo + group, levels[size][1]] = terms.sum(axis=1).T
+    return sums
 
 
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
@@ -329,18 +332,14 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     order j = sum_{|A| = j} x_A G(A).  Subsets with x_A = 0 are skipped, so
     their orders come out exactly 0.0.  Order 1 is structurally zero; its
     computed value is checked against 1e-10 x sum_A x_A |G(A)| (ArithmeticError
-    above it) and then set to 0.0.  The stack is processed in groups whose
-    lattices hold about ``linalg._TABLE`` entries.  Returns a (B, n + 1)
-    array without the occupation normalization.
+    above it) and then set to 0.0.  Returns a (B, n + 1) array without the
+    occupation normalization.
     """
     count, n = matrices.shape[0], matrices.shape[-1]
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"model carries {x.size} visibilities, instance has n={n}")
-    group = max(1, _TABLE // math.comb(2 * n, n))
-    sums = np.zeros((count, 1 << n))
-    for lo in range(0, count, group):
-        sums[lo : lo + group] = _subset_sums(matrices[lo : lo + group])
+    sums = _subset_sums(matrices)
     for i in range(n):  # in-place Moebius inversion over the subset lattice, bit by bit
         view = sums.reshape(count, 1 << (n - i - 1), 2, 1 << i)
         view[:, :, 1, :] -= view[:, :, 0, :]
@@ -448,6 +447,8 @@ def truncation_cost_estimate(n: int, k: int) -> int:
     (4, 3) costs 288 + 768 + 140 = 1196 and (13, 2) costs 48672 +
     106496 + 137060352.
     """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}")
     orders = list(itertools.chain((0,), range(2, k + 1)))
     total = sum(rencontres(n, n - j) * math.comb(n, j) * (1 << j) * j for j in orders)
     return total + _complement_cost(n, {j: math.comb(n, j) for j in orders})[0]

@@ -52,6 +52,8 @@ class TestL1Bound:
         with pytest.raises(ValueError):
             BoundSpec("homogeneous_x", -0.1, 2)
         with pytest.raises(ValueError):
+            BoundSpec("quadratic_mean", math.nan, 2)
+        with pytest.raises(ValueError):
             BoundSpec("homogeneous_x", 0.5, -1)
         with pytest.raises(ValueError):
             BoundSpec("rms", 0.5, 1)

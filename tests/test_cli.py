@@ -274,6 +274,20 @@ class TestExitCodes:
         assert main(["prob", "--instance", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_finite_visibility_is_config_error(self, capsys, tmp_path, instance_file):
+        data = json.loads(instance_file.read_text())
+        data["model"] = {"type": "obb", "x": [math.nan, 0.5]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        for argv in (
+            ["prob", "--instance", str(path)],
+            ["truncate", "--instance", str(path), "--k", "2"],
+            ["bound", "--x", "nan", "--k", "2"],
+            ["verify", "--n", "3", "--m", "9", "--x-vec", "nan,0.5,0.6", "--k", "1", "--trials", "50"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("fields", [{"k": [2]}, {"k": 2, "output": [1]}])
     def test_setting_of_wrong_type_is_config_error(self, capsys, tmp_path, fields):
         config = tmp_path / "cfg.json"

@@ -110,6 +110,8 @@ class TestSymmetricMeans:
             symmetric_means([0.5, 1.5])
         with pytest.raises(ValueError):
             symmetric_means([-0.1])
+        with pytest.raises(ValueError):
+            symmetric_means([0.5, math.nan])
 
 
 class TestOverlapClassSum:
@@ -147,5 +149,7 @@ class TestOverlapClassSum:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             overlap_class_sum([0.5, 2.0], 2)
+        with pytest.raises(ValueError):
+            overlap_class_sum([0.5, math.nan], 2)
         with pytest.raises(ValueError):
             overlap_class_sum([0.5, 0.5], 3)

@@ -166,3 +166,11 @@ class TestDescriptors:
             HomogeneousModel(1.2)
         with pytest.raises(ValueError):
             GeneralizedOBBModel((0.5, -0.1))
+        for bad in (np.nan, np.inf):  # NaN fails every comparison, so a range check must not pass it
+            with pytest.raises(ValueError):
+                GeneralizedOBBModel((bad, 0.5))
+            with pytest.raises(ValueError):
+                HomogeneousModel(bad)
+            for descriptor in ({"type": "obb", "x": [bad, 0.5]}, {"type": "homogeneous", "x": bad}):
+                with pytest.raises(ValueError):
+                    model_from_dict(descriptor)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosonsim.linalg import _complement_cost, _lattice, _lattice_tables, hadamard_permanent, laplace_split_permanent, permanent, submatrix
-from bosonsim.probability import _class_table
+from bosonsim.probability import _class_table, _mixture_orders
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
 # Agreement tolerance relative to the largest term either formula can sum.
@@ -211,6 +211,34 @@ def test_complements_reverse_the_lattice_order():
             masks = levels[size][1]
             assert np.array_equal(rank[masks], np.arange(len(masks)))
             assert np.array_equal(levels[n - size][1][::-1], (1 << n) - 1 - masks)
+
+
+def test_every_pass_loop_across_a_seam(monkeypatch):
+    # A 4 KB budget splits every loop it sizes into several passes: the kernel's
+    # subsets and stack, the subset table (built per pass above n = 5), the row
+    # sets of the block gathers, the lattice rows, and the matrix groups of the
+    # Laplace split and of the mixture.  Each must match the one-pass values.
+    import bosonsim.linalg as linalg
+
+    rng = np.random.default_rng(31)
+    stack = _random_complex(rng, 6, (3,))
+    taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
+    x = rng.uniform(0.0, 1.0, 6)
+
+    def evaluate():
+        values = [permanent(stack), hadamard_permanent(stack, taus)]
+        for lattice in (True, False):
+            monkeypatch.setattr(linalg, "_complement_cost", lambda n, sets: (0, lattice))
+            values.append(laplace_split_permanent(stack, taus))
+        return values + [_mixture_orders(stack, x)]
+
+    whole = evaluate()
+    monkeypatch.setattr(linalg, "_BUDGET", 4096)
+    split = evaluate()
+    products = _term_scale(stack[:, None] * np.conj(stack[:, taus]))
+    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products]):
+        assert np.all(np.abs(many - one) <= TERM_TOL * scale)
+    assert np.all(np.abs(split[-1] - whole[-1]) <= TERM_TOL * np.abs(whole[-1]).sum(axis=1, keepdims=True))
 
 
 class TestHadamardPermanent:

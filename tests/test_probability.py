@@ -266,7 +266,7 @@ class TestMixtureEngine:
         assert np.all(np.abs(mixture - walk) <= 1e-12 * _term_scale(walk))
 
     def test_stack_matches_each_matrix_alone(self):
-        # n = 6 stacks are evaluated in groups of 70 matrices, so 75 span two groups.
+        # n = 6 stacks are evaluated in groups of 51 matrices, so 75 span two groups.
         rng = np.random.default_rng(23)
         x = rng.uniform(0.0, 1.0, 6)
         stack = np.array([gaussian_matrix(6, 12, rng) for _ in range(75)])
@@ -559,6 +559,11 @@ class TestCostEstimate:
         # 1 * 2^13*13 = 106496, order 2 gives 78 * 78 * 4*2 = 48672 plus
         # 78^2 * 2^11*11 = 137060352
         assert truncation_cost_estimate(13, 2) == 106496 + 48672 + 137060352
+
+    def test_rejects_order_outside_zero_to_n(self):
+        for k in (-1, 6):
+            with pytest.raises(ValueError):
+                truncation_cost_estimate(5, k)
 
     def test_monotone_in_k(self):
         costs = [truncation_cost_estimate(8, k) for k in range(9)]
