@@ -23,7 +23,7 @@ import numpy as np
 
 from .combinat import rencontres, symmetric_means
 from .distinguishability import GeneralizedOBBModel, quadratic_mean_visibility
-from .probability import _mixture_orders
+from .probability import _mixture_orders, _mixture_work
 from .randgen import gaussian_matrix, trial_rng
 
 __all__ = [
@@ -223,9 +223,6 @@ class EnsembleReport:
         return {"schema": 1, **asdict(self)}
 
 
-_MC_PHOTON_LIMIT = 7
-
-
 def _trial_error(matrices: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Truncation error at order k of each trial matrix in the stack: its neglected orders summed."""
     return _mixture_orders(matrices, x)[:, k + 1 :].sum(axis=1)
@@ -247,15 +244,15 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     C(m, n) * n! / m**n (the number of non-collisional outputs times the
     typical outcome weight) must stay below the L1 bound.  The bound takes
     the quadratic-mean ratio of the model (x * x for a uniform visibility
-    x); a ratio of 1, or an OBB vector without n visibilities, raises
-    before any trial is drawn.
+    x); a ratio of 1, an OBB vector without n visibilities, n above 12, or
+    trials * n * C(2n, n) kernel operations over the ``_WORK`` budget (a
+    50-trial ensemble passes up to n = 12) raises before any trial is drawn.
     """
-    if n > _MC_PHOTON_LIMIT:
-        raise ValueError(f"exact per-trial references are limited to n <= {_MC_PHOTON_LIMIT}")
     if trials < 50:
         raise ValueError("need at least 50 trials")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
+    _mixture_work(n, trials)
     spec = BoundSpec(kind="quadratic_mean", parameter=quadratic_mean_visibility(model), k=k)
     x = model.visibilities(n)
 

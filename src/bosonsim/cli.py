@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="seeded Monte-Carlo check of the error bounds")
     common(p)
-    p.add_argument("--n", type=int, help="photon count (<= 7)")
+    p.add_argument("--n", type=int, help="photon count (<= 12, within the work budget)")
     p.add_argument("--m", type=int, help="Gaussian normalization dimension")
     p.add_argument("--x", type=float, help="uniform visibility")
     p.add_argument("--x-vec", dest="x_vec", help="comma-separated per-photon visibilities")

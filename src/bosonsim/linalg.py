@@ -35,9 +35,17 @@ __all__ = [
 # Bytes that one pass of any loop here or in ``probability`` holds at once, and the largest subset
 # table that is cached (with its signs, 851,760 B at n = 12 and 1,834,784 B at n = 13).
 _BUDGET = 1 << 20
-# Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per
-# matrix, 853,776 (6.8 MB of float64) at n = 12 but 11.8 million (94 MB) at n = 14.
+# Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per matrix,
+# 6.8 MB of float64 at n = 12 but 94 MB at n = 14, and the mixture holds all levels (83 MB at n = 13).
 _LATTICE_N = 12
+# Predicted kernel operations one call may take (a j x j permanent is j 2^j): 4 min at 25 ns each (2 cores).
+_WORK = 1 << 33
+
+
+def _afford(work: int, what: str) -> None:
+    """Raise ValueError, before any work, when ``what`` is predicted to take more than ``_WORK`` operations."""
+    if work > _WORK:
+        raise ValueError(f"{what} would take {work:.3g} kernel operations, over the budget of {_WORK:.3g}")
 
 
 def _per_pass(item_bytes: int) -> int:
@@ -270,7 +278,7 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     levels read (a full truncation up to n = ``_LATTICE_N``), or Ryser
     blocks, one per fixed-row set and C, in bounded memory at any n (a few
     permutations, or n above ``_LATTICE_N``).  Matrices go in groups whose
-    complement sources and tables fit ``_BUDGET``.
+    complement sources and tables fit ``_BUDGET``, and share one set of row choices.
     """
     a = _square(matrix)
     n = a.shape[-1]
@@ -289,22 +297,25 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     # Per matrix: the complements' source, then a complex block and a complement per permutation and C.
     width = max((int(t) * math.comb(n, j) for j, t in zip(moved_counts, sizes)), default=0)
     group = _per_pass((8 * math.comb(2 * n, n) if lattice else 16 * width) + 24 * width)
+    plans = []  # per count, for every group: its permutations, moved rows and complement rows (ranks, or sets)
+    for j in moved_counts:
+        taus = np.flatnonzero(counts == j)
+        # Moved rows first, then fixed rows, each in ascending order.
+        moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
+        conj_rows = np.take_along_axis(words[taus], moved, axis=1)
+        sets = _lattice_tables(n)[0][(1 << kept).sum(1)] if lattice else np.unique(kept, axis=0, return_inverse=True)
+        plans.append((j, taus, moved, conj_rows, sets))
     for lo in range(0, len(flat), group):
         block = flat[lo : lo + group]
         levels = _lattice(moduli[lo : lo + group], max(reads, default=0)) if lattice else ()
         held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j in moved_counts:
-            taus = np.flatnonzero(counts == j)
-            # Moved rows first, then fixed rows, each in ascending order.
-            moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
-            conj_rows = np.take_along_axis(words[taus], moved, axis=1)
+        for j, taus, moved, conj_rows, sets in plans:
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
-            if lattice:  # rows: the rank of each fixed-row set
-                complements = held[n - j][_lattice_tables(n)[0][(1 << kept).sum(axis=1)], ::-1]
+            if lattice:
+                complements = held[n - j][sets, ::-1]
             else:  # |M|^2 blocks as M * conj(M), once per distinct fixed-row set
-                sets, which = np.unique(kept, axis=0, return_inverse=True)
-                complements = _block_permanents(block, sets, _sets(n, n - j)[::-1], sets).real
-                complements = complements.transpose(1, 2, 0)[which.reshape(-1)]
+                complements = _block_permanents(block, sets[0], _sets(n, n - j)[::-1], sets[0]).real
+                complements = complements.transpose(1, 2, 0)[sets[1].reshape(-1)]
             values[lo : lo + group, taus] = np.einsum(
                 "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), complements)
     if a.ndim == 2 and word.ndim == 1:

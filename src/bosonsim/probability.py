@@ -11,7 +11,7 @@ neglected tail is the truncation error.
 
 Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, class by class, which costs about (class size) x 2^n x n^2
-per matrix, with one evaluator call per order for a whole stack of matrices
+per matrix, with one evaluator call for all orders of a whole stack of matrices
 (``laplace_split_permanent`` for the Laplace strategy); it serves truncation
 at any k (the sampler's targets included) and the by-order split of
 explicit overlap matrices.  For the homogeneous and OBB models a
@@ -36,7 +36,7 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _complement_cost, _finite, _lattice, _lattice_tables, _per_pass
+from .linalg import _LATTICE_N, _afford, _complement_cost, _finite, _lattice, _lattice_tables, _per_pass
 from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
@@ -52,7 +52,6 @@ __all__ = [
     "truncation_cost_estimate",
 ]
 
-_EXACT_LIMIT = 12
 # Largest roundoff residue accepted, relative to the summed term magnitudes.
 _RESIDUE = 1e-10
 
@@ -255,48 +254,44 @@ def _class_table(n: int, moved: int) -> np.ndarray:
     return table
 
 
-def _order_walk(matrices: np.ndarray, classes, k: int, evaluate) -> np.ndarray:
+def _order_walk(matrices: np.ndarray, weights, taus, orders, evaluate) -> np.ndarray:
     """Orders 0..k of each matrix in a (B, n, n) stack, without the normalization.
 
-    ``classes`` holds (j, weights, taus) per order j = 0, 2..k: the
-    nonzero-weight permutations moving exactly j points, one per row of
-    ``taus``.  Each order is one ``evaluate(matrices, taus)`` call, giving
-    (B, T) Hadamard permanents, and each order of each matrix is checked
-    against that matrix's own summed |terms|.  Column 1 stays zero.
+    ``taus`` holds the nonzero-weight permutations moving 0, 2..k points,
+    one per row, and ``orders`` is the (T, k + 1) complex 0/1 table of how many
+    each moves.  One ``evaluate(matrices, taus)`` call gives the (B, T)
+    Hadamard permanents of all orders, and each order of each matrix is
+    checked against that matrix's own summed |terms|.  Column 1 stays zero.
     """
-    sums = np.zeros((len(matrices), k + 1), dtype=complex)
-    magnitudes = np.zeros((len(matrices), k + 1))
-    for j, weights, taus in classes:
-        terms = weights * evaluate(matrices, taus)
-        sums[:, j], magnitudes[:, j] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-    return _real_part(sums, magnitudes)
+    terms = weights * evaluate(matrices, taus)
+    # Complex products only: a first real BLAS product would add 0.4 MB to the sampler's peak memory.
+    return _real_part(terms @ orders, (np.abs(terms) @ orders).real)
 
 
 def _truncation_walk(model, n: int, k: int, strategy: str):
     """Check the arguments of an order-k truncation and fix what does not depend on the output.
 
     Returns ``walk(matrices)``, the ``_order_walk`` orders 0..k of a
-    (B, n, n) stack of interference matrices.  The overlap weights and the
-    class tables are computed here, once for any number of stacks.
+    (B, n, n) stack of interference matrices.  Once the predicted cost per
+    matrix is within ``_WORK``, the overlap weights and the class tables are
+    computed here, once for any number of stacks.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    if strategy == "direct":
-        if n > _EXACT_LIMIT:
-            raise ValueError(f"direct strategy is limited to n <= {_EXACT_LIMIT}")
-        evaluate = hadamard_permanent
+    moves = list(itertools.chain((0,), range(2, k + 1)))
+    if strategy == "direct":  # every permutation of the orders is one n x n permanent
+        evaluate, work = hadamard_permanent, sum(rencontres(n, n - j) for j in moves) * n << n
     elif strategy == "laplace":
-        evaluate = laplace_split_permanent
+        evaluate, work = laplace_split_permanent, truncation_cost_estimate(n, k)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    _afford(work, f"the order-{k} {strategy} walk at n = {n}")
     overlaps, rows = np.asarray(model.overlap_matrix(n)), np.arange(n)
-    classes = []
-    for j in itertools.chain((0,), range(2, k + 1)):
-        taus = _class_table(n, j)
-        weights = overlaps[rows, taus].prod(axis=1)
-        nonzero = weights != 0.0
-        classes.append((j, weights[nonzero], taus[nonzero]))
-    return functools.partial(_order_walk, classes=classes, k=k, evaluate=evaluate)
+    taus = np.concatenate([_class_table(n, j) for j in moves])
+    weights = overlaps[rows, taus].prod(axis=1)
+    taus, weights = taus[weights != 0.0], weights[weights != 0.0]
+    orders = ((taus != rows).sum(axis=1)[:, None] == np.arange(k + 1)).astype(complex)
+    return functools.partial(_order_walk, weights=weights, taus=taus, orders=orders, evaluate=evaluate)
 
 
 def _subset_sums(matrices: np.ndarray) -> np.ndarray:
@@ -322,6 +317,13 @@ def _subset_sums(matrices: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _mixture_work(n: int, count: int) -> None:
+    """Refuse, before any work, the mixture of ``count`` n x n matrices: two lattices of n C(2n, n) / 2 operations."""
+    if n > _LATTICE_N:
+        raise ValueError(f"the mixture holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
+    _afford(count * n * math.comb(2 * n, n), f"the mixture of {count} matrices at n = {n}")
+
+
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     """Interference orders 0..n of each matrix in a (B, n, n) stack, for visibilities x.
 
@@ -339,6 +341,7 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"model carries {x.size} visibilities, instance has n={n}")
+    _mixture_work(n, count)
     sums = _subset_sums(matrices)
     for i in range(n):  # in-place Moebius inversion over the subset lattice, bit by bit
         view = sums.reshape(count, 1 << (n - i - 1), 2, 1 << i)
@@ -359,14 +362,13 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
 def exact_probability(inst: ExperimentInstance) -> float:
     """Probability of the instance's detection outcome, by direct sum.
 
-    Sums over the full symmetric group, independently of the per-order
-    walk; cost grows as n! * 2^n * n, so the photon number is capped at 12.
-    For a unitary transfer matrix the result lies in [0, 1] up to roundoff,
-    for arbitrary matrices it is only guaranteed real.
+    Sums over the full symmetric group, independently of the per-order walk,
+    at n! * n * 2^n kernel operations, so n = 10 is over ``_WORK`` and raises
+    ValueError before any work.  For a unitary transfer matrix the result lies
+    in [0, 1] up to roundoff, for arbitrary matrices it is only guaranteed real.
     """
     n = inst.n
-    if n > _EXACT_LIMIT:
-        raise ValueError(f"exact evaluation is limited to n <= {_EXACT_LIMIT}")
+    _afford(math.factorial(n) * n << n, f"exact evaluation at n = {n}")
     overlaps = inst.model.overlap_matrix(n)
     matrix = inst.interference_matrix
     total = 0.0 + 0.0j
@@ -389,11 +391,10 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     photons; entry 1 is always zero and the entries sum to the exact
     probability.  Homogeneous and OBB models take the mixture engine, about
     C(2n, n) pairs of sub-permanents (n = 7 in about 1 ms, n = 9 in about
-    8 ms and n = 12 in about 0.4 s on a 2-core host); explicit overlap
-    matrices take the walk over all n! permutations.
+    8 ms and n = 12 in about 0.4 s on a 2-core host) up to n = 12; explicit
+    overlap matrices take the walk over all n! permutations, up to n = 9 by
+    the ``_WORK`` budget.  Beyond these, ValueError is raised before any work.
     """
-    if inst.n > _EXACT_LIMIT:
-        raise ValueError(f"exact evaluation is limited to n <= {_EXACT_LIMIT}")
     visibilities = getattr(inst.model, "visibilities", None)
     if visibilities is None:
         orders = _truncation_walk(inst.model, inst.n, inst.n, "direct")(inst.interference_matrix[None])
@@ -405,12 +406,13 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
 def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "direct") -> TruncationResult:
     """Keep only the interference orders up to k.
 
-    ``strategy="direct"`` evaluates each permanent whole (n <= 12);
-    ``strategy="laplace"`` expands every term about the moved rows so the
-    complex permanents never exceed size k, at the price of C(n, j)-term
-    inner sums over non-negative permanents, shared by each order (see
-    ``truncation_cost_estimate`` for the kernel-operation count).  Both
-    strategies agree up to roundoff; k = n reproduces the exact probability.
+    ``strategy="direct"`` evaluates each permanent whole; ``strategy="laplace"``
+    expands every term about the moved rows so the complex permanents never
+    exceed size k, at the price of C(n, j)-term inner sums over non-negative
+    permanents, shared by each order (see ``truncation_cost_estimate`` for
+    the kernel-operation count).  Both strategies agree up to roundoff; k = n
+    reproduces the exact probability, and a walk over ``_WORK`` raises
+    ValueError before any work.
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     start = time.perf_counter()

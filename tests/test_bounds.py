@@ -270,23 +270,36 @@ class TestMonteCarloValidation:
         assert abs(report.mean_error - np.mean(errors)) <= 1e-12 * scale
         assert report.error_variance == pytest.approx(np.var(errors, ddof=1), rel=1e-10)
 
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the arguments were checked")
+
+        monkeypatch.setattr(bounds, "gaussian_matrix", no_trials)
+        monkeypatch.setattr(bounds, "_trial_error", no_trials)
+
     @pytest.mark.parametrize("model, error", [
         (HomogeneousModel(1.0), DivergenceError),
         (GeneralizedOBBModel((1.0,) * 3), DivergenceError),
         (GeneralizedOBBModel((0.5,) * 2), ValueError),
     ])
-    def test_bad_model_fails_before_any_trial(self, model, error, monkeypatch):
-        def no_trials(*args):
-            raise AssertionError("trials ran before the model was checked")
-
-        monkeypatch.setattr(bounds, "gaussian_matrix", no_trials)
-        monkeypatch.setattr(bounds, "_trial_error", no_trials)
+    def test_bad_model_fails_before_any_trial(self, model, error, no_trials):
         with pytest.raises(error):
             validate_bound_monte_carlo(3, 9, 1, model, trials=50, seed=1)
 
+    def test_over_budget_fails_before_any_trial(self, no_trials):
+        # 1,000 trials at n = 12 predict 1000 * 12 * C(24, 12) = 3.24e10 kernel
+        # operations, over the 2^33 budget; at n = 13 the lattices of |M|^2
+        # would not fit in memory, at any number of trials.
+        with pytest.raises(ValueError, match="3.24e\\+10 kernel operations"):
+            validate_bound_monte_carlo(12, 144, 1, HomogeneousModel(0.5), trials=1000, seed=1)
+        with pytest.raises(ValueError, match="mixture holds every sub-permanent"):
+            validate_bound_monte_carlo(13, 169, 1, HomogeneousModel(0.5), trials=50, seed=1)
+
     def test_preconditions(self):
+        # Over the work budget: 600 trials at n = 12 predict 1.9e10 kernel operations.
         with pytest.raises(ValueError):
-            validate_bound_monte_carlo(8, 64, 1, HomogeneousModel(0.5), trials=60, seed=1)
+            validate_bound_monte_carlo(12, 144, 1, HomogeneousModel(0.5), trials=600, seed=1)
         with pytest.raises(ValueError):
             validate_bound_monte_carlo(3, 9, 1, HomogeneousModel(0.5), trials=10, seed=1)
 

@@ -133,6 +133,16 @@ class TestVerifyCommand:
         assert other.pop("model") == {"type": "obb", "x": [0.7] * 5}
         assert other == report
 
+    def test_eight_photons_within_the_work_budget(self, capsys):
+        # 50 * 8 * C(16, 8) = 5.1e6 kernel operations, far within the work budget.
+        code, out = _run(capsys, ["verify", "--n", "8", "--m", "64", "--x", "0.7", "--k", "2", "--trials", "50", "--seed", "7"])
+        assert code == 0
+        assert json.loads(out)["n"] == 8
+
+    def test_over_budget_exit_code(self, capsys):
+        assert main(["verify", "--n", "12", "--m", "144", "--x", "0.7", "--k", "2", "--trials", "1000"]) == 2
+        assert "over the budget" in capsys.readouterr().err
+
     def test_reference_run_satisfies_bound(self, capsys):
         code, out = _run(capsys, ["verify", "--n", "5", "--m", "25", "--x", "0.7", "--k", "1", "--trials", "500", "--seed", "7"])
         assert code == 0

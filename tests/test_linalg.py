@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bosonsim.distinguishability import GeneralizedOBBModel
 from bosonsim.linalg import _complement_cost, _lattice, _lattice_tables, hadamard_permanent, laplace_split_permanent, permanent, submatrix
-from bosonsim.probability import _class_table, _mixture_orders
+from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
 # Agreement tolerance relative to the largest term either formula can sum.
@@ -391,6 +392,19 @@ class TestLaplaceSplit:
         for tau, value in zip(taus[:2], values):
             scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
             assert abs(value - hadamard_permanent(a, tau)) <= scale
+
+    def test_walks_agree_at_thirteen_photons(self):
+        # The direct walk at n = 13, k = 2 is 79 permanents of size 13, well within
+        # the work budget; the Laplace walk takes Ryser complements above n = 12.
+        rng = np.random.default_rng(24)
+        inst = ExperimentInstance.from_matrix(_random_complex(rng, 13) / np.sqrt(13), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
+        direct, laplace = (np.array(truncated_probability(inst, 2, s).per_order) for s in ("direct", "laplace"))
+        a = inst.interference_matrix
+        for j in (0, 2):
+            scale = TERM_TOL * sum(_term_scale(a * np.conj(a[tau, :])) for tau in _class_table(13, j))
+            assert abs(direct[j] - laplace[j]) <= scale
+        assert direct[2] != 0.0
+
     def test_stack_memory_is_bounded(self):
         # 256 matrices over the 112 permutations moving 3 of 8 points: held at
         # once, the small-permanent table alone is 256 x 112 x 56 complex (26 MB).

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -568,3 +569,93 @@ class TestCostEstimate:
     def test_monotone_in_k(self):
         costs = [truncation_cost_estimate(8, k) for k in range(9)]
         assert all(b >= a for a, b in zip(costs, costs[1:]))
+
+
+class TestWorkBudget:
+    """Every expensive call predicts its kernel operations and refuses above ``linalg._WORK``."""
+
+    # Predicted over counted work: every case below has no zero overlap weight,
+    # so each prediction counts exactly the permanents and lattices that run.
+    SLACK = 1.0
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Count kernel work (n 2^n per n x n permanent, sum_s C(n, s)^2 s per lattice) and record predictions."""
+        import bosonsim.linalg as linalg
+        import bosonsim.probability as probability
+
+        tally = {"counted": 0, "predicted": []}
+        ryser, lattice, afford = linalg._ryser, linalg._lattice, probability._afford
+
+        def counting_ryser(count, n, block):
+            tally["counted"] += count * n << n
+            return ryser(count, n, block)
+
+        def counting_lattice(source, top):
+            for s, level in enumerate(lattice(source, top)):
+                tally["counted"] += len(source) * math.comb(source.shape[-1], s) ** 2 * s
+                yield level
+
+        def recording_afford(work, what):
+            tally["predicted"].append(work)
+            return afford(work, what)
+
+        monkeypatch.setattr(linalg, "_ryser", counting_ryser)
+        monkeypatch.setattr(linalg, "_lattice", counting_lattice)
+        monkeypatch.setattr(probability, "_lattice", counting_lattice)
+        monkeypatch.setattr(probability, "_afford", recording_afford)
+        return tally
+
+    @pytest.mark.parametrize("case", ["exact-6", "direct-7-3", "laplace-7-3", "mixture-8", "verify-5"])
+    def test_predicted_against_counted_work(self, work, case):
+        from bosonsim.bounds import validate_bound_monte_carlo
+
+        rng = np.random.default_rng(41)
+        n = int(case.split("-")[1])
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, rng), GeneralizedOBBModel(tuple(np.linspace(0.9, 0.5, n))))
+        if case.startswith("exact"):
+            exact_probability(inst)
+        elif case.startswith("mixture"):
+            exact_probability_by_order(inst)
+        elif case.startswith("verify"):
+            validate_bound_monte_carlo(n, n * n, 1, inst.model, trials=50, seed=5)
+        else:
+            truncated_probability(inst, 3, case.split("-")[0])
+        predicted = set(work["predicted"])
+        assert len(predicted) == 1
+        assert 0 < work["counted"] <= predicted.pop() <= self.SLACK * work["counted"]
+
+    @pytest.mark.parametrize("call", ["by-order-explicit-12", "direct-12-12", "laplace-12-12", "exact-10"])
+    def test_refused_before_any_work(self, monkeypatch, call):
+        import bosonsim.probability as probability
+
+        # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12)
+        # takes all 12! permutations of size 12: 12! * 12 * 2^12 operations.
+        predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
+            call, math.factorial(12) * 12 << 12)
+
+        def no_work(*args):
+            raise AssertionError("work started before the cost check")
+
+        for name in ("_class_table", "hadamard_permanent", "laplace_split_permanent", "_subset_sums"):
+            monkeypatch.setattr(probability, name, no_work)
+        n = int(call.split("-")[-2 if call.startswith(("direct", "laplace")) else -1])
+        model = ExplicitModel(np.eye(n)) if "explicit" in call else HomogeneousModel(0.5)
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, np.random.default_rng(42)), model)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
+            if call.startswith("by-order"):
+                exact_probability_by_order(inst)
+            elif call.startswith("exact"):
+                exact_probability(inst)
+            else:
+                truncated_probability(inst, 12, call.split("-")[0])
+        assert time.perf_counter() - start < 1.0
+
+    def test_mixture_refused_above_the_lattice_limit(self, monkeypatch):
+        import bosonsim.probability as probability
+
+        monkeypatch.setattr(probability, "_subset_sums", lambda *args: pytest.fail("lattice built above n = 12"))
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(13, 169, np.random.default_rng(43)), HomogeneousModel(0.5))
+        with pytest.raises(ValueError, match="sub-permanent of \\|M\\|\\^2, so it is limited to n <= 12"):
+            exact_probability_by_order(inst)
