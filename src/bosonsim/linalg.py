@@ -9,13 +9,12 @@ functions accept stacks (with a 2-d permutation array, one Hadamard
 permanent per matrix and row).  The Laplace split here and the mixture
 engine in ``probability`` both sum small complex permanents times larger
 non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2
-built by row expansion up to n = 12.  The Laplace split takes its complex
-j x j blocks from ``_block_permanents`` as one kernel stack, and its
-non-negative ones from Ryser blocks instead where those cost less or n
-exceeds 12; the mixture takes the small ones from the lattice of M.  Every
-loop over a stack, subsets, row sets or lattice rows, here and in
-``probability``, goes in passes of as many items as fit one byte budget,
-``_BUDGET``.
+built by row expansion; ``_lattice_work`` prices it and refuses it above
+n = 12.  The Laplace split takes its complex j x j blocks from
+``_block_permanents`` as one kernel stack; the mixture takes the small ones
+from the lattice of M.  Every loop over a stack, subsets, row sets or
+lattice rows, here and in ``probability``, goes in passes of as many items
+as fit one byte budget, ``_BUDGET``.
 """
 from __future__ import annotations
 
@@ -46,6 +45,16 @@ def _afford(work: int, what: str) -> None:
     """Raise ValueError, before any work, when ``what`` is predicted to take more than ``_WORK`` operations."""
     if work > _WORK:
         raise ValueError(f"{what} would take {work:.3g} kernel operations, over the budget of {_WORK:.3g}")
+
+
+def _lattice_work(n: int, what: str) -> int:
+    """Kernel operations of one sub-permanent lattice, sum_s C(n, s)^2 s = n C(2n, n) / 2, for ``what``.
+
+    Raises ValueError, before any work, above n = ``_LATTICE_N``.
+    """
+    if n > _LATTICE_N:
+        raise ValueError(f"{what} holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
+    return n * math.comb(2 * n, n) // 2
 
 
 def _per_pass(item_bytes: int) -> int:
@@ -118,7 +127,8 @@ def permanent(matrix) -> complex | np.ndarray:
     product with the subset table).  A (n, n) matrix gives a ``complex``; a
     stack (..., n, n) gives a complex array of shape (...).  The empty 0x0
     matrix has permanent 1 (empty-product convention).  Entries must be
-    finite.
+    finite, and a stack over ``_WORK`` kernel operations (count * n * 2^n)
+    raises ValueError before any work.
 
     Numerics: the error is roundoff on the subset terms, which can be far
     larger than the permanent they cancel down to.  Against Glynn's formula
@@ -131,6 +141,7 @@ def permanent(matrix) -> complex | np.ndarray:
     a = _finite(_square(matrix))
     n = a.shape[-1]
     count = int(np.prod(a.shape[:-2]))
+    _afford(count * n << n, f"the permanents of {count} matrices at n = {n}")
     flat = a.reshape(count, n, n)
     values = _ryser(count, n, lambda lo, hi: flat[lo:hi])
     return complex(values[0]) if a.ndim == 2 else values.reshape(a.shape[:-2])
@@ -250,19 +261,6 @@ def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, co
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _complement_cost(n: int, sets: dict) -> tuple[int, bool]:
-    """Kernel operations for the Laplace complements, and whether the lattice gives them.
-
-    ``sets`` maps each moved count j to its number of fixed-row sets.  Ryser
-    blocks cost sets * C(n, j) * 2^(n-j) * (n-j) per count; the lattice of
-    |M|^2 costs sum_s C(n, s)^2 * s and is taken up to n = ``_LATTICE_N``
-    when it is no dearer.
-    """
-    ryser = sum(count * math.comb(n, j) * (n - j) << (n - j) for j, count in sets.items())
-    lattice = sum(math.comb(n, s) ** 2 * s for s in range(n + 1))
-    return (lattice, True) if n <= _LATTICE_N and lattice <= ryser else (ryser, False)
-
-
 def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     """Evaluate ``hadamard_permanent`` by expanding about the moved rows.
 
@@ -272,16 +270,17 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     of squared moduli over the fixed rows and the other columns.  Per count
     j the complex blocks (per matrix, permutation and C) are one block
     stack, at (permutations) * C(n, j) * 2^j * j kernel operations per
-    matrix, so capping j keeps them small.  The non-negative ones come from
-    the cheaper source by ``_complement_cost``: level n - j of the
-    ``_lattice`` of |M|^2, built once for every count and keeping only the
-    levels read (a full truncation up to n = ``_LATTICE_N``), or Ryser
-    blocks, one per fixed-row set and C, in bounded memory at any n (a few
-    permutations, or n above ``_LATTICE_N``).  Matrices go in groups whose
-    complement sources and tables fit ``_BUDGET``, and share one set of row choices.
+    matrix; the non-negative ones are level n - j of the ``_lattice`` of
+    |M|^2, built once for every count and keeping only the levels read, at
+    ``_lattice_work`` operations per matrix even for the identity alone.
+    So the split is an independent check of the order expansion, not a
+    faster path than ``hadamard_permanent``: it runs up to n = 12 and raises
+    ValueError above, before any work.  Matrices go in groups whose
+    lattices and tables fit ``_BUDGET``, and share one set of row choices.
     """
     a = _square(matrix)
     n = a.shape[-1]
+    _lattice_work(n, "the Laplace split")
     word = np.asarray(perm, dtype=int)
     if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
@@ -291,33 +290,27 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     fixed = words == np.arange(n)
     counts = n - fixed.sum(axis=1)
     values = np.zeros((len(flat), len(words)), dtype=complex)
-    moved_counts, sizes = np.unique(counts, return_counts=True)
-    lattice = _complement_cost(n, {int(j): min(int(t), math.comb(n, j)) for j, t in zip(moved_counts, sizes)})[1]
-    reads = set(n - moved_counts)
-    # Per matrix: the complements' source, then a complex block and a complement per permutation and C.
-    width = max((int(t) * math.comb(n, j) for j, t in zip(moved_counts, sizes)), default=0)
-    group = _per_pass((8 * math.comb(2 * n, n) if lattice else 16 * width) + 24 * width)
-    plans = []  # per count, for every group: its permutations, moved rows and complement rows (ranks, or sets)
+    sizes = np.bincount(counts)
+    moved_counts = np.flatnonzero(sizes)
+    # Per matrix: the lattice, then a complex block and a complement per permutation and C.
+    width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)
+    group = _per_pass(8 * math.comb(2 * n, n) + 24 * width)
+    plans = []  # per count: its permutations, moved rows, their conjugate rows and the ranks of the fixed-row sets
     for j in moved_counts:
         taus = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
         moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
         conj_rows = np.take_along_axis(words[taus], moved, axis=1)
-        sets = _lattice_tables(n)[0][(1 << kept).sum(1)] if lattice else np.unique(kept, axis=0, return_inverse=True)
-        plans.append((j, taus, moved, conj_rows, sets))
+        plans.append((j, taus, moved, conj_rows, _lattice_tables(n)[0][(1 << kept).sum(1)]))
+    reads = {n - j for j in moved_counts}
     for lo in range(0, len(flat), group):
         block = flat[lo : lo + group]
-        levels = _lattice(moduli[lo : lo + group], max(reads, default=0)) if lattice else ()
+        levels = _lattice(moduli[lo : lo + group], max(reads, default=0))
         held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j, taus, moved, conj_rows, sets in plans:
+        for j, taus, moved, conj_rows, ranks in plans:
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
-            if lattice:
-                complements = held[n - j][sets, ::-1]
-            else:  # |M|^2 blocks as M * conj(M), once per distinct fixed-row set
-                complements = _block_permanents(block, sets[0], _sets(n, n - j)[::-1], sets[0]).real
-                complements = complements.transpose(1, 2, 0)[sets[1].reshape(-1)]
             values[lo : lo + group, taus] = np.einsum(
-                "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), complements)
+                "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), held[n - j][ranks, ::-1])
     if a.ndim == 2 and word.ndim == 1:
         return complex(values[0, 0])
     return values.reshape(a.shape[:-2] + word.shape[:-1])

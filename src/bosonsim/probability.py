@@ -11,18 +11,21 @@ neglected tail is the truncation error.
 
 Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, class by class, which costs about (class size) x 2^n x n^2
-per matrix, with one evaluator call for all orders of a whole stack of matrices
-(``laplace_split_permanent`` for the Laplace strategy); it serves truncation
-at any k (the sampler's targets included) and the by-order split of
-explicit overlap matrices.  For the homogeneous and OBB models a
-permutation's overlap weight depends only on the set A of photons it moves,
-x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
-the visibilities (the mixture formula of Renema et al., PRL 120, 220502
-(2018)).  The mixture engine gets all n + 1 orders from one sum over the
-2^n photon subsets, over C(2n, n) pairs of sub-permanents per matrix read
-from the ``linalg._lattice`` tables of M and |M|^2 instead of n! Hadamard
-permanents, for a whole stack of matrices at once (a 50-trial n = 5
-ensemble in about 1 ms, one n = 10 matrix in about 25 ms, on 2 cores).
+per matrix, with one evaluator call for all orders of a whole stack of matrices;
+it serves truncation at any k (the sampler's targets included) and the
+by-order split of explicit overlap matrices.  Its Laplace strategy
+(``laplace_split_permanent``) is an independent check of the expansion, not
+a faster path: it pays a whole |M|^2 lattice per matrix even at k <= 1, so
+it runs up to n = 12, and the direct strategy serves n >= 13.  For the
+homogeneous and OBB models a permutation's overlap weight depends only on
+the set A of photons it moves, x_A = prod_{i in A} x_i, so the probability
+is a multilinear polynomial in the visibilities (the mixture formula of
+Renema et al., PRL 120, 220502 (2018)).  The mixture engine gets all n + 1
+orders from one sum over the 2^n photon subsets, over C(2n, n) pairs of
+sub-permanents per matrix read from the ``linalg._lattice`` tables of M and
+|M|^2 instead of n! Hadamard permanents, for a whole stack of matrices at
+once (a 50-trial n = 5 ensemble in about 1 ms, one n = 10 matrix in about
+25 ms, on 2 cores).
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _LATTICE_N, _afford, _complement_cost, _finite, _lattice, _lattice_tables, _per_pass
+from .linalg import _afford, _finite, _lattice, _lattice_tables, _lattice_work, _per_pass
 from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
@@ -318,10 +321,8 @@ def _subset_sums(matrices: np.ndarray) -> np.ndarray:
 
 
 def _mixture_work(n: int, count: int) -> None:
-    """Refuse, before any work, the mixture of ``count`` n x n matrices: two lattices of n C(2n, n) / 2 operations."""
-    if n > _LATTICE_N:
-        raise ValueError(f"the mixture holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
-    _afford(count * n * math.comb(2 * n, n), f"the mixture of {count} matrices at n = {n}")
+    """Refuse, before any work, the mixture of ``count`` n x n matrices: two lattices each (n <= 12)."""
+    _afford(2 * count * _lattice_work(n, "the mixture"), f"the mixture of {count} matrices at n = {n}")
 
 
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
@@ -409,10 +410,12 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     ``strategy="direct"`` evaluates each permanent whole; ``strategy="laplace"``
     expands every term about the moved rows so the complex permanents never
     exceed size k, at the price of C(n, j)-term inner sums over non-negative
-    permanents, shared by each order (see ``truncation_cost_estimate`` for
-    the kernel-operation count).  Both strategies agree up to roundoff; k = n
-    reproduces the exact probability, and a walk over ``_WORK`` raises
-    ValueError before any work.
+    permanents read from one lattice of |M|^2 (see ``truncation_cost_estimate``
+    for the kernel-operation count).  The Laplace walk is an independent check
+    of the direct one, and slower: it builds the whole lattice even for
+    k <= 1, and n >= 13 is refused (the direct walk serves it).  Both
+    strategies agree up to roundoff; k = n reproduces the exact probability,
+    and a walk over ``_WORK`` raises ValueError before any work.
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     start = time.perf_counter()
@@ -441,16 +444,13 @@ def truncation_cost_estimate(n: int, k: int) -> int:
 
     Counts, over orders j <= k, R(n, n-j) * C(n, j) * 2^j * j for the small
     complex permanents (one per moving-j permutation and column subset),
-    plus the non-negative ones from the cheaper source that
-    ``laplace_split_permanent`` takes: the lattice of |M|^2, sum over
-    s = 1..n of C(n, s)^2 * s (built once, shared by every order, only up to
-    n = 12), or C(n, j)^2 * 2^(n-j) * (n-j) per order for Ryser blocks (one
-    per fixed-row set and column subset).  So (3, 2) costs 72 + 30 = 102,
-    (4, 3) costs 288 + 768 + 140 = 1196 and (13, 2) costs 48672 +
-    106496 + 137060352.
+    plus ``linalg._lattice_work`` for the lattice of |M|^2 that holds the
+    non-negative ones, sum over s = 1..n of C(n, s)^2 * s, built once and
+    shared by every order even at k <= 1.  So (3, 2) costs 72 + 30 = 102,
+    (4, 3) costs 288 + 768 + 140 = 1196, (12, 0) costs 16224936 for the
+    lattice alone, and n >= 13 raises ValueError: no lattice is built there.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    orders = list(itertools.chain((0,), range(2, k + 1)))
-    total = sum(rencontres(n, n - j) * math.comb(n, j) * (1 << j) * j for j in orders)
-    return total + _complement_cost(n, {j: math.comb(n, j) for j in orders})[0]
+    blocks = sum(rencontres(n, n - j) * math.comb(n, j) * j << j for j in range(2, k + 1))
+    return blocks + _lattice_work(n, "the Laplace walk")

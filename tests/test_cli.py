@@ -176,6 +176,21 @@ class TestProbAndTruncate:
     def test_missing_instance(self, capsys):
         assert main(["prob"]) == 2
 
+    def test_laplace_refused_above_the_lattice_limit(self, capsys, tmp_path):
+        # At n = 13 the Laplace walk has no lattice, a usage error; the direct walk runs.
+        u = haar_unitary(26, seed=13)
+        inst = ExperimentInstance(u, (1,) * 13 + (0,) * 13, (0,) * 13 + (1,) * 13, HomogeneousModel(0.8))
+        path = tmp_path / "instance13.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        argv = ["truncate", "--instance", str(path), "--k", "2"]
+        assert main(argv + ["--strategy", "laplace"]) == 2
+        err = capsys.readouterr().err
+        assert "sub-permanent of |M|^2, so it is limited to n <= 12" in err
+        assert "Traceback" not in err
+        code, out = _run(capsys, argv + ["--strategy", "direct"])
+        assert code == 0
+        assert json.loads(out)["n"] == 13
+
 
 class TestSampleCommand:
     def test_jsonl_stream(self, capsys, instance_without_output):

@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosonsim.distinguishability import GeneralizedOBBModel
-from bosonsim.linalg import _complement_cost, _lattice, _lattice_tables, hadamard_permanent, laplace_split_permanent, permanent, submatrix
+from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
@@ -85,6 +87,16 @@ class TestPermanent:
         value, reference = permanent(a), glynn_permanent(a)
         assert abs(value - reference) <= 1e-15 * permanent(np.abs(a)).real
         assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    def test_refused_over_the_work_budget(self, monkeypatch):
+        # 29 * 2^29 = 1.56e10 predicted operations, about twice the budget: refused before the kernel starts.
+        import bosonsim.linalg as linalg
+
+        monkeypatch.setattr(linalg, "_ryser", lambda *args: pytest.fail("kernel started over the budget"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1.56e\\+10 kernel operations"):
+            permanent(np.ones((29, 29)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStacks:
@@ -227,17 +239,13 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
     x = rng.uniform(0.0, 1.0, 6)
 
     def evaluate():
-        values = [permanent(stack), hadamard_permanent(stack, taus)]
-        for lattice in (True, False):
-            monkeypatch.setattr(linalg, "_complement_cost", lambda n, sets: (0, lattice))
-            values.append(laplace_split_permanent(stack, taus))
-        return values + [_mixture_orders(stack, x)]
+        return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus), _mixture_orders(stack, x)]
 
     whole = evaluate()
     monkeypatch.setattr(linalg, "_BUDGET", 4096)
     split = evaluate()
     products = _term_scale(stack[:, None] * np.conj(stack[:, taus]))
-    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products]):
+    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products]):
         assert np.all(np.abs(many - one) <= TERM_TOL * scale)
     assert np.all(np.abs(split[-1] - whole[-1]) <= TERM_TOL * np.abs(whole[-1]).sum(axis=1, keepdims=True))
 
@@ -358,30 +366,19 @@ class TestLaplaceSplit:
     def test_stacked_tables_match_hadamard(self):
         _check_stacked_tables(np.random.default_rng(18))
 
-    @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "ryser"])
-    def test_both_complement_sources_match_hadamard(self, monkeypatch, lattice):
-        import bosonsim.linalg as linalg
+    def test_lattice_work_is_one_price_and_one_limit(self):
+        # sum_s C(n, s)^2 s in closed form, 12 * C(23, 11) = 16,224,936 at n = 12; no lattice above.
+        for n in range(13):
+            assert _lattice_work(n, "a lattice") == sum(math.comb(n, s) ** 2 * s for s in range(n + 1))
+        assert _lattice_work(12, "a lattice") == 16224936
+        with pytest.raises(ValueError, match="sub-permanent of \\|M\\|\\^2, so it is limited to n <= 12"):
+            _lattice_work(13, "a lattice")
 
-        monkeypatch.setattr(linalg, "_complement_cost", lambda n, sets: (0, lattice))
-        _check_stacked_tables(np.random.default_rng(21))
-
-    def test_cost_picks_the_complement_source(self):
-        # n = 12: the lattice (12 * C(23, 11) = 16,224,936 operations) beats the
-        # 66^2 Ryser blocks of size 10 (44,605,440) but not one block of size 12
-        # (49,152); above n = 12 it is never built.
-        assert _complement_cost(12, {2: 66}) == (16224936, True)
-        assert _complement_cost(12, {0: 1}) == (49152, False)
-        assert _complement_cost(13, {0: 1, 2: 78}) == (106496 + 137060352, False)
-
-    @pytest.mark.parametrize("n", [12, 14])
-    def test_large_n_in_bounded_memory(self, n):
-        # n = 12, all 66 transpositions: the lattice is built, and only the level
-        # read is kept (all levels would be 21.6 MB).  n = 14, the identity and a
-        # 3-cycle: the lattice's widest level alone would be 94 MB, so the
-        # complements are Ryser blocks.
+    def test_large_n_in_bounded_memory(self):
+        # n = 12, all 66 transpositions: only the lattice level read is kept (all levels would be 21.6 MB).
         rng = np.random.default_rng(22)
-        a = _random_complex(rng, n)
-        taus = _class_table(n, 2) if n == 12 else np.array([np.arange(n), [1, 2, 0, *range(3, n)]])
+        a = _random_complex(rng, 12)
+        taus = _class_table(12, 2)
         tracemalloc.start()
         try:
             values = laplace_split_permanent(a, taus)
@@ -393,17 +390,21 @@ class TestLaplaceSplit:
             scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
             assert abs(value - hadamard_permanent(a, tau)) <= scale
 
-    def test_walks_agree_at_thirteen_photons(self):
-        # The direct walk at n = 13, k = 2 is 79 permanents of size 13, well within
-        # the work budget; the Laplace walk takes Ryser complements above n = 12.
+    def test_refused_at_thirteen_photons(self, monkeypatch):
+        # No lattice above n = 12, so the split and the Laplace walk refuse before any work.
+        import bosonsim.linalg as linalg
+        import bosonsim.probability as probability
+
+        for module, name in ((linalg, "_lattice"), (linalg, "_block_permanents"), (probability, "_class_table")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started above the lattice limit"))
         rng = np.random.default_rng(24)
         inst = ExperimentInstance.from_matrix(_random_complex(rng, 13) / np.sqrt(13), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
-        direct, laplace = (np.array(truncated_probability(inst, 2, s).per_order) for s in ("direct", "laplace"))
-        a = inst.interference_matrix
-        for j in (0, 2):
-            scale = TERM_TOL * sum(_term_scale(a * np.conj(a[tau, :])) for tau in _class_table(13, j))
-            assert abs(direct[j] - laplace[j]) <= scale
-        assert direct[2] != 0.0
+        start = time.perf_counter()
+        for call in (lambda: laplace_split_permanent(inst.interference_matrix, np.arange(13)),
+                     lambda: truncated_probability(inst, 2, "laplace")):
+            with pytest.raises(ValueError, match="so it is limited to n <= 12"):
+                call()
+        assert time.perf_counter() - start < 1.0
 
     def test_stack_memory_is_bounded(self):
         # 256 matrices over the 112 permutations moving 3 of 8 points: held at

@@ -553,13 +553,11 @@ class TestCostEstimate:
         # n=4, k=3: order 0 gives 0, order 2 gives 6 * 6 * 4*2 = 288, order 3
         # gives 8 * 4 * 8*3 = 768; the lattice costs 16*1 + 36*2 + 16*3 + 1*4 = 140
         assert truncation_cost_estimate(4, 3) == 288 + 768 + 140
-        # n=12, k=0: one Ryser block of 2^12*12 = 49152 beats the lattice's
-        # 12 * C(23, 11) = 16224936
-        assert truncation_cost_estimate(12, 0) == 49152
-        # n=13, k=2: no lattice above n = 12, so Ryser blocks: order 0 gives
-        # 1 * 2^13*13 = 106496, order 2 gives 78 * 78 * 4*2 = 48672 plus
-        # 78^2 * 2^11*11 = 137060352
-        assert truncation_cost_estimate(13, 2) == 106496 + 48672 + 137060352
+        # n=12, k=0: the identity alone still builds the whole lattice, 12 * C(23, 11) = 16224936
+        assert truncation_cost_estimate(12, 0) == 16224936
+        # n=13: no lattice above n = 12, so the Laplace walk has no price there
+        with pytest.raises(ValueError, match="so it is limited to n <= 12"):
+            truncation_cost_estimate(13, 2)
 
     def test_rejects_order_outside_zero_to_n(self):
         for k in (-1, 6):
