@@ -244,7 +244,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     C(m, n) * n! / m**n (the number of non-collisional outputs times the
     typical outcome weight) must stay below the L1 bound.  The bound takes
     the quadratic-mean ratio of the model (x * x for a uniform visibility
-    x); a ratio of 1, an OBB vector without n visibilities, n above 12, or
+    x); a ratio of 1, an OBB vector without n visibilities, m < n, n > 12, or
     trials * n * C(2n, n) kernel operations over the ``_WORK`` budget (a
     50-trial ensemble passes up to n = 12) raises before any trial is drawn.
     """
@@ -252,6 +252,8 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
         raise ValueError("need at least 50 trials")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
+    if m < n:  # C(m, n) = 0 would scale every L1 estimate to 0
+        raise ValueError("need at least as many modes as photons")
     _mixture_work(n, trials)
     spec = BoundSpec(kind="quadratic_mean", parameter=quadratic_mean_visibility(model), k=k)
     x = model.visibilities(n)

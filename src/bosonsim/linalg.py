@@ -9,12 +9,13 @@ functions accept stacks (with a 2-d permutation array, one Hadamard
 permanent per matrix and row).  The Laplace split here and the mixture
 engine in ``probability`` both sum small complex permanents times larger
 non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2
-built by row expansion; ``_lattice_work`` prices it and refuses it above
-n = 12.  The Laplace split takes its complex j x j blocks from
-``_block_permanents`` as one kernel stack; the mixture takes the small ones
-from the lattice of M.  Every loop over a stack, subsets, row sets or
+built by row expansion.  The Laplace split takes its complex j x j blocks
+from ``_block_permanents`` as one kernel stack; the mixture takes the small
+ones from the lattice of M.  Every loop over a stack, subsets, row sets or
 lattice rows, here and in ``probability``, goes in passes of as many items
-as fit one byte budget, ``_BUDGET``.
+as fit one byte budget, ``_BUDGET``.  Every public kernel refuses a call
+over ``_WORK`` before any work, at one price per evaluator: ``_ryser_work``,
+``_laplace_work`` or ``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
 
@@ -41,10 +42,15 @@ _LATTICE_N = 12
 _WORK = 1 << 33
 
 
-def _afford(work: int, what: str) -> None:
-    """Raise ValueError, before any work, when ``what`` is predicted to take more than ``_WORK`` operations."""
+def _afford(work: int, what: str, *args) -> None:
+    """Raise ValueError, before any work, when ``what.format(*args)`` would take over ``_WORK`` operations."""
     if work > _WORK:
-        raise ValueError(f"{what} would take {work:.3g} kernel operations, over the budget of {_WORK:.3g}")
+        raise ValueError(f"{what.format(*args)} would take {work:.3g} kernel operations, over the budget of {_WORK:.3g}")
+
+
+def _ryser_work(n: int, count: int) -> int:
+    """Kernel operations of ``count`` n x n permanents by Ryser's formula, count n 2^n."""
+    return count * n << n
 
 
 def _lattice_work(n: int, what: str) -> int:
@@ -55,6 +61,14 @@ def _lattice_work(n: int, what: str) -> int:
     if n > _LATTICE_N:
         raise ValueError(f"{what} holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
     return n * math.comb(2 * n, n) // 2
+
+
+def _laplace_work(n: int, moved) -> int:
+    """Kernel operations of the Laplace split of one n x n matrix over ``moved[j]`` permutations moving j rows.
+
+    sum_j moved_j C(n, j) j 2^j, plus the whole lattice of |M|^2 (an upper bound without the identity).
+    """
+    return sum(c * math.comb(n, j) * j << j for j, c in enumerate(moved)) + _lattice_work(n, "the Laplace split")
 
 
 def _per_pass(item_bytes: int) -> int:
@@ -127,8 +141,8 @@ def permanent(matrix) -> complex | np.ndarray:
     product with the subset table).  A (n, n) matrix gives a ``complex``; a
     stack (..., n, n) gives a complex array of shape (...).  The empty 0x0
     matrix has permanent 1 (empty-product convention).  Entries must be
-    finite, and a stack over ``_WORK`` kernel operations (count * n * 2^n)
-    raises ValueError before any work.
+    finite, and a stack over ``_WORK`` kernel operations (``_ryser_work``,
+    count * n * 2^n) raises ValueError before any work.
 
     Numerics: the error is roundoff on the subset terms, which can be far
     larger than the permanent they cancel down to.  Against Glynn's formula
@@ -140,8 +154,8 @@ def permanent(matrix) -> complex | np.ndarray:
     """
     a = _finite(_square(matrix))
     n = a.shape[-1]
-    count = int(np.prod(a.shape[:-2]))
-    _afford(count * n << n, f"the permanents of {count} matrices at n = {n}")
+    count = math.prod(a.shape[:-2])
+    _afford(_ryser_work(n, count), "the permanents of {} matrices at n = {}", count, n)
     flat = a.reshape(count, n, n)
     values = _ryser(count, n, lambda lo, hi: flat[lo:hi])
     return complex(values[0]) if a.ndim == 2 else values.reshape(a.shape[:-2])
@@ -155,7 +169,8 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     (..., n, n).  The result has shape (stack shape) + (rows of ``perm``),
     one Hadamard permanent per matrix and permutation, and is a ``complex``
     for one matrix and one permutation.  The product matrices are formed
-    chunk by chunk inside the kernel, never all at once.  With the identity
+    chunk by chunk inside the kernel, never all at once, and a call priced
+    over ``_WORK`` raises ValueError before any work.  With the identity
     permutation the value is the permanent of the squared moduli, a
     non-negative real; permuting by the inverse conjugates it.
     """
@@ -165,12 +180,12 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
     words = word[None] if word.ndim == 1 else word
+    flat = a.reshape(math.prod(a.shape[:-2]), n, n)
+    _afford(_ryser_work(n, len(flat) * len(words)), "{} Hadamard permanents at n = {}", len(flat) * len(words), n)
     one = a if a.ndim == 2 else a[0] if a.shape[:-2] == (1,) else None
     if one is not None:  # one matrix: the products need no per-entry gather of matrices
         values = _ryser(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
     else:
-        flat = a.reshape(int(np.prod(a.shape[:-2])), n, n)
-
         def products(lo, hi):
             which, row = np.divmod(np.arange(lo, hi), len(words))
             return _finite(flat[which] * np.conj(flat[which[:, None], words[row]]))
@@ -269,28 +284,27 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
     j the complex blocks (per matrix, permutation and C) are one block
-    stack, at (permutations) * C(n, j) * 2^j * j kernel operations per
-    matrix; the non-negative ones are level n - j of the ``_lattice`` of
-    |M|^2, built once for every count and keeping only the levels read, at
-    ``_lattice_work`` operations per matrix even for the identity alone.
-    So the split is an independent check of the order expansion, not a
-    faster path than ``hadamard_permanent``: it runs up to n = 12 and raises
-    ValueError above, before any work.  Matrices go in groups whose
-    lattices and tables fit ``_BUDGET``, and share one set of row choices.
+    stack; the non-negative ones are level n - j of the ``_lattice`` of
+    |M|^2, built once for every count, keeping only the levels read.  The
+    price, ``_laplace_work``, holds the whole lattice even for the identity
+    alone: the split checks the order expansion and is not a faster path
+    than ``hadamard_permanent``.  Above n = 12 or over ``_WORK`` it raises
+    ValueError before any work.  Matrices go in groups whose lattices and
+    tables fit ``_BUDGET``, and share one set of row choices.
     """
     a = _square(matrix)
     n = a.shape[-1]
-    _lattice_work(n, "the Laplace split")
     word = np.asarray(perm, dtype=int)
     if word.ndim not in (1, 2) or word.shape[-1] != n:
         raise ValueError("permutation length must match the matrix size")
     words = word[None] if word.ndim == 1 else word
-    flat = a.reshape(int(np.prod(a.shape[:-2])), n, n)
-    moduli = _finite(np.abs(flat) ** 2)  # also bounds every product entry, |x y| <= max(|x|, |y|)^2
+    flat = a.reshape(math.prod(a.shape[:-2]), n, n)
     fixed = words == np.arange(n)
     counts = n - fixed.sum(axis=1)
-    values = np.zeros((len(flat), len(words)), dtype=complex)
     sizes = np.bincount(counts)
+    _afford(len(flat) * _laplace_work(n, sizes.tolist()), "{} Laplace splits at n = {}", len(flat), n)
+    moduli = _finite(np.abs(flat) ** 2)  # also bounds every product entry, |x y| <= max(|x|, |y|)^2
+    values = np.zeros((len(flat), len(words)), dtype=complex)
     moved_counts = np.flatnonzero(sizes)
     # Per matrix: the lattice, then a complex block and a complement per permutation and C.
     width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)

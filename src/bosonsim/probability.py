@@ -39,8 +39,8 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .linalg import _afford, _finite, _lattice, _lattice_tables, _lattice_work, _per_pass
-from .linalg import hadamard_permanent, laplace_split_permanent, submatrix
+from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _per_pass
+from .linalg import _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -281,16 +281,16 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    moves = list(itertools.chain((0,), range(2, k + 1)))
+    classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
     if strategy == "direct":  # every permutation of the orders is one n x n permanent
-        evaluate, work = hadamard_permanent, sum(rencontres(n, n - j) for j in moves) * n << n
+        evaluate, work = hadamard_permanent, _ryser_work(n, sum(classes))
     elif strategy == "laplace":
-        evaluate, work = laplace_split_permanent, truncation_cost_estimate(n, k)
+        evaluate, work = laplace_split_permanent, _laplace_work(n, classes)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _afford(work, f"the order-{k} {strategy} walk at n = {n}")
+    _afford(work, "the order-{} {} walk at n = {}", k, strategy, n)
     overlaps, rows = np.asarray(model.overlap_matrix(n)), np.arange(n)
-    taus = np.concatenate([_class_table(n, j) for j in moves])
+    taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
     weights = overlaps[rows, taus].prod(axis=1)
     taus, weights = taus[weights != 0.0], weights[weights != 0.0]
     orders = ((taus != rows).sum(axis=1)[:, None] == np.arange(k + 1)).astype(complex)
@@ -322,7 +322,7 @@ def _subset_sums(matrices: np.ndarray) -> np.ndarray:
 
 def _mixture_work(n: int, count: int) -> None:
     """Refuse, before any work, the mixture of ``count`` n x n matrices: two lattices each (n <= 12)."""
-    _afford(2 * count * _lattice_work(n, "the mixture"), f"the mixture of {count} matrices at n = {n}")
+    _afford(2 * count * _lattice_work(n, "the mixture"), "the mixture of {} matrices at n = {}", count, n)
 
 
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
@@ -342,7 +342,6 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"model carries {x.size} visibilities, instance has n={n}")
-    _mixture_work(n, count)
     sums = _subset_sums(matrices)
     for i in range(n):  # in-place Moebius inversion over the subset lattice, bit by bit
         view = sums.reshape(count, 1 << (n - i - 1), 2, 1 << i)
@@ -364,12 +363,12 @@ def exact_probability(inst: ExperimentInstance) -> float:
     """Probability of the instance's detection outcome, by direct sum.
 
     Sums over the full symmetric group, independently of the per-order walk,
-    at n! * n * 2^n kernel operations, so n = 10 is over ``_WORK`` and raises
-    ValueError before any work.  For a unitary transfer matrix the result lies
-    in [0, 1] up to roundoff, for arbitrary matrices it is only guaranteed real.
+    at n! * n * 2^n kernel operations (``_ryser_work``), so n = 10 is over
+    ``_WORK`` and raises ValueError before any work.  The result is real, and
+    in [0, 1] up to roundoff for a unitary transfer matrix.
     """
     n = inst.n
-    _afford(math.factorial(n) * n << n, f"exact evaluation at n = {n}")
+    _afford(_ryser_work(n, math.factorial(n)), "exact evaluation at n = {}", n)
     overlaps = inst.model.overlap_matrix(n)
     matrix = inst.interference_matrix
     total = 0.0 + 0.0j
@@ -400,6 +399,7 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     if visibilities is None:
         orders = _truncation_walk(inst.model, inst.n, inst.n, "direct")(inst.interference_matrix[None])
     else:
+        _mixture_work(inst.n, 1)
         orders = _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))
     return orders[0] / inst.normalization
 
@@ -442,15 +442,13 @@ def truncation_error(inst: ExperimentInstance, k: int, strategy: str = "direct")
 def truncation_cost_estimate(n: int, k: int) -> int:
     """Kernel operations for the Laplace evaluation of an order-k truncation.
 
-    Counts, over orders j <= k, R(n, n-j) * C(n, j) * 2^j * j for the small
-    complex permanents (one per moving-j permutation and column subset),
-    plus ``linalg._lattice_work`` for the lattice of |M|^2 that holds the
-    non-negative ones, sum over s = 1..n of C(n, s)^2 * s, built once and
-    shared by every order even at k <= 1.  So (3, 2) costs 72 + 30 = 102,
-    (4, 3) costs 288 + 768 + 140 = 1196, (12, 0) costs 16224936 for the
-    lattice alone, and n >= 13 raises ValueError: no lattice is built there.
+    ``linalg._laplace_work`` over the R(n, n-j) permutations moving j <= k
+    points: R(n, n-j) * C(n, j) * 2^j * j for the small complex permanents,
+    plus the whole lattice of |M|^2, shared by every order even at k <= 1.
+    So (3, 2) costs 72 + 30 = 102, (4, 3) costs 288 + 768 + 140 = 1196,
+    (12, 0) costs 16224936 for the lattice alone, and n >= 13 raises
+    ValueError: no lattice is built there.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    blocks = sum(rencontres(n, n - j) * math.comb(n, j) * j << j for j in range(2, k + 1))
-    return blocks + _lattice_work(n, "the Laplace walk")
+    return _laplace_work(n, [rencontres(n, n - j) for j in range(k + 1)])

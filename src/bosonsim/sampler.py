@@ -172,10 +172,10 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     The proposal kernels are symmetric, so detailed balance holds for the
     clamped target; zero-weight states are never accepted (the chain can
     only emit one if it started there and stays during early steps).
-    Targets are evaluated in blocks and every step draws one uniform (see
-    the module docstring), so a seeded sequence that meets a zero-weight
-    state differs from releases that drew the uniform only on positive
-    weights; identical (seed, config) pairs reproduce the exact sequence.
+    Targets are evaluated in blocks of up to 256 outputs, and the work
+    budget applies to each block (ValueError before its kernel work); every
+    step draws one uniform (see the module docstring), and identical (seed,
+    config) pairs reproduce the exact sequence.
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n
@@ -205,7 +205,8 @@ def output_distribution(unitary, input_occupation, model, k: int,
 
     Returns the C(m, n) non-collisional occupations (lexicographic) and
     their probabilities; intended as the total-variation oracle for the
-    chain.  Limited to C(m, n) <= 10^5 outputs.
+    chain.  Limited to C(m, n) <= 10^5 outputs, and the work budget applies
+    to each block of up to 256 of them.
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n

@@ -296,12 +296,15 @@ class TestMonteCarloValidation:
         with pytest.raises(ValueError, match="mixture holds every sub-permanent"):
             validate_bound_monte_carlo(13, 169, 1, HomogeneousModel(0.5), trials=50, seed=1)
 
-    def test_preconditions(self):
+    def test_preconditions(self, no_trials):
         # Over the work budget: 600 trials at n = 12 predict 1.9e10 kernel operations.
         with pytest.raises(ValueError):
             validate_bound_monte_carlo(12, 144, 1, HomogeneousModel(0.5), trials=600, seed=1)
         with pytest.raises(ValueError):
             validate_bound_monte_carlo(3, 9, 1, HomogeneousModel(0.5), trials=10, seed=1)
+        # Fewer modes than photons: C(m, n) = 0 would scale the L1 estimate to 0 and pass the bound vacuously.
+        with pytest.raises(ValueError, match="at least as many modes as photons"):
+            validate_bound_monte_carlo(3, 2, 0, HomogeneousModel(0.5), trials=50, seed=1)
 
 
 class TestHeterogeneityComparison:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import bosonsim
 from bosonsim.cli import main
 from bosonsim.distinguishability import HomogeneousModel
 from bosonsim.probability import ExperimentInstance
@@ -143,6 +148,10 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "12", "--m", "144", "--x", "0.7", "--k", "2", "--trials", "1000"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
+    def test_fewer_modes_than_photons_exit_code(self, capsys):
+        assert main(["verify", "--n", "3", "--m", "2", "--x", "0.5", "--k", "0", "--trials", "50"]) == 2
+        assert "at least as many modes as photons" in capsys.readouterr().err
+
     def test_reference_run_satisfies_bound(self, capsys):
         code, out = _run(capsys, ["verify", "--n", "5", "--m", "25", "--x", "0.7", "--k", "1", "--trials", "500", "--seed", "7"])
         assert code == 0
@@ -227,6 +236,21 @@ class TestSampleCommand:
         _, with_env = _run(capsys, argv)
         _, with_flag = _run(capsys, argv + ["--seed", "123"])
         assert with_env != with_flag
+
+    def test_block_over_the_budget_exit_code(self, capsys, tmp_path):
+        # An order-4 target at n = 12 sums 4,962 permanents of size 12 (2.44e8 operations, within the
+        # budget), but a block of 256 targets takes 6.24e10: the chain is refused at its first block.
+        inst = ExperimentInstance(haar_unitary(24, seed=11), (1,) * 12 + (0,) * 12, (1,) * 12 + (0,) * 12, HomogeneousModel(0.8))
+        data = inst.to_dict()
+        del data["output"]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["sample", "--instance", str(path), "--k", "4", "--num-samples", "10", "--seed", "5"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "6.24e+10 kernel operations, over the budget" in err
+        assert "Traceback" not in err
 
     def test_degenerate_target_exit_code(self, capsys, tmp_path):
         data = {
@@ -326,3 +350,23 @@ class TestExitCodes:
         monkeypatch.setattr("bosonsim.cli.exact_probability", broken)
         with pytest.raises(TypeError):
             main(["prob", "--instance", str(instance_file)])
+
+
+class TestConsoleScript:
+    """The module entry point (``entrypoint``, the installed ``bosonsim`` script's target) in a fresh process."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bound", "--x", "0.9", "--k", "3"], 0),
+        (["verify", "--n", "12", "--m", "144", "--x", "0.7", "--k", "2", "--trials", "1000"], 2),
+    ])
+    def test_exit_codes(self, argv, code):
+        source = os.path.dirname(os.path.dirname(bosonsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-m", "bosonsim.cli", *argv], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        if code == 0:
+            assert json.loads(result.stdout)["k"] == 3
+        else:
+            assert result.stderr.startswith("error:") and "over the budget" in result.stderr

@@ -88,14 +88,20 @@ class TestPermanent:
         assert abs(value - reference) <= 1e-15 * permanent(np.abs(a)).real
         assert abs(value - reference) <= 1e-12 * abs(reference)
 
-    def test_refused_over_the_work_budget(self, monkeypatch):
-        # 29 * 2^29 = 1.56e10 predicted operations, about twice the budget: refused before the kernel starts.
+    @pytest.mark.parametrize("kernel", ["permanent", "hadamard_permanent", "laplace_split_permanent"])
+    def test_refused_over_the_work_budget(self, monkeypatch, kernel):
+        # About twice the budget each, so every public kernel refuses its whole call before the kernel starts:
+        # 29 * 2^29 = 1.56e10 for a 29 x 29 permanent (the Hadamard one with the identity), and
+        # 1,100 * 12 * C(23, 11) = 1,100 * 16,224,936 = 1.78e10 for the lattices of 1,100 split matrices.
         import bosonsim.linalg as linalg
 
-        monkeypatch.setattr(linalg, "_ryser", lambda *args: pytest.fail("kernel started over the budget"))
+        shape, predicted = ((1100, 12, 12), "1.78e\\+10") if kernel.startswith("laplace") else ((29, 29), "1.56e\\+10")
+        for name in ("_ryser", "_lattice"):
+            monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("kernel started over the budget"))
+        args = (np.ones(shape),) if kernel == "permanent" else (np.ones(shape), np.arange(shape[-1]))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="1.56e\\+10 kernel operations"):
-            permanent(np.ones((29, 29)))
+        with pytest.raises(ValueError, match=f"{predicted} kernel operations"):
+            getattr(linalg, kernel)(*args)
         assert time.perf_counter() - start < 1.0
 
 
