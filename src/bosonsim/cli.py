@@ -2,15 +2,22 @@
 
 Every subcommand accepts a JSON config file (``--config``, schema version 1)
 whose fields are overridden by explicit flags, writes its artifact to
-``--output`` or stdout, and is deterministic given the seed.  The seed is
-resolved as flag, then config field, then the BOSONSIM_SEED environment
-variable.  Exit codes: 0 success, 2 config/usage error, 3 diverging bound
-parameter, 4 degenerate sampler target.  Any other exception is a bug and
-propagates with its traceback.
+``--output`` or stdout, and is deterministic given the seed.  One table,
+``_COMMANDS``, declares each subcommand's settings: a setting is a flag and
+the config field of the flag's name with ``_`` for ``-`` (``--num-samples``
+is ``num_samples``, ``--x-vec`` is ``x_vec``, ``--m2-root`` is ``m2_root``),
+and a config field takes the same values and choices as its flag.  An
+integer setting refuses a bool and a number with a fractional part, a real
+one refuses a bool; integer-valued strings such as ``"2"`` are accepted, as
+a flag's text is.  The seed is resolved as flag, then config field, then the
+BOSONSIM_SEED environment variable.  Exit codes: 0 success, 2 config/usage
+error, 3 diverging bound parameter, 4 degenerate sampler target.  Any other
+exception is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,14 +38,177 @@ __all__ = ["main", "entrypoint"]
 
 _SEED_ENV = "BOSONSIM_SEED"
 
-_COMMON_FIELDS = {"schema", "command", "output", "seed"}
-_COMMAND_FIELDS = {
-    "prob": {"instance"},
-    "truncate": {"instance", "k", "strategy"},
-    "bound": {"x", "m2_root", "x_max", "k", "epsilon"},
-    "curves": {"sigma", "epsilon", "mu"},
-    "verify": {"n", "m", "x", "x_vec", "k", "trials", "threads"},
-    "sample": {"instance", "k", "strategy", "num_samples", "burn_in", "thinning", "proposal", "format"},
+
+def _number(kind, value):
+    """``kind(value)`` for int or float; TypeError for a bool, or a fraction for int, which a flag cannot hold."""
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise TypeError
+    return kind(value)
+
+
+def _json_file(value):
+    """A JSON file path's contents; a config may also hold the object itself."""
+    if not isinstance(value, str):
+        return value
+    with open(value, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _reals(value) -> list[float]:
+    """Comma-separated reals, or a config list of numbers."""
+    parts = value if isinstance(value, list) else [part for part in str(value).split(",") if part != ""]
+    return [_number(float, part) for part in parts]
+
+
+def _grid(value) -> list[float]:
+    """A start:stop:step grid, comma-separated reals, or a config list of numbers."""
+    if isinstance(value, list) or ":" not in str(value):
+        return _reals(value)
+    start, stop, step = (float(part) for part in str(value).split(":"))
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    count = int(round((stop - start) / step)) + 1
+    grid = [round(start + i * step, 10) for i in range(count)]
+    return [v for v in grid if v <= stop + 1e-12]
+
+
+def _cmd_prob(setting) -> dict:
+    inst = ExperimentInstance.from_dict(setting("instance", required=True))
+    return {
+        "schema": 1,
+        "n": inst.n,
+        "m": inst.m,
+        "input": list(inst.input_occupation),
+        "output_state": list(inst.output_occupation),
+        "model": inst.model.to_dict(),
+        "probability": exact_probability(inst),
+    }
+
+
+def _cmd_truncate(setting) -> dict:
+    inst = ExperimentInstance.from_dict(setting("instance", required=True))
+    k = setting("k", required=True)
+    strategy = setting("strategy", "direct")
+    return {**truncated_probability(inst, k, strategy).to_dict(), "strategy": strategy, "n": inst.n}
+
+
+def _bound_spec(setting, k: int) -> BoundSpec:
+    choices = [("homogeneous_x", setting("x")), ("quadratic_mean", setting("m2_root")),
+               ("max_visibility", setting("x_max"))]
+    given = [(kind, value) for kind, value in choices if value is not None]
+    if len(given) != 1:
+        raise ValueError("give exactly one of --x, --m2-root, --x-max")
+    kind, parameter = given[0]
+    return BoundSpec(kind=kind, parameter=parameter, k=k)
+
+
+def _cmd_bound(setting) -> dict:
+    k = setting("k")
+    epsilon = setting("epsilon")
+    if k is None and epsilon is None:
+        raise ValueError("give --k for a bound value and/or --epsilon for a minimal order")
+    payload: dict = {"schema": 1}
+    if k is not None:
+        spec = _bound_spec(setting, k)
+        payload.update(kind=spec.kind, parameter=spec.parameter, k=spec.k, l1_bound=l1_bound(spec))
+    if epsilon is not None:
+        spec = _bound_spec(setting, 0)
+        order = min_truncation_order(spec.parameter, epsilon, kind=spec.kind)
+        payload.update(kind=spec.kind, parameter=spec.parameter, epsilon=epsilon, min_order=order)
+    return payload
+
+
+def _cmd_curves(setting) -> str:
+    rows = truncation_order_curves(setting("sigma", required=True), setting("epsilon", required=True),
+                                   setting("mu", required=True))
+    lines = ["mu,epsilon,k_max_bound,k_m2_bound"]
+    for row in rows:
+        k_max = "divergent" if row["k_max_bound"] is None else str(row["k_max_bound"])
+        k_m2 = "divergent" if row["k_m2_bound"] is None else str(row["k_m2_bound"])
+        lines.append(f"{row['mu']!r},{row['epsilon']!r},{k_max},{k_m2}")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_verify(setting) -> dict:
+    n, m, k, trials = (setting(name, required=True) for name in ("n", "m", "k", "trials"))
+    if setting("threads", 1) < 1:
+        raise ValueError("threads must be a positive integer")
+    x, x_vec = setting("x"), setting("x_vec")
+    if (x is None) == (x_vec is None):
+        raise ValueError("give exactly one of --x and --x-vec")
+    model = HomogeneousModel(x) if x is not None else GeneralizedOBBModel(tuple(x_vec))
+    seed = setting("seed", os.environ.get(_SEED_ENV, 0))
+    return validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed).to_dict()
+
+
+def _cmd_sample(setting) -> str:
+    data = setting("instance", required=True)
+    if isinstance(data, dict) and "input" in data and "output" not in data:
+        data = dict(data, output=data["input"])  # placeholder; the sampler ignores it
+    inst = ExperimentInstance.from_dict(data)
+    k = setting("k", required=True)
+    strategy = setting("strategy", "direct")
+    fmt = setting("format", "jsonl")
+    chain = ChainConfig(
+        num_samples=setting("num_samples", required=True),
+        burn_in=setting("burn_in", 1000),
+        thinning=setting("thinning", 10),
+        proposal=setting("proposal"),
+        seed=setting("seed", os.environ.get(_SEED_ENV, 0)),
+    )
+    samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain, strategy)
+    if fmt == "jsonl":
+        return "\n".join(json.dumps(list(sample)) for sample in samples) + "\n"
+    header = ",".join(f"mode_{i}" for i in range(inst.m))
+    return "\n".join([header] + [",".join(str(c) for c in sample) for sample in samples]) + "\n"
+
+
+# The settings of every subcommand, name -> (kind, help).  A setting is the flag of its name with "-"
+# for "_" and the config field of its name.  Its kind is int or float (the flag's argparse type), str,
+# a list of choices, or a converter of the flag's text and of the config value.
+_COMMON = {
+    "output": (str, "write the artifact here instead of stdout"),
+    "seed": (int, "64-bit seed (fallback: config, then $BOSONSIM_SEED)"),
+}
+# Per subcommand: its function, which returns its artifact, its help and its own settings.
+_COMMANDS = {
+    "prob": (_cmd_prob, "exact output probability of an instance", {"instance": (_json_file, "instance JSON file")}),
+    "truncate": (_cmd_truncate, "order-k truncated probability of an instance", {
+        "instance": (_json_file, "instance JSON file"),
+        "k": (int, "truncation order"),
+        "strategy": (["direct", "laplace"], "evaluation strategy"),
+    }),
+    "bound": (_cmd_bound, "L1 bound, or minimal truncation order for a target", {
+        "x": (float, "uniform visibility (ratio x**2)"),
+        "m2_root": (float, "quadratic mean of pairwise visibilities"),
+        "x_max": (float, "largest visibility (legacy fallback)"),
+        "k": (int, "truncation order for the bound value"),
+        "epsilon": (float, "L1 target; reports the minimal order instead"),
+    }),
+    "curves": (_cmd_curves, "minimal truncation orders over a mean-visibility grid (CSV)", {
+        "sigma": (float, "visibility standard deviation"),
+        "epsilon": (_reals, "comma-separated L1 targets, e.g. 0.01,0.05"),
+        "mu": (_grid, "grid: start:stop:step or comma-separated values"),
+    }),
+    "verify": (_cmd_verify, "seeded Monte-Carlo check of the error bounds", {
+        "n": (int, "photon count (<= 12, within the work budget)"),
+        "m": (int, "Gaussian normalization dimension"),
+        "x": (float, "uniform visibility"),
+        "x_vec": (_reals, "comma-separated per-photon visibilities"),
+        "k": (int, "truncation order"),
+        "trials": (int, "number of Monte-Carlo trials (>= 50)"),
+        "threads": (int, "accepted for compatibility (>= 1); it has no effect"),
+    }),
+    "sample": (_cmd_sample, "Metropolis samples from the truncated distribution", {
+        "instance": (_json_file, "instance JSON file (output field ignored)"),
+        "k": (int, "truncation order"),
+        "strategy": (["direct", "laplace"], "target evaluation strategy"),
+        "num_samples": (int, "samples to emit"),
+        "burn_in": (int, "burn-in steps (default 1000)"),
+        "thinning": (int, "keep every thinning-th state (default 10)"),
+        "proposal": (["uniform_noncollisional", "single_mode_swap"], "chain proposal (default by mode count)"),
+        "format": (["jsonl", "csv"], "sample stream format (default jsonl)"),
+    }),
 }
 
 
@@ -48,57 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boson-sampling probabilities with partial distinguishability",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, summary, settings) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--output", help="write the artifact here instead of stdout")
-        p.add_argument("--seed", type=int, help="64-bit seed (fallback: config, then $BOSONSIM_SEED)")
-
-    p = sub.add_parser("prob", help="exact output probability of an instance")
-    common(p)
-    p.add_argument("--instance", help="instance JSON file")
-
-    p = sub.add_parser("truncate", help="order-k truncated probability of an instance")
-    common(p)
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--k", type=int, help="truncation order")
-    p.add_argument("--strategy", choices=["direct", "laplace"], help="evaluation strategy")
-
-    p = sub.add_parser("bound", help="L1 bound, or minimal truncation order for a target")
-    common(p)
-    p.add_argument("--x", type=float, help="uniform visibility (ratio x**2)")
-    p.add_argument("--m2-root", dest="m2_root", type=float, help="quadratic mean of pairwise visibilities")
-    p.add_argument("--x-max", dest="x_max", type=float, help="largest visibility (legacy fallback)")
-    p.add_argument("--k", type=int, help="truncation order for the bound value")
-    p.add_argument("--epsilon", type=float, help="L1 target; reports the minimal order instead")
-
-    p = sub.add_parser("curves", help="minimal truncation orders over a mean-visibility grid (CSV)")
-    common(p)
-    p.add_argument("--sigma", type=float, help="visibility standard deviation")
-    p.add_argument("--epsilon", help="comma-separated L1 targets, e.g. 0.01,0.05")
-    p.add_argument("--mu", help="grid: start:stop:step or comma-separated values")
-
-    p = sub.add_parser("verify", help="seeded Monte-Carlo check of the error bounds")
-    common(p)
-    p.add_argument("--n", type=int, help="photon count (<= 12, within the work budget)")
-    p.add_argument("--m", type=int, help="Gaussian normalization dimension")
-    p.add_argument("--x", type=float, help="uniform visibility")
-    p.add_argument("--x-vec", dest="x_vec", help="comma-separated per-photon visibilities")
-    p.add_argument("--k", type=int, help="truncation order")
-    p.add_argument("--trials", type=int, help="number of Monte-Carlo trials (>= 50)")
-    p.add_argument("--threads", type=int, help="accepted for compatibility (>= 1); it has no effect")
-
-    p = sub.add_parser("sample", help="Metropolis samples from the truncated distribution")
-    common(p)
-    p.add_argument("--instance", help="instance JSON file (output field ignored)")
-    p.add_argument("--k", type=int, help="truncation order")
-    p.add_argument("--strategy", choices=["direct", "laplace"], help="target evaluation strategy")
-    p.add_argument("--num-samples", dest="num_samples", type=int, help="samples to emit")
-    p.add_argument("--burn-in", dest="burn_in", type=int, help="burn-in steps (default 1000)")
-    p.add_argument("--thinning", type=int, help="keep every thinning-th state (default 10)")
-    p.add_argument("--proposal", choices=["uniform_noncollisional", "single_mode_swap"])
-    p.add_argument("--format", choices=["jsonl", "csv"], help="sample stream format (default jsonl)")
-
+        for name, (kind, text) in (_COMMON | settings).items():
+            p.add_argument("--" + name.replace("_", "-"), help=text, type=kind if kind in (int, float) else None,
+                           choices=kind if isinstance(kind, list) else None)
     return parser
 
 
@@ -113,230 +238,56 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ValueError("unsupported config schema version")
     if "command" in config and config["command"] != command:
         raise ValueError(f"config is for command {config['command']!r}, not {command!r}")
-    allowed = _COMMON_FIELDS | _COMMAND_FIELDS[command]
-    unknown = set(config) - allowed
+    unknown = set(config) - {"schema", "command"} - _COMMON.keys() - _COMMANDS[command][2].keys()
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    output = config.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError("config field 'output' must be a file path")
     return config
 
 
-def _setting(args, config: dict, name: str, default=None, required: bool = False, convert=None):
-    """Flag, then config field, then default; ``convert`` errors become ValueError."""
-    value = getattr(args, name, None)
+def _convert(name: str, kind, value):
+    """``value`` as a setting of ``kind``; a value of the wrong kind raises ValueError."""
+    if isinstance(kind, list):
+        if value not in kind:
+            raise ValueError(f"setting {name!r} must be one of {kind}, got {value!r}")
+        return value
+    try:
+        if kind in (int, float):
+            return _number(kind, value)
+        if kind is str and not isinstance(value, str):
+            raise TypeError  # str() would take any value
+        return kind(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"setting {name!r} has the wrong type: {value!r}") from None
+
+
+def _setting(args, config: dict, settings: dict, name: str, default=None, required: bool = False):
+    """Setting ``name``: the flag, then the config field, then ``default``, converted by its kind."""
+    value = getattr(args, name)
     if value is None:
         value = config.get(name)
     if value is None:
         value = default
-    if value is None and required:
-        raise ValueError(f"missing required setting {name!r}")
-    if value is None or convert is None:
-        return value
-    try:
-        return convert(value)
-    except TypeError:
-        raise ValueError(f"setting {name!r} has the wrong type: {value!r}") from None
-
-
-def _resolve_seed(args, config: dict, default: int = 0) -> int:
-    seed = _setting(args, config, "seed", convert=int)
-    if seed is not None:
-        return seed
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        return int(env)
-    return default
-
-
-def _load_instance(args, config: dict, output_optional: bool = False) -> ExperimentInstance:
-    path = getattr(args, "instance", None)
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    elif "instance" in config:
-        data = config["instance"]
-        if isinstance(data, str):
-            with open(data, encoding="utf-8") as handle:
-                data = json.load(handle)
-    else:
-        raise ValueError("missing required setting 'instance'")
-    if output_optional and isinstance(data, dict) and "input" in data and "output" not in data:
-        data = dict(data, output=data["input"])  # placeholder; the sampler ignores it
-    return ExperimentInstance.from_dict(data)
-
-
-def _parse_float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(part) for part in str(text).split(",") if part != ""]
-
-
-def _parse_grid(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    text = str(text)
-    if ":" in text:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        grid = [round(start + i * step, 10) for i in range(count)]
-        return [v for v in grid if v <= stop + 1e-12]
-    return _parse_float_list(text)
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
-
-
-def _cmd_prob(args) -> int:
-    config = _load_config(args.config, "prob")
-    inst = _load_instance(args, config)
-    payload = {
-        "schema": 1,
-        "n": inst.n,
-        "m": inst.m,
-        "input": list(inst.input_occupation),
-        "output_state": list(inst.output_occupation),
-        "model": inst.model.to_dict(),
-        "probability": exact_probability(inst),
-    }
-    _emit_json(payload, _setting(args, config, "output"))
-    return 0
-
-
-def _cmd_truncate(args) -> int:
-    config = _load_config(args.config, "truncate")
-    inst = _load_instance(args, config)
-    k = _setting(args, config, "k", required=True, convert=int)
-    strategy = _setting(args, config, "strategy", default="direct")
-    result = truncated_probability(inst, k, strategy)
-    payload = result.to_dict()
-    payload["strategy"] = strategy
-    payload["n"] = inst.n
-    _emit_json(payload, _setting(args, config, "output"))
-    return 0
-
-
-def _bound_spec_from_settings(args, config: dict, k: int):
-    choices = [
-        ("homogeneous_x", _setting(args, config, "x", convert=float)),
-        ("quadratic_mean", _setting(args, config, "m2_root", convert=float)),
-        ("max_visibility", _setting(args, config, "x_max", convert=float)),
-    ]
-    given = [(kind, value) for kind, value in choices if value is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --x, --m2-root, --x-max")
-    kind, parameter = given[0]
-    return BoundSpec(kind=kind, parameter=parameter, k=k)
-
-
-def _cmd_bound(args) -> int:
-    config = _load_config(args.config, "bound")
-    k = _setting(args, config, "k", convert=int)
-    epsilon = _setting(args, config, "epsilon", convert=float)
-    if k is None and epsilon is None:
-        raise ValueError("give --k for a bound value and/or --epsilon for a minimal order")
-    payload: dict = {"schema": 1}
-    if k is not None:
-        spec = _bound_spec_from_settings(args, config, k)
-        payload.update(kind=spec.kind, parameter=spec.parameter, k=spec.k, l1_bound=l1_bound(spec))
-    if epsilon is not None:
-        spec = _bound_spec_from_settings(args, config, 0)
-        order = min_truncation_order(spec.parameter, epsilon, kind=spec.kind)
-        payload.update(kind=spec.kind, parameter=spec.parameter, epsilon=epsilon, min_order=order)
-    _emit_json(payload, _setting(args, config, "output"))
-    return 0
-
-
-def _cmd_curves(args) -> int:
-    config = _load_config(args.config, "curves")
-    sigma = _setting(args, config, "sigma", required=True, convert=float)
-    epsilons = _setting(args, config, "epsilon", required=True, convert=_parse_float_list)
-    mu_grid = _setting(args, config, "mu", required=True, convert=_parse_grid)
-    rows = truncation_order_curves(sigma, epsilons, mu_grid)
-    lines = ["mu,epsilon,k_max_bound,k_m2_bound"]
-    for row in rows:
-        k_max = "divergent" if row["k_max_bound"] is None else str(row["k_max_bound"])
-        k_m2 = "divergent" if row["k_m2_bound"] is None else str(row["k_m2_bound"])
-        lines.append(f"{row['mu']!r},{row['epsilon']!r},{k_max},{k_m2}")
-    _emit("\n".join(lines) + "\n", _setting(args, config, "output"))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    config = _load_config(args.config, "verify")
-    n = _setting(args, config, "n", required=True, convert=int)
-    m = _setting(args, config, "m", required=True, convert=int)
-    k = _setting(args, config, "k", required=True, convert=int)
-    trials = _setting(args, config, "trials", required=True, convert=int)
-    if _setting(args, config, "threads", default=1, convert=int) < 1:
-        raise ValueError("threads must be a positive integer")
-    x = _setting(args, config, "x", convert=float)
-    x_vec = _setting(args, config, "x_vec", convert=_parse_float_list)
-    if (x is None) == (x_vec is None):
-        raise ValueError("give exactly one of --x and --x-vec")
-    if x is not None:
-        model = HomogeneousModel(x)
-    else:
-        model = GeneralizedOBBModel(tuple(x_vec))
-    seed = _resolve_seed(args, config)
-    report = validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed)
-    _emit_json(report.to_dict(), _setting(args, config, "output"))
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    config = _load_config(args.config, "sample")
-    inst = _load_instance(args, config, output_optional=True)
-    k = _setting(args, config, "k", required=True, convert=int)
-    strategy = _setting(args, config, "strategy", default="direct")
-    chain = ChainConfig(
-        num_samples=_setting(args, config, "num_samples", required=True, convert=int),
-        burn_in=_setting(args, config, "burn_in", default=1000, convert=int),
-        thinning=_setting(args, config, "thinning", default=10, convert=int),
-        proposal=_setting(args, config, "proposal"),
-        seed=_resolve_seed(args, config),
-    )
-    samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain, strategy)
-    fmt = _setting(args, config, "format", default="jsonl")
-    if fmt == "jsonl":
-        text = "\n".join(json.dumps(list(sample)) for sample in samples) + "\n"
-    elif fmt == "csv":
-        header = ",".join(f"mode_{i}" for i in range(inst.m))
-        text = "\n".join([header] + [",".join(str(c) for c in sample) for sample in samples]) + "\n"
-    else:
-        raise ValueError(f"unknown sample format {fmt!r}")
-    _emit(text, _setting(args, config, "output"))
-    return 0
-
-
-_DISPATCH = {
-    "prob": _cmd_prob,
-    "truncate": _cmd_truncate,
-    "bound": _cmd_bound,
-    "curves": _cmd_curves,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-}
+    if value is None:
+        if required:
+            raise ValueError(f"missing required setting {name!r}")
+        return None
+    return _convert(name, settings[name][0], value)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, settings = _COMMANDS[args.command]
     try:
-        return _DISPATCH[args.command](args)
+        setting = functools.partial(_setting, args, _load_config(args.config, args.command), _COMMON | settings)
+        output = setting("output")
+        artifact = run(setting)
+        text = artifact if isinstance(artifact, str) else json.dumps(artifact, indent=2) + "\n"
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return 0
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -132,6 +132,23 @@ def _square(matrix) -> np.ndarray:
     return a
 
 
+def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The square ``matrix``, its (count, n, n) stack, the rows of ``perm`` and the result shape of a Hadamard kernel.
+
+    Raises ValueError unless ``perm`` is one word or a 2-d table of words, each a permutation of range(n).
+    """
+    a = _square(matrix)
+    n = a.shape[-1]
+    word = np.asarray(perm, dtype=int)
+    if word.ndim not in (1, 2) or word.shape[-1] != n:
+        raise ValueError("permutation length must match the matrix size")
+    words = word[None] if word.ndim == 1 else word
+    # Rows sort to the identity; the bytes compare skips a reduction, which costs more than the sort on one word.
+    if np.sort(words, axis=1).tobytes() != np.arange(n, dtype=int).tobytes() * len(words):
+        raise ValueError(f"every row of perm must be a permutation of range({n})")
+    return a, a.reshape(math.prod(a.shape[:-2]), n, n), words, a.shape[:-2] + word.shape[:-1]
+
+
 def permanent(matrix) -> complex | np.ndarray:
     """Permanent of a square matrix, or of each matrix in a stack, by Ryser's formula.
 
@@ -164,8 +181,9 @@ def permanent(matrix) -> complex | np.ndarray:
 def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     """Permanent of ``matrix * conj(matrix[perm, :])`` (entrywise product).
 
-    ``perm`` is one permutation in word form (length n) or a 2-d array with
-    one permutation per row; ``matrix`` is one n x n matrix or a stack
+    ``perm`` is one permutation of range(n) in word form or a 2-d array with
+    one permutation per row (any other row raises ValueError before any
+    work); ``matrix`` is one n x n matrix or a stack
     (..., n, n).  The result has shape (stack shape) + (rows of ``perm``),
     one Hadamard permanent per matrix and permutation, and is a ``complex``
     for one matrix and one permutation.  The product matrices are formed
@@ -174,13 +192,8 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     permutation the value is the permanent of the squared moduli, a
     non-negative real; permuting by the inverse conjugates it.
     """
-    a = _square(matrix)
+    a, flat, words, shape = _hadamard_args(matrix, perm)
     n = a.shape[-1]
-    word = np.asarray(perm, dtype=int)
-    if word.ndim not in (1, 2) or word.shape[-1] != n:
-        raise ValueError("permutation length must match the matrix size")
-    words = word[None] if word.ndim == 1 else word
-    flat = a.reshape(math.prod(a.shape[:-2]), n, n)
     _afford(_ryser_work(n, len(flat) * len(words)), "{} Hadamard permanents at n = {}", len(flat) * len(words), n)
     one = a if a.ndim == 2 else a[0] if a.shape[:-2] == (1,) else None
     if one is not None:  # one matrix: the products need no per-entry gather of matrices
@@ -191,9 +204,7 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
             return _finite(flat[which] * np.conj(flat[which[:, None], words[row]]))
 
         values = _ryser(len(flat) * len(words), n, products)
-    if a.ndim == 2 and word.ndim == 1:
-        return complex(values[0])
-    return values.reshape(a.shape[:-2] + word.shape[:-1])
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -292,13 +303,8 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     ValueError before any work.  Matrices go in groups whose lattices and
     tables fit ``_BUDGET``, and share one set of row choices.
     """
-    a = _square(matrix)
+    a, flat, words, shape = _hadamard_args(matrix, perm)
     n = a.shape[-1]
-    word = np.asarray(perm, dtype=int)
-    if word.ndim not in (1, 2) or word.shape[-1] != n:
-        raise ValueError("permutation length must match the matrix size")
-    words = word[None] if word.ndim == 1 else word
-    flat = a.reshape(math.prod(a.shape[:-2]), n, n)
     fixed = words == np.arange(n)
     counts = n - fixed.sum(axis=1)
     sizes = np.bincount(counts)
@@ -325,9 +331,7 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
             values[lo : lo + group, taus] = np.einsum(
                 "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), held[n - j][ranks, ::-1])
-    if a.ndim == 2 and word.ndim == 1:
-        return complex(values[0, 0])
-    return values.reshape(a.shape[:-2] + word.shape[:-1])
+    return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 
 def submatrix(matrix, input_modes, output_modes) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bosonsim
-from bosonsim.cli import main
+from bosonsim.cli import _COMMANDS, _COMMON, main
 from bosonsim.distinguishability import HomogeneousModel
 from bosonsim.probability import ExperimentInstance
 from bosonsim.randgen import haar_unitary
@@ -337,11 +337,15 @@ class TestExitCodes:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("fields", [{"k": [2]}, {"k": 2, "output": [1]}])
+    # A config number of the wrong kind is refused, not coerced: a fraction or a bool for an integer
+    # setting, a bool or an integer beyond the float range for a real one.
+    @pytest.mark.parametrize("fields", [{"k": [2]}, {"k": 2, "output": [1]}, {"k": 2.5}, {"k": True}, {"x": True, "k": 2},
+                                        {"epsilon": 10**400}])
     def test_setting_of_wrong_type_is_config_error(self, capsys, tmp_path, fields):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"x": 0.5, **fields}))
         assert main(["bound", "--config", str(config)]) == 2
+        assert "has the wrong type" in capsys.readouterr().err
 
     def test_programming_error_propagates(self, capsys, instance_file, monkeypatch):
         def broken(inst):
@@ -350,6 +354,72 @@ class TestExitCodes:
         monkeypatch.setattr("bosonsim.cli.exact_probability", broken)
         with pytest.raises(TypeError):
             main(["prob", "--instance", str(instance_file)])
+
+
+def _settings(command):
+    return {**_COMMON, **_COMMANDS[command][2]}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command, name", [(c, name) for c in _COMMANDS for name in _settings(c)])
+    def test_every_setting_is_a_config_field(self, capsys, tmp_path, instance_file, command, name):
+        kind = _settings(command)[name][0]
+        valid = {int: 1, float: 0.5, str: str(tmp_path / "out.txt")}  # the converters take a flag's text
+        value = kind[0] if isinstance(kind, list) else valid.get(kind, str(instance_file) if name == "instance" else "0.5")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema": 1, "command": command, name: value}))
+        main([command, "--config", str(config)])
+        assert "unknown config fields" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_fields_of_other_commands_are_refused(self, capsys, tmp_path, command):
+        foreign = {name for other in _COMMANDS for name in _settings(other)} - set(_settings(command))
+        assert foreign
+        for name in sorted(foreign):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({name: 1}))
+            assert main([command, "--config", str(config)]) == 2
+            assert f"unknown config fields: [{name!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_names_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ["--config"] + ["--" + name.replace("_", "-") for name in _settings(command)]:
+            assert flag in usage
+
+    def test_choice_list_applies_to_config_values(self, capsys, tmp_path, instance_file):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"instance": str(instance_file), "k": 2, "strategy": "adaptive"}))
+        assert main(["truncate", "--config", str(config)]) == 2
+        assert "setting 'strategy' must be one of ['direct', 'laplace'], got 'adaptive'" in capsys.readouterr().err
+
+    def test_many_subcommands_in_one_process(self, capsys, instance_file, instance_without_output):
+        # The parser, the table and the resolver carry no state from one call to the next.
+        argvs = [
+            ["prob", "--instance", str(instance_file)],
+            ["truncate", "--instance", str(instance_file), "--k", "2"],
+            ["truncate", "--instance", str(instance_file), "--k", "2", "--strategy", "laplace"],
+            ["verify", "--n", "3", "--m", "9", "--x", "0.6", "--k", "1", "--trials", "50", "--seed", "3"],
+            ["sample", "--instance", str(instance_without_output), "--k", "2", "--num-samples", "5", "--seed", "5"],
+            ["bound", "--x", "0.9", "--k", "3"],
+            ["curves", "--sigma", "0.02", "--epsilon", "0.05", "--mu", "0.5:0.7:0.1"],
+            ["truncate", "--instance", str(instance_file)],
+            ["bound", "--x", "1", "--k", "2"],
+            ["verify", "--n", "12", "--m", "144", "--x", "0.7", "--k", "2", "--trials", "1000"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        forwards = [run(argv) for argv in argvs]
+        backwards = [run(argv) for argv in reversed(argvs)][::-1]
+        assert [code for code, _, _ in forwards] == [0] * 7 + [2, 3, 2]
+        assert forwards == backwards
 
 
 class TestConsoleScript:

@@ -291,6 +291,15 @@ class TestHadamardPermanent:
             hadamard_permanent(np.eye(3), np.zeros((2, 2, 3), dtype=int))
 
     @pytest.mark.parametrize("evaluate", [hadamard_permanent, laplace_split_permanent])
+    @pytest.mark.parametrize("word", [[0, 0], [-1, 0], [2, 0]])
+    def test_rejects_non_permutations(self, evaluate, word):
+        # A repeated entry, a negative one (numpy indexing would wrap it) and one past n.
+        with pytest.raises(ValueError, match="permutation of range"):
+            evaluate([[1, 2], [3, 4]], word)
+        with pytest.raises(ValueError, match="permutation of range"):
+            evaluate(np.ones((2, 2, 2)), [[1, 0], word, [0, 1]])
+
+    @pytest.mark.parametrize("evaluate", [hadamard_permanent, laplace_split_permanent])
     def test_rejects_overflow_and_nan(self, evaluate):
         # Finite entries whose Hadamard product overflows are rejected like non-finite ones.
         with pytest.raises(ValueError), np.errstate(over="ignore"):
