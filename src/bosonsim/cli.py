@@ -6,13 +6,12 @@ whose fields are overridden by explicit flags, writes its artifact to
 ``_COMMANDS``, declares each subcommand's settings: a setting is a flag and
 the config field of the flag's name with ``_`` for ``-`` (``--num-samples``
 is ``num_samples``, ``--x-vec`` is ``x_vec``, ``--m2-root`` is ``m2_root``),
-and a config field takes the same values and choices as its flag.  An
-integer setting refuses a bool and a number with a fractional part, a real
-one refuses a bool; integer-valued strings such as ``"2"`` are accepted, as
-a flag's text is.  The seed is resolved as flag, then config field, then the
-BOSONSIM_SEED environment variable.  Exit codes: 0 success, 2 config/usage
-error, 3 diverging bound parameter, 4 degenerate sampler target.  Any other
-exception is a bug and propagates with its traceback.
+and a config field takes the same values and choices as its flag, read by
+the rule of ``bosonsim.fields``.  ``verify`` and ``sample`` take a seed:
+flag, then config field, then the BOSONSIM_SEED environment variable.  Exit
+codes: 0 success, 2 config/usage error, 3 diverging bound parameter, 4
+degenerate sampler target.  Any other exception is a bug and propagates
+with its traceback.
 """
 from __future__ import annotations
 
@@ -31,19 +30,13 @@ from .bounds import (
     validate_bound_monte_carlo,
 )
 from .distinguishability import GeneralizedOBBModel, HomogeneousModel
+from .fields import convert, listed, read
 from .probability import ExperimentInstance, exact_probability, truncated_probability
 from .sampler import ChainConfig, DegenerateTargetError, metropolis_sample
 
 __all__ = ["main", "entrypoint"]
 
 _SEED_ENV = "BOSONSIM_SEED"
-
-
-def _number(kind, value):
-    """``kind(value)`` for int or float; TypeError for a bool, or a fraction for int, which a flag cannot hold."""
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
-        raise TypeError
-    return kind(value)
 
 
 def _json_file(value):
@@ -56,15 +49,14 @@ def _json_file(value):
 
 def _reals(value) -> list[float]:
     """Comma-separated reals, or a config list of numbers."""
-    parts = value if isinstance(value, list) else [part for part in str(value).split(",") if part != ""]
-    return [_number(float, part) for part in parts]
+    return listed(float)(value if isinstance(value, list) else [part for part in str(value).split(",") if part != ""])
 
 
 def _grid(value) -> list[float]:
     """A start:stop:step grid, comma-separated reals, or a config list of numbers."""
     if isinstance(value, list) or ":" not in str(value):
         return _reals(value)
-    start, stop, step = (float(part) for part in str(value).split(":"))
+    start, stop, step = listed(float)(str(value).split(":"))
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = int(round((stop - start) / step)) + 1
@@ -147,7 +139,6 @@ def _cmd_sample(setting) -> str:
         data = dict(data, output=data["input"])  # placeholder; the sampler ignores it
     inst = ExperimentInstance.from_dict(data)
     k = setting("k", required=True)
-    strategy = setting("strategy", "direct")
     fmt = setting("format", "jsonl")
     chain = ChainConfig(
         num_samples=setting("num_samples", required=True),
@@ -156,7 +147,7 @@ def _cmd_sample(setting) -> str:
         proposal=setting("proposal"),
         seed=setting("seed", os.environ.get(_SEED_ENV, 0)),
     )
-    samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain, strategy)
+    samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain)
     if fmt == "jsonl":
         return "\n".join(json.dumps(list(sample)) for sample in samples) + "\n"
     header = ",".join(f"mode_{i}" for i in range(inst.m))
@@ -166,10 +157,8 @@ def _cmd_sample(setting) -> str:
 # The settings of every subcommand, name -> (kind, help).  A setting is the flag of its name with "-"
 # for "_" and the config field of its name.  Its kind is int or float (the flag's argparse type), str,
 # a list of choices, or a converter of the flag's text and of the config value.
-_COMMON = {
-    "output": (str, "write the artifact here instead of stdout"),
-    "seed": (int, "64-bit seed (fallback: config, then $BOSONSIM_SEED)"),
-}
+_COMMON = {"output": (str, "write the artifact here instead of stdout")}
+_SEED = (int, "64-bit seed (fallback: config, then $BOSONSIM_SEED)")
 # Per subcommand: its function, which returns its artifact, its help and its own settings.
 _COMMANDS = {
     "prob": (_cmd_prob, "exact output probability of an instance", {"instance": (_json_file, "instance JSON file")}),
@@ -198,16 +187,17 @@ _COMMANDS = {
         "k": (int, "truncation order"),
         "trials": (int, "number of Monte-Carlo trials (>= 50)"),
         "threads": (int, "accepted for compatibility (>= 1); it has no effect"),
+        "seed": _SEED,
     }),
     "sample": (_cmd_sample, "Metropolis samples from the truncated distribution", {
         "instance": (_json_file, "instance JSON file (output field ignored)"),
         "k": (int, "truncation order"),
-        "strategy": (["direct", "laplace"], "target evaluation strategy"),
         "num_samples": (int, "samples to emit"),
         "burn_in": (int, "burn-in steps (default 1000)"),
         "thinning": (int, "keep every thinning-th state (default 10)"),
         "proposal": (["uniform_noncollisional", "single_mode_swap"], "chain proposal (default by mode count)"),
         "format": (["jsonl", "csv"], "sample stream format (default jsonl)"),
+        "seed": _SEED,
     }),
 }
 
@@ -227,58 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    if config.get("schema", 1) != 1:
-        raise ValueError("unsupported config schema version")
-    if "command" in config and config["command"] != command:
-        raise ValueError(f"config is for command {config['command']!r}, not {command!r}")
-    unknown = set(config) - {"schema", "command"} - _COMMON.keys() - _COMMANDS[command][2].keys()
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return config
-
-
-def _convert(name: str, kind, value):
-    """``value`` as a setting of ``kind``; a value of the wrong kind raises ValueError."""
-    if isinstance(kind, list):
-        if value not in kind:
-            raise ValueError(f"setting {name!r} must be one of {kind}, got {value!r}")
-        return value
-    try:
-        if kind in (int, float):
-            return _number(kind, value)
-        if kind is str and not isinstance(value, str):
-            raise TypeError  # str() would take any value
-        return kind(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"setting {name!r} has the wrong type: {value!r}") from None
-
-
-def _setting(args, config: dict, settings: dict, name: str, default=None, required: bool = False):
-    """Setting ``name``: the flag, then the config field, then ``default``, converted by its kind."""
+def _setting(args, config: dict, kinds: dict, name: str, default=None, required: bool = False):
+    """Setting ``name``: the flag, then the config field (converted as the config was read), then ``default``."""
     value = getattr(args, name)
-    if value is None:
-        value = config.get(name)
-    if value is None:
-        value = default
-    if value is None:
-        if required:
-            raise ValueError(f"missing required setting {name!r}")
-        return None
-    return _convert(name, settings[name][0], value)
+    if value is None and name in config:
+        return config[name]
+    value = default if value is None else value
+    if value is None and required:
+        raise ValueError(f"missing required setting {name!r}")
+    return None if value is None else convert("setting", name, kinds[name], value)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run, _, settings = _COMMANDS[args.command]
+    kinds = {name: kind for name, (kind, _) in (_COMMON | settings).items()}
     try:
-        setting = functools.partial(_setting, args, _load_config(args.config, args.command), _COMMON | settings)
+        config = {}
+        if args.config is not None:
+            config = read(_json_file(args.config), "config", {"schema": [1], "command": [args.command]} | kinds)
+        setting = functools.partial(_setting, args, config, kinds)
         output = setting("output")
         artifact = run(setting)
         text = artifact if isinstance(artifact, str) else json.dumps(artifact, indent=2) + "\n"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import symmetric_means
+from .fields import listed, matrix, read
 
 __all__ = [
     "HomogeneousModel",
@@ -164,27 +165,12 @@ def quadratic_mean_visibility(model) -> float:
 
 def model_from_dict(data: dict):
     """Build a model from its JSON descriptor; a malformed one raises ValueError."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("model descriptor must be a JSON object with a 'type' field")
-    kind = data["type"]
-    try:
-        if kind == "homogeneous":
-            _reject_unknown(data, {"type", "x"})
-            return HomogeneousModel(x=float(data["x"]))
-        if kind == "obb":
-            _reject_unknown(data, {"type", "x"})
-            return GeneralizedOBBModel(x=tuple(data["x"]))
-        if kind == "explicit":
-            _reject_unknown(data, {"type", "s_real", "s_imag"})
-            real = np.asarray(data["s_real"], dtype=float)
-            imag = np.asarray(data.get("s_imag", np.zeros_like(real)), dtype=float)
-            return ExplicitModel(real + 1j * imag)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad {kind!r} model descriptor ({type(exc).__name__}: {exc})") from None
-    raise ValueError(f"unknown model type {kind!r}")
-
-
-def _reject_unknown(data: dict, allowed: set):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown model fields: {sorted(unknown)}")
+    kind = data.get("type") if isinstance(data, dict) else None
+    if kind == "homogeneous":
+        return HomogeneousModel(read(data, "model", {"type": str, "x": float}, ("x",))["x"])
+    if kind == "obb":
+        return GeneralizedOBBModel(tuple(read(data, "model", {"type": str, "x": listed(float)}, ("x",))["x"]))
+    if kind == "explicit":
+        s = read(data, "model", {"type": str, "s_real": matrix, "s_imag": matrix}, ("s_real",))
+        return ExplicitModel(s["s_real"] + 1j * s.get("s_imag", 0.0))
+    raise ValueError(f"model must be a JSON object with a 'type' of 'homogeneous', 'obb' or 'explicit', got {kind!r}")

@@ -39,6 +39,7 @@ import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
+from .fields import listed, matrix, read
 from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _per_pass
 from .linalg import _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
@@ -173,37 +174,31 @@ class ExperimentInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentInstance":
-        """Parse an instance descriptor; a malformed one raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("instance must be a JSON object")
-        allowed = {"schema", "unitary", "ensemble", "input", "output", "model"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown instance fields: {sorted(unknown)}")
-        if data.get("schema", 1) != 1:
-            raise ValueError("unsupported instance schema version")
-        if "model" not in data:
-            raise ValueError("instance needs a 'model' field")
-        model = model_from_dict(data["model"])
-        if "unitary" in data:
-            block = data["unitary"]
-            try:
-                real = np.asarray(block["re"], dtype=float)
-                imag = np.asarray(block.get("im", np.zeros_like(real)), dtype=float)
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"bad 'unitary' field ({type(exc).__name__}: {exc})") from None
-            matrix = real + 1j * imag
-        elif "ensemble" in data:
-            matrix = EnsembleSpec.from_dict(data["ensemble"]).build()
-        else:
-            raise ValueError("instance needs a 'unitary' or an 'ensemble' field")
-        if "input" not in data and "output" not in data:
-            return cls.from_matrix(matrix, model)
-        try:
-            occ_in, occ_out = (tuple(int(c) for c in data[key]) for key in ("input", "output"))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad occupation lists ({type(exc).__name__}: {exc})") from None
-        return cls(unitary=matrix, input_occupation=occ_in, output_occupation=occ_out, model=model)
+        """Parse an instance descriptor; a malformed one raises ValueError.
+
+        The matrix is a ``unitary`` or an ``ensemble`` reference, not both;
+        without occupation lists every mode of the matrix holds one photon.
+        """
+        given = read(data, "instance", _INSTANCE_FIELDS, ("model",))
+        if ("unitary" in given) == ("ensemble" in given):
+            raise ValueError("instance needs exactly one of 'unitary' and 'ensemble'")
+        unitary = given["unitary"] if "unitary" in given else given["ensemble"].build()
+        occupations = [given[key] for key in ("input", "output") if key in given]
+        if not occupations:
+            return cls.from_matrix(unitary, given["model"])
+        if len(occupations) == 1:
+            raise ValueError("instance needs both 'input' and 'output', or neither")
+        return cls(unitary, *occupations, given["model"])
+
+
+def _unitary(block) -> np.ndarray:
+    """An instance's ``unitary`` field: the real and (optional) imaginary parts of the matrix."""
+    parts = read(block, "unitary", {"re": matrix, "im": matrix}, ("re",))
+    return parts["re"] + 1j * parts.get("im", 0.0)
+
+
+_INSTANCE_FIELDS = {"schema": [1], "unitary": _unitary, "ensemble": EnsembleSpec.from_dict,
+                    "input": listed(int), "output": listed(int), "model": model_from_dict}
 
 
 @dataclass

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import read
+
 __all__ = [
     "EnsembleSpec",
     "trial_rng",
@@ -112,18 +114,4 @@ class EnsembleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleSpec":
         """Parse an ensemble descriptor; a malformed one raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("ensemble must be a JSON object")
-        allowed = {"kind", "m", "seed", "n"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown ensemble fields: {sorted(unknown)}")
-        try:
-            return cls(
-                kind=data["kind"],
-                m=int(data["m"]),
-                seed=int(data["seed"]),
-                n=int(data["n"]) if "n" in data else None,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad ensemble descriptor ({type(exc).__name__}: {exc})") from None
+        return cls(**read(data, "ensemble", {"kind": str, "m": int, "seed": int, "n": int}, ("kind", "m", "seed")))

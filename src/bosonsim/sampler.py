@@ -102,14 +102,14 @@ def _occupation_from_modes(modes, m: int) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def _chain_target(base: ExperimentInstance, k: int, strategy: str):
+def _chain_target(base: ExperimentInstance, k: int):
     """The chain's batched target: ``weights(states)`` for a list of output occupations.
 
     Each weight is ``max(truncated_probability(...).total, 0)`` of that
     output.  The overlap weights, class tables and input rows are fixed once
     per chain; the outputs go through the walk ``_BLOCK`` at a time.
     """
-    walk = _truncation_walk(base.model, base.n, k, strategy)
+    walk = _truncation_walk(base.model, base.n, k, "direct")
     rows = base.unitary[base.input_modes]
 
     def weights(states) -> list[float]:
@@ -165,8 +165,7 @@ def _metropolis_chain(weights, propose, initial, rng, block, num_samples, burn_i
     return samples
 
 
-def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainConfig,
-                      strategy: str = "direct") -> list[tuple[int, ...]]:
+def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainConfig) -> list[tuple[int, ...]]:
     """Draw output occupations distributed as the clamped truncated probability.
 
     The proposal kernels are symmetric, so detailed balance holds for the
@@ -179,7 +178,7 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n
-    weights = _chain_target(base, k, strategy)
+    weights = _chain_target(base, k)
     rng = np.random.default_rng(config.seed)
     proposal = config.resolved_proposal(m)
 
@@ -199,8 +198,7 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
                              config.num_samples, config.burn_in, config.thinning)
 
 
-def output_distribution(unitary, input_occupation, model, k: int,
-                        strategy: str = "direct") -> tuple[list[tuple[int, ...]], np.ndarray]:
+def output_distribution(unitary, input_occupation, model, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Enumerate the normalized clamped truncated distribution over outputs.
 
     Returns the C(m, n) non-collisional occupations (lexicographic) and
@@ -213,7 +211,7 @@ def output_distribution(unitary, input_occupation, model, k: int,
     if math.comb(m, n) > _ENUMERATION_LIMIT:
         raise ValueError(f"too many outputs to enumerate: C({m}, {n}) > {_ENUMERATION_LIMIT}")
     states = list(output_configurations(m, n, noncollisional=True))
-    weights = np.array(_chain_target(base, k, strategy)(states))
+    weights = np.array(_chain_target(base, k)(states))
     mass = weights.sum()
     if mass <= 0.0:
         raise DegenerateTargetError("all truncated output weights are zero")

@@ -310,6 +310,11 @@ class TestExitCodes:
             ("model", {"type": "homogeneous", "x": [0.5]}),
             ("unitary", [[1.0]]),
             ("input", 3),
+            ("model", {"type": "homogeneous", "x": True}),
+            ("model", {"type": "obb", "x": [True, 0.5]}),
+            ("input", [1, 1.9, 0, 0]),
+            ("input", [True, 1, 0, 0]),
+            ("ensemble", {"kind": "nonsense", "m": -3, "seed": "x"}),  # next to the instance's unitary
         ],
     )
     def test_malformed_instance_is_config_error(self, capsys, tmp_path, instance_file, field, value):
@@ -394,7 +399,7 @@ class TestSettingsTable:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"instance": str(instance_file), "k": 2, "strategy": "adaptive"}))
         assert main(["truncate", "--config", str(config)]) == 2
-        assert "setting 'strategy' must be one of ['direct', 'laplace'], got 'adaptive'" in capsys.readouterr().err
+        assert "config field 'strategy' must be one of ['direct', 'laplace'], got 'adaptive'" in capsys.readouterr().err
 
     def test_many_subcommands_in_one_process(self, capsys, instance_file, instance_without_output):
         # The parser, the table and the resolver carry no state from one call to the next.
@@ -428,8 +433,17 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv, code", [
         (["bound", "--x", "0.9", "--k", "3"], 0),
         (["verify", "--n", "12", "--m", "144", "--x", "0.7", "--k", "2", "--trials", "1000"], 2),
+        (["bound", "--x", "0.5", "--k", "2", "--seed", "9"], 2),
+        (["prob", "--instance", [1, 0]], 0),
+        (["prob", "--instance", [1.5, 0]], 2),
     ])
-    def test_exit_codes(self, argv, code):
+    def test_exit_codes(self, tmp_path, argv, code):
+        # A list in place of the instance path is the input of a 2-mode identity instance, written to a file.
+        if isinstance(argv[-1], list):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps({"unitary": {"re": [[1, 0], [0, 1]]}, "input": argv[-1], "output": [1, 0],
+                                        "model": {"type": "homogeneous", "x": 0.5}}))
+            argv = argv[:-1] + [str(path)]
         source = os.path.dirname(os.path.dirname(bosonsim.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-m", "bosonsim.cli", *argv], capture_output=True, text=True, env=env,
@@ -437,6 +451,10 @@ class TestConsoleScript:
         assert result.returncode == code, result.stderr
         assert "Traceback" not in result.stderr
         if code == 0:
-            assert json.loads(result.stdout)["k"] == 3
+            payload = json.loads(result.stdout)
+            assert payload["k"] == 3 if argv[0] == "bound" else payload["probability"] == 1.0
+        elif "--seed" in argv:  # argparse refuses a flag the subcommand does not have
+            assert result.stderr.startswith("usage:") and "unrecognized arguments: --seed 9" in result.stderr
         else:
-            assert result.stderr.startswith("error:") and "over the budget" in result.stderr
+            message = "over the budget" if argv[0] == "verify" else "instance field 'input' has the wrong type: [1.5, 0]"
+            assert result.stderr.startswith("error:") and message in result.stderr

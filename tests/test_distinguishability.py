@@ -161,6 +161,12 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             model_from_dict({"type": "homogeneous", "x": 0.5, "phase": 0.1})
 
+    @pytest.mark.parametrize("descriptor", [{"type": "homogeneous", "x": True}, {"type": "obb", "x": [True, 0.5]}])
+    def test_rejects_bool_visibilities(self, descriptor):
+        # float(True) is 1.0, a fully indistinguishable photon, so a bool must not pass as a visibility.
+        with pytest.raises(ValueError, match="has the wrong type"):
+            model_from_dict(descriptor)
+
     def test_rejects_out_of_range_visibilities(self):
         with pytest.raises(ValueError):
             HomogeneousModel(1.2)

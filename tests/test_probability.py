@@ -85,6 +85,8 @@ class TestInstance:
         inst = ExperimentInstance.from_dict(data)
         assert inst.n == 4
         assert inst.input_occupation == (1, 1, 1, 1)
+        with pytest.raises(ValueError, match="exactly one of 'unitary' and 'ensemble'"):
+            ExperimentInstance.from_dict(dict(data, unitary={"re": np.eye(4).tolist()}))
 
     def test_from_dict_rejects_unknown_fields(self):
         rng = np.random.default_rng(0)

@@ -122,3 +122,13 @@ class TestEnsembleSpec:
             EnsembleSpec(kind="bernoulli", m=3, seed=1)
         with pytest.raises(ValueError):
             EnsembleSpec(kind="gaussian_iid", m=3, seed=1)
+
+    @pytest.mark.parametrize("fields", [{"m": 4.7}, {"seed": 1.5}, {"seed": True}, {"kind": "gaussian_iid", "n": 2.5}])
+    def test_rejects_numbers_of_the_wrong_kind(self, fields):
+        # int() would silently take each of them: m = 4.7 as a 4-mode unitary, seed true as seed 1.
+        with pytest.raises(ValueError, match="has the wrong type"):
+            EnsembleSpec.from_dict({"kind": "haar_unitary", "m": 4, "seed": 1, **fields})
+
+    def test_integer_valued_strings_are_accepted(self):
+        # As in config files and a flag's text.
+        assert EnsembleSpec.from_dict({"kind": "haar_unitary", "m": "4", "seed": "1"}) == EnsembleSpec("haar_unitary", 4, 1)

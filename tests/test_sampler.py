@@ -170,7 +170,7 @@ class TestChain:
         # steps, not a multiple of the block.
         u = haar_unitary(7, seed=20)
         base = sampler._validate_input(u, (1, 1, 1, 0, 0, 0, 0), GeneralizedOBBModel((0.9, 0.5, 0.7)))
-        weights = sampler._chain_target(base, 2, "direct")
+        weights = sampler._chain_target(base, 2)
         runs = []
         for block in (_BLOCK, 1):
             rng = np.random.default_rng(21)
@@ -224,8 +224,8 @@ class TestChain:
         seen = []
         chain_target = sampler._chain_target
 
-        def recording(base, k, strategy):
-            weights = chain_target(base, k, strategy)
+        def recording(base, k):
+            weights = chain_target(base, k)
 
             def record(states):
                 values = weights(states)
@@ -235,18 +235,16 @@ class TestChain:
             return record
 
         monkeypatch.setattr(sampler, "_chain_target", recording)
-        for strategy in ("direct", "laplace"):
-            seen.clear()
-            cfg = ChainConfig(num_samples=300, burn_in=50, thinning=2, proposal=proposal, seed=25)
-            samples = metropolis_sample(u, occ_in, model, 2, cfg, strategy)
-            counts = Counter(state for state, _ in seen)
-            assert set(counts.values()) == {1}
-            assert set(samples) <= set(counts)
-            assert any(weight == 0.0 for _, weight in seen)
-            for state, weight in seen:
-                result = truncated_probability(ExperimentInstance(u, occ_in, state, model), 2, strategy)
-                scale = float(np.abs(result.per_order).sum())
-                assert abs(weight - max(result.total, 0.0)) <= 1e-12 * scale
+        cfg = ChainConfig(num_samples=300, burn_in=50, thinning=2, proposal=proposal, seed=25)
+        samples = metropolis_sample(u, occ_in, model, 2, cfg)
+        counts = Counter(state for state, _ in seen)
+        assert set(counts.values()) == {1}
+        assert set(samples) <= set(counts)
+        assert any(weight == 0.0 for _, weight in seen)
+        for state, weight in seen:
+            result = truncated_probability(ExperimentInstance(u, occ_in, state, model), 2)
+            scale = float(np.abs(result.per_order).sum())
+            assert abs(weight - max(result.total, 0.0)) <= 1e-12 * scale
 
     def test_proposal_auto_selection(self):
         assert ChainConfig(num_samples=1, seed=0).resolved_proposal(64) == "uniform_noncollisional"
