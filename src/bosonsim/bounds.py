@@ -23,6 +23,7 @@ import numpy as np
 
 from .combinat import rencontres, symmetric_means
 from .distinguishability import GeneralizedOBBModel, quadratic_mean_visibility
+from .fields import own
 from .probability import _mixture_orders, _mixture_work
 from .randgen import gaussian_matrix, trial_rng
 
@@ -72,8 +73,10 @@ class BoundSpec:
     kind: str
     parameter: float
     k: int
+    _kinds = {"kind": list(_KINDS), "parameter": float, "k": int}
 
     def __post_init__(self):
+        own(self, "bound", self._kinds)
         if self.k < 0:
             raise ValueError("truncation order k must be non-negative")
         _geometric_ratio(self.kind, self.parameter)

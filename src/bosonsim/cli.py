@@ -47,12 +47,12 @@ def _json_file(value):
         return json.load(handle)
 
 
-def _reals(value) -> list[float]:
+def _reals(value) -> tuple[float, ...]:
     """Comma-separated reals, or a config list of numbers."""
     return listed(float)(value if isinstance(value, list) else [part for part in str(value).split(",") if part != ""])
 
 
-def _grid(value) -> list[float]:
+def _grid(value) -> tuple[float, ...]:
     """A start:stop:step grid, comma-separated reals, or a config list of numbers."""
     if isinstance(value, list) or ":" not in str(value):
         return _reals(value)
@@ -61,7 +61,7 @@ def _grid(value) -> list[float]:
         raise ValueError("grid step must be positive")
     count = int(round((stop - start) / step)) + 1
     grid = [round(start + i * step, 10) for i in range(count)]
-    return [v for v in grid if v <= stop + 1e-12]
+    return tuple(v for v in grid if v <= stop + 1e-12)
 
 
 def _cmd_prob(setting) -> dict:
@@ -128,7 +128,7 @@ def _cmd_verify(setting) -> dict:
     x, x_vec = setting("x"), setting("x_vec")
     if (x is None) == (x_vec is None):
         raise ValueError("give exactly one of --x and --x-vec")
-    model = HomogeneousModel(x) if x is not None else GeneralizedOBBModel(tuple(x_vec))
+    model = HomogeneousModel(x) if x is not None else GeneralizedOBBModel(x_vec)
     seed = setting("seed", os.environ.get(_SEED_ENV, 0))
     return validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed).to_dict()
 
@@ -195,7 +195,7 @@ _COMMANDS = {
         "num_samples": (int, "samples to emit"),
         "burn_in": (int, "burn-in steps (default 1000)"),
         "thinning": (int, "keep every thinning-th state (default 10)"),
-        "proposal": (["uniform_noncollisional", "single_mode_swap"], "chain proposal (default by mode count)"),
+        "proposal": (ChainConfig._kinds["proposal"], "chain proposal (default by mode count)"),
         "format": (["jsonl", "csv"], "sample stream format (default jsonl)"),
         "seed": _SEED,
     }),

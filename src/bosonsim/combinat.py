@@ -102,7 +102,6 @@ class SymmetricMeans:
     means[1] >= means[2]**(1/2) >= means[3]**(1/3) >= ... holds.
     """
 
-    values: np.ndarray
     means: np.ndarray
 
 
@@ -124,7 +123,7 @@ def symmetric_means(values) -> SymmetricMeans:
     for entry in v:
         coeffs[1:] = coeffs[1:] + entry * coeffs[:-1]
     binomials = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
-    return SymmetricMeans(values=v, means=coeffs / binomials)
+    return SymmetricMeans(means=coeffs / binomials)
 
 
 def overlap_class_sum(x, moved: int) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import symmetric_means
-from .fields import listed, matrix, read
+from .fields import joined, listed, matrix, own, read
 
 __all__ = [
     "HomogeneousModel",
@@ -40,12 +40,14 @@ class GeneralizedOBBModel:
     """Per-photon visibilities ``x``; pair (i, j) has overlap sqrt(x_i) * sqrt(x_j)."""
 
     x: tuple[float, ...]
+    _kinds = {"x": listed(float)}
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if len(self.x) == 0:
+        own(self, "model", self._kinds)
+        x = self.x if isinstance(self.x, tuple) else (self.x,)  # the homogeneous model's one x
+        if len(x) == 0:
             raise ValueError("x must be non-empty")
-        if not all(0.0 <= v <= 1.0 for v in self.x):
+        if not all(0.0 <= v <= 1.0 for v in x):
             raise ValueError("all visibilities must lie in [0, 1]")
 
     def visibilities(self, n: int) -> np.ndarray:
@@ -68,10 +70,7 @@ class HomogeneousModel(GeneralizedOBBModel):
     """The uniform OBB case: every photon has visibility ``x`` in [0, 1], for any photon count."""
 
     x: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError("x must lie in [0, 1]")
+    _kinds = {"x": float}
 
     def visibilities(self, n: int) -> np.ndarray:
         return np.full(n, self.x)
@@ -166,11 +165,10 @@ def quadratic_mean_visibility(model) -> float:
 def model_from_dict(data: dict):
     """Build a model from its JSON descriptor; a malformed one raises ValueError."""
     kind = data.get("type") if isinstance(data, dict) else None
-    if kind == "homogeneous":
-        return HomogeneousModel(read(data, "model", {"type": str, "x": float}, ("x",))["x"])
-    if kind == "obb":
-        return GeneralizedOBBModel(tuple(read(data, "model", {"type": str, "x": listed(float)}, ("x",))["x"]))
+    if kind in ("homogeneous", "obb"):
+        model = HomogeneousModel if kind == "homogeneous" else GeneralizedOBBModel
+        return model(read(data, "model", {"type": str, **model._kinds}, ("x",))["x"])
     if kind == "explicit":
         s = read(data, "model", {"type": str, "s_real": matrix, "s_imag": matrix}, ("s_real",))
-        return ExplicitModel(s["s_real"] + 1j * s.get("s_imag", 0.0))
+        return ExplicitModel(joined(s, "model", "s_real", "s_imag"))
     raise ValueError(f"model must be a JSON object with a 'type' of 'homogeneous', 'obb' or 'explicit', got {kind!r}")

@@ -1,12 +1,15 @@
-"""One rule for turning a JSON value into a field, for instance, ensemble, model and config files.
+"""One rule for turning a value into a field, for JSON files and Python constructors alike.
 
 A field has a kind: ``int`` or ``float``, ``str``, a list of choices, or a
-converter of the JSON value.  An integer field refuses a bool and a number
-with a fractional part, and a real one refuses a bool; integer-valued
-numbers and strings such as ``2.0`` and ``"2"`` are accepted, as a
-command-line flag's text is.  ``read`` takes a whole JSON object and
-refuses a non-object and an unknown, missing or wrong-kind field with
-ValueError, naming the object and the field.
+converter of the value.  An integer field refuses a bool and a number with a
+fractional part, and a real one refuses a bool; integer-valued numbers and
+strings such as ``2.0`` and ``"2"`` are accepted, as a command-line flag's
+text is.  A list field takes a JSON list, or a tuple or 1-d array from
+Python, and a matrix refuses ragged rows and an imaginary part whose shape
+differs from the real part's.  ``read`` takes a whole JSON object and refuses
+a non-object and an unknown, missing or wrong-kind field, and ``own``
+converts a constructed object's fields; both raise ValueError naming the
+object and the field.
 """
 from __future__ import annotations
 
@@ -16,10 +19,13 @@ import numpy as np
 
 __all__ = []
 
+# numpy's scalars too: an array from a Python caller holds them, and int(np.True_) is 1.
+_BOOLS, _REALS = (bool, np.bool_), (float, np.floating)
+
 
 def number(kind, value):
     """``kind(value)`` for int or float; TypeError for a bool, a fraction for int, or text that is no such number."""
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+    if isinstance(value, _BOOLS) or kind is int and isinstance(value, _REALS) and not float(value).is_integer():
         raise TypeError
     try:
         return kind(value)
@@ -28,20 +34,30 @@ def number(kind, value):
 
 
 def listed(kind):
-    """A converter of a JSON list whose entries all have ``kind`` (int, float or a converter)."""
+    """A converter of a list, tuple or 1-d array whose entries all have ``kind`` (int, float or a converter)."""
     entry = functools.partial(number, kind) if kind in (int, float) else kind
 
-    def entries(value) -> list:
-        if not isinstance(value, list):
+    def entries(value) -> tuple:
+        if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
             raise TypeError
-        return [entry(item) for item in value]
+        return tuple(map(entry, value))
 
     return entries
 
 
 def matrix(value) -> np.ndarray:
-    """A JSON list of equal-length lists of reals, as a float array."""
-    return np.array(listed(listed(float))(value), dtype=float)
+    """A list of equal-length lists of reals, as a float array."""
+    rows = listed(listed(float))(value)
+    if len({len(row) for row in rows}) > 1:
+        raise TypeError  # ragged
+    return np.array(rows, dtype=float)
+
+
+def joined(parts: dict, what: str, re: str, im: str) -> np.ndarray:
+    """The complex matrix of the read matrix fields ``re`` and (optional) ``im``, which must have one shape."""
+    if im in parts and parts[im].shape != parts[re].shape:
+        raise ValueError(f"{what} field {im!r} has shape {parts[im].shape}, but {re!r} has {parts[re].shape}")
+    return parts[re] + 1j * parts.get(im, 0.0)
 
 
 def convert(what: str, name: str, kind, value):
@@ -71,3 +87,11 @@ def read(data, what: str, kinds: dict, required=()) -> dict:
         if name not in data:
             raise ValueError(f"{what} has no {name!r} field")
     return {name: convert(what, name, kinds[name], value) for name, value in data.items()}
+
+
+def own(obj, what: str, kinds: dict) -> None:
+    """Convert the fields of dataclass ``obj`` named in ``kinds`` in place; only one whose default is None may be None."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if value is not None or obj.__dataclass_fields__[name].default is not None:
+            object.__setattr__(obj, name, convert(what, name, kind, value))

@@ -32,14 +32,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
-from .fields import listed, matrix, read
+from .fields import joined, listed, matrix, own, read
 from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _per_pass
 from .linalg import _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
@@ -109,13 +108,13 @@ class ExperimentInstance:
     input_occupation: tuple[int, ...]
     output_occupation: tuple[int, ...]
     model: object
+    _kinds = {"input_occupation": listed(int), "output_occupation": listed(int)}
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=complex)
         if self.unitary.ndim != 2 or self.unitary.shape[0] != self.unitary.shape[1]:
             raise ValueError("transfer matrix must be square")
-        self.input_occupation = tuple(int(c) for c in self.input_occupation)
-        self.output_occupation = tuple(int(c) for c in self.output_occupation)
+        own(self, "instance", self._kinds)
         if min(self.input_occupation, default=0) < 0 or min(self.output_occupation, default=0) < 0:
             raise ValueError("occupations must be non-negative")
         m = self.unitary.shape[0]
@@ -193,8 +192,7 @@ class ExperimentInstance:
 
 def _unitary(block) -> np.ndarray:
     """An instance's ``unitary`` field: the real and (optional) imaginary parts of the matrix."""
-    parts = read(block, "unitary", {"re": matrix, "im": matrix}, ("re",))
-    return parts["re"] + 1j * parts.get("im", 0.0)
+    return joined(read(block, "unitary", {"re": matrix, "im": matrix}, ("re",)), "unitary", "re", "im")
 
 
 _INSTANCE_FIELDS = {"schema": [1], "unitary": _unitary, "ensemble": EnsembleSpec.from_dict,
@@ -213,19 +211,10 @@ class TruncationResult:
     k: int
     total: float
     per_order: list[float] = field(default_factory=list)
-    elapsed: float = 0.0
     model: dict | None = None
 
     def to_dict(self) -> dict:
-        # elapsed is intentionally not serialized: emitted artifacts must be
-        # byte-identical across reruns of the same seeded configuration.
-        return {
-            "schema": 1,
-            "k": self.k,
-            "total": self.total,
-            "per_order": list(self.per_order),
-            "model": self.model,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _check_residue(residues: np.ndarray, magnitudes: np.ndarray, kind: str) -> None:
@@ -413,16 +402,8 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     and a walk over ``_WORK`` raises ValueError before any work.
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
-    start = time.perf_counter()
     per_order = (walk(inst.interference_matrix[None])[0] / inst.normalization).tolist()
-    elapsed = time.perf_counter() - start
-    return TruncationResult(
-        k=k,
-        total=float(math.fsum(per_order)),
-        per_order=per_order,
-        elapsed=elapsed,
-        model=inst.model.to_dict(),
-    )
+    return TruncationResult(k=k, total=float(math.fsum(per_order)), per_order=per_order, model=inst.model.to_dict())
 
 
 def truncation_error(inst: ExperimentInstance, k: int, strategy: str = "direct") -> float:

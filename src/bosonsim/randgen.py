@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import read
+from .fields import own, read
 
 __all__ = [
     "EnsembleSpec",
@@ -91,10 +91,10 @@ class EnsembleSpec:
     m: int
     seed: int
     n: int | None = None
+    _kinds = {"kind": ["haar_unitary", "gaussian_iid"], "m": int, "seed": int, "n": int}
 
     def __post_init__(self):
-        if self.kind not in ("haar_unitary", "gaussian_iid"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        own(self, "ensemble", self._kinds)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.kind == "gaussian_iid" and (self.n is None or self.n < 1):
@@ -114,4 +114,4 @@ class EnsembleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleSpec":
         """Parse an ensemble descriptor; a malformed one raises ValueError."""
-        return cls(**read(data, "ensemble", {"kind": str, "m": int, "seed": int, "n": int}, ("kind", "m", "seed")))
+        return cls(**read(data, "ensemble", cls._kinds, ("kind", "m", "seed")))

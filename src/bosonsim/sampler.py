@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import own
 from .probability import ExperimentInstance, _truncation_walk, output_configurations
 
 __all__ = [
@@ -57,16 +58,17 @@ class ChainConfig:
     thinning: int = 10
     proposal: str | None = None
     seed: int = 0
+    _kinds = {"num_samples": int, "burn_in": int, "thinning": int,
+              "proposal": ["uniform_noncollisional", "single_mode_swap"], "seed": int}
 
     def __post_init__(self):
+        own(self, "chain", self._kinds)
         if self.num_samples < 1:
             raise ValueError("num_samples must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
-        if self.proposal not in (None, "uniform_noncollisional", "single_mode_swap"):
-            raise ValueError(f"unknown proposal {self.proposal!r}")
 
     def resolved_proposal(self, m: int) -> str:
         if self.proposal is not None:
@@ -77,22 +79,11 @@ class ChainConfig:
 
 
 def _validate_input(unitary, input_occupation, model) -> ExperimentInstance:
-    """The chain's base instance: the input photons detected in the first n modes."""
-    m = np.asarray(unitary).shape[0]
-    occ = tuple(int(c) for c in input_occupation)
-    if any(c not in (0, 1) for c in occ):
+    """The chain's base instance, detected where it entered: the chain reads its matrix, input and model."""
+    base = ExperimentInstance(unitary, input_occupation, input_occupation, model)
+    if max(base.input_occupation) > 1:  # 0/1 entries, one per mode, so n <= m
         raise ValueError("sampler requires a non-collisional input")
-    n = sum(occ)
-    if n < 1:
-        raise ValueError("need at least one photon")
-    if n > m:
-        raise ValueError("need at least as many modes as photons")
-    return ExperimentInstance(
-        unitary=unitary,
-        input_occupation=occ,
-        output_occupation=_occupation_from_modes(range(n), m),
-        model=model,
-    )
+    return base
 
 
 def _occupation_from_modes(modes, m: int) -> tuple[int, ...]:

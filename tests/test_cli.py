@@ -315,6 +315,10 @@ class TestExitCodes:
             ("input", [1, 1.9, 0, 0]),
             ("input", [True, 1, 0, 0]),
             ("ensemble", {"kind": "nonsense", "m": -3, "seed": "x"}),  # next to the instance's unitary
+            # Matrix shapes: an imaginary part must have the real part's shape, and the rows one length.
+            ("unitary", {"re": np.eye(4).tolist(), "im": [[0.5]]}),
+            ("unitary", {"re": np.eye(4).tolist()[:3] + [[0.0, 0.0, 1.0]]}),
+            ("model", {"type": "explicit", "s_real": np.eye(2).tolist(), "s_imag": [[0.0]]}),
         ],
     )
     def test_malformed_instance_is_config_error(self, capsys, tmp_path, instance_file, field, value):
