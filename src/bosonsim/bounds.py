@@ -23,8 +23,8 @@ import numpy as np
 
 from .combinat import rencontres, symmetric_means
 from .distinguishability import GeneralizedOBBModel, quadratic_mean_visibility
-from .fields import own
-from .probability import _mixture_orders, _mixture_work
+from .fields import SEED, convert, own
+from .probability import _check_order, _mixture_orders, _mixture_work
 from .randgen import gaussian_matrix, trial_rng
 
 __all__ = [
@@ -46,18 +46,6 @@ class DivergenceError(ValueError):
     """The geometric ratio reached 1, so the bound diverges."""
 
 
-def _geometric_ratio(kind: str, parameter: float) -> float:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if not 0.0 <= parameter:
-        raise ValueError(f"bound parameter must be non-negative, got {parameter}")
-    if parameter >= 1.0:
-        raise DivergenceError(f"bound diverges for parameter {parameter} >= 1")
-    if kind == "quadratic_mean":
-        return parameter
-    return parameter * parameter
-
-
 @dataclass(frozen=True)
 class BoundSpec:
     """A bound family and truncation order.
@@ -73,17 +61,16 @@ class BoundSpec:
     kind: str
     parameter: float
     k: int
-    _kinds = {"kind": list(_KINDS), "parameter": float, "k": int}
+    _kinds = {"kind": list(_KINDS), "parameter": (float, 0.0), "k": (int, 0)}
 
     def __post_init__(self):
         own(self, "bound", self._kinds)
-        if self.k < 0:
-            raise ValueError("truncation order k must be non-negative")
-        _geometric_ratio(self.kind, self.parameter)
+        if self.parameter >= 1.0:
+            raise DivergenceError(f"bound diverges for parameter {self.parameter} >= 1")
 
     @property
     def ratio(self) -> float:
-        return _geometric_ratio(self.kind, self.parameter)
+        return self.parameter if self.kind == "quadratic_mean" else self.parameter * self.parameter
 
 
 def l1_bound(spec: BoundSpec) -> float:
@@ -101,7 +88,7 @@ def min_truncation_order(parameter: float, epsilon: float, kind: str = "homogene
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    y = _geometric_ratio(kind, parameter)
+    y = BoundSpec(kind, parameter, 0).ratio
     if y == 0.0:
         return 0
     target = epsilon * epsilon * (1.0 - y)
@@ -247,14 +234,15 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     C(m, n) * n! / m**n (the number of non-collisional outputs times the
     typical outcome weight) must stay below the L1 bound.  The bound takes
     the quadratic-mean ratio of the model (x * x for a uniform visibility
-    x); a ratio of 1, an OBB vector without n visibilities, m < n, n > 12, or
-    trials * n * C(2n, n) kernel operations over the ``_WORK`` budget (a
-    50-trial ensemble passes up to n = 12) raises before any trial is drawn.
+    x); a ratio of 1, an OBB vector without n visibilities, a negative seed,
+    m < n, n > 12, or trials * n * C(2n, n) kernel operations over the
+    ``_WORK`` budget (a 50-trial ensemble passes up to n = 12) raises before
+    any trial is drawn.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    _check_order(k, n)
+    seed = convert("validation", "seed", SEED, seed)
     if m < n:  # C(m, n) = 0 would scale every L1 estimate to 0
         raise ValueError("need at least as many modes as photons")
     _mixture_work(n, trials)

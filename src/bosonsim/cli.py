@@ -30,13 +30,11 @@ from .bounds import (
     validate_bound_monte_carlo,
 )
 from .distinguishability import GeneralizedOBBModel, HomogeneousModel
-from .fields import convert, listed, read
+from .fields import base, convert, listed, read
 from .probability import ExperimentInstance, exact_probability, truncated_probability
 from .sampler import ChainConfig, DegenerateTargetError, metropolis_sample
 
 __all__ = ["main", "entrypoint"]
-
-_SEED_ENV = "BOSONSIM_SEED"
 
 
 def _json_file(value):
@@ -121,16 +119,19 @@ def _cmd_curves(setting) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed(setting) -> int:
+    """The seed setting, or else the BOSONSIM_SEED environment variable, or else 0."""
+    return setting("seed", os.environ.get("BOSONSIM_SEED", 0))
+
+
 def _cmd_verify(setting) -> dict:
     n, m, k, trials = (setting(name, required=True) for name in ("n", "m", "k", "trials"))
-    if setting("threads", 1) < 1:
-        raise ValueError("threads must be a positive integer")
+    setting("threads")  # checked against its bound, then unused
     x, x_vec = setting("x"), setting("x_vec")
     if (x is None) == (x_vec is None):
         raise ValueError("give exactly one of --x and --x-vec")
     model = HomogeneousModel(x) if x is not None else GeneralizedOBBModel(x_vec)
-    seed = setting("seed", os.environ.get(_SEED_ENV, 0))
-    return validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=seed).to_dict()
+    return validate_bound_monte_carlo(n, m, k, model, trials=trials, seed=_seed(setting)).to_dict()
 
 
 def _cmd_sample(setting) -> str:
@@ -140,13 +141,9 @@ def _cmd_sample(setting) -> str:
     inst = ExperimentInstance.from_dict(data)
     k = setting("k", required=True)
     fmt = setting("format", "jsonl")
-    chain = ChainConfig(
-        num_samples=setting("num_samples", required=True),
-        burn_in=setting("burn_in", 1000),
-        thinning=setting("thinning", 10),
-        proposal=setting("proposal"),
-        seed=setting("seed", os.environ.get(_SEED_ENV, 0)),
-    )
+    given = {name: setting(name) for name in ("burn_in", "thinning", "proposal")}  # else ChainConfig's defaults
+    chain = ChainConfig(num_samples=setting("num_samples", required=True), seed=_seed(setting),
+                        **{name: value for name, value in given.items() if value is not None})
     samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain)
     if fmt == "jsonl":
         return "\n".join(json.dumps(list(sample)) for sample in samples) + "\n"
@@ -155,10 +152,10 @@ def _cmd_sample(setting) -> str:
 
 
 # The settings of every subcommand, name -> (kind, help).  A setting is the flag of its name with "-"
-# for "_" and the config field of its name.  Its kind is int or float (the flag's argparse type), str,
-# a list of choices, or a converter of the flag's text and of the config value.
+# for "_" and the config field of its name.  Its kind is a kind of bosonsim.fields: a number, bounds included
+# (its int or float types the flag), str, a choice list, or a converter of the flag's text and the config value.
 _COMMON = {"output": (str, "write the artifact here instead of stdout")}
-_SEED = (int, "64-bit seed (fallback: config, then $BOSONSIM_SEED)")
+_SEED = (ChainConfig._kinds["seed"], "64-bit seed (fallback: config, then $BOSONSIM_SEED)")
 # Per subcommand: its function, which returns its artifact, its help and its own settings.
 _COMMANDS = {
     "prob": (_cmd_prob, "exact output probability of an instance", {"instance": (_json_file, "instance JSON file")}),
@@ -186,15 +183,15 @@ _COMMANDS = {
         "x_vec": (_reals, "comma-separated per-photon visibilities"),
         "k": (int, "truncation order"),
         "trials": (int, "number of Monte-Carlo trials (>= 50)"),
-        "threads": (int, "accepted for compatibility (>= 1); it has no effect"),
+        "threads": ((int, 1), "accepted for compatibility (>= 1); it has no effect"),
         "seed": _SEED,
     }),
     "sample": (_cmd_sample, "Metropolis samples from the truncated distribution", {
         "instance": (_json_file, "instance JSON file (output field ignored)"),
         "k": (int, "truncation order"),
-        "num_samples": (int, "samples to emit"),
-        "burn_in": (int, "burn-in steps (default 1000)"),
-        "thinning": (int, "keep every thinning-th state (default 10)"),
+        "num_samples": (ChainConfig._kinds["num_samples"], "samples to emit"),
+        "burn_in": (ChainConfig._kinds["burn_in"], f"burn-in steps (default {ChainConfig.burn_in})"),
+        "thinning": (ChainConfig._kinds["thinning"], f"keep every thinning-th state (default {ChainConfig.thinning})"),
         "proposal": (ChainConfig._kinds["proposal"], "chain proposal (default by mode count)"),
         "format": (["jsonl", "csv"], "sample stream format (default jsonl)"),
         "seed": _SEED,
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for name, (kind, text) in (_COMMON | settings).items():
-            p.add_argument("--" + name.replace("_", "-"), help=text, type=kind if kind in (int, float) else None,
+            p.add_argument("--" + name.replace("_", "-"), help=text, type=base(kind),
                            choices=kind if isinstance(kind, list) else None)
     return parser
 

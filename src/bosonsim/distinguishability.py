@@ -40,15 +40,12 @@ class GeneralizedOBBModel:
     """Per-photon visibilities ``x``; pair (i, j) has overlap sqrt(x_i) * sqrt(x_j)."""
 
     x: tuple[float, ...]
-    _kinds = {"x": listed(float)}
+    _kinds = {"x": listed((float, 0.0, 1.0))}
 
     def __post_init__(self):
         own(self, "model", self._kinds)
-        x = self.x if isinstance(self.x, tuple) else (self.x,)  # the homogeneous model's one x
-        if len(x) == 0:
-            raise ValueError("x must be non-empty")
-        if not all(0.0 <= v <= 1.0 for v in x):
-            raise ValueError("all visibilities must lie in [0, 1]")
+        if self.x == ():
+            raise ValueError("model field 'x' must be non-empty")
 
     def visibilities(self, n: int) -> np.ndarray:
         if n != len(self.x):
@@ -70,7 +67,7 @@ class HomogeneousModel(GeneralizedOBBModel):
     """The uniform OBB case: every photon has visibility ``x`` in [0, 1], for any photon count."""
 
     x: float
-    _kinds = {"x": float}
+    _kinds = {"x": (float, 0.0, 1.0)}
 
     def visibilities(self, n: int) -> np.ndarray:
         return np.full(n, self.x)

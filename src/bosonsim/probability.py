@@ -108,15 +108,13 @@ class ExperimentInstance:
     input_occupation: tuple[int, ...]
     output_occupation: tuple[int, ...]
     model: object
-    _kinds = {"input_occupation": listed(int), "output_occupation": listed(int)}
+    _kinds = {"input_occupation": listed((int, 0)), "output_occupation": listed((int, 0))}
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=complex)
         if self.unitary.ndim != 2 or self.unitary.shape[0] != self.unitary.shape[1]:
             raise ValueError("transfer matrix must be square")
         own(self, "instance", self._kinds)
-        if min(self.input_occupation, default=0) < 0 or min(self.output_occupation, default=0) < 0:
-            raise ValueError("occupations must be non-negative")
         m = self.unitary.shape[0]
         if len(self.input_occupation) != m or len(self.output_occupation) != m:
             raise ValueError("occupation lists must have one entry per mode")
@@ -195,8 +193,9 @@ def _unitary(block) -> np.ndarray:
     return joined(read(block, "unitary", {"re": matrix, "im": matrix}, ("re",)), "unitary", "re", "im")
 
 
-_INSTANCE_FIELDS = {"schema": [1], "unitary": _unitary, "ensemble": EnsembleSpec.from_dict,
-                    "input": listed(int), "output": listed(int), "model": model_from_dict}
+_INSTANCE_FIELDS = {"schema": [1], "unitary": _unitary, "ensemble": EnsembleSpec.from_dict, "model": model_from_dict,
+                    "input": ExperimentInstance._kinds["input_occupation"],
+                    "output": ExperimentInstance._kinds["output_occupation"]}
 
 
 @dataclass
@@ -255,6 +254,11 @@ def _order_walk(matrices: np.ndarray, weights, taus, orders, evaluate) -> np.nda
     return _real_part(terms @ orders, (np.abs(terms) @ orders).real)
 
 
+def _check_order(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}")
+
+
 def _truncation_walk(model, n: int, k: int, strategy: str):
     """Check the arguments of an order-k truncation and fix what does not depend on the output.
 
@@ -263,8 +267,7 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     matrix is within ``_WORK``, the overlap weights and the class tables are
     computed here, once for any number of stacks.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
     if strategy == "direct":  # every permutation of the orders is one n x n permanent
         evaluate, work = hadamard_permanent, _ryser_work(n, sum(classes))
@@ -425,6 +428,5 @@ def truncation_cost_estimate(n: int, k: int) -> int:
     (12, 0) costs 16224936 for the lattice alone, and n >= 13 raises
     ValueError: no lattice is built there.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    _check_order(k, n)
     return _laplace_work(n, [rencontres(n, n - j) for j in range(k + 1)])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import own, read
+from .fields import SEED, own, read
 
 __all__ = [
     "EnsembleSpec",
@@ -91,14 +91,12 @@ class EnsembleSpec:
     m: int
     seed: int
     n: int | None = None
-    _kinds = {"kind": ["haar_unitary", "gaussian_iid"], "m": int, "seed": int, "n": int}
+    _kinds = {"kind": ["haar_unitary", "gaussian_iid"], "m": (int, 1), "seed": SEED, "n": (int, 1)}
 
     def __post_init__(self):
         own(self, "ensemble", self._kinds)
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if self.kind == "gaussian_iid" and (self.n is None or self.n < 1):
-            raise ValueError("gaussian_iid requires a positive photon count n")
+        if self.kind == "gaussian_iid" and self.n is None:
+            raise ValueError("gaussian_iid requires a photon count n")
 
     def build(self) -> np.ndarray:
         if self.kind == "haar_unitary":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import own
+from .fields import SEED, own
 from .probability import ExperimentInstance, _truncation_walk, output_configurations
 
 __all__ = [
@@ -58,17 +58,11 @@ class ChainConfig:
     thinning: int = 10
     proposal: str | None = None
     seed: int = 0
-    _kinds = {"num_samples": int, "burn_in": int, "thinning": int,
-              "proposal": ["uniform_noncollisional", "single_mode_swap"], "seed": int}
+    _kinds = {"num_samples": (int, 1), "burn_in": (int, 0), "thinning": (int, 1),
+              "proposal": ["uniform_noncollisional", "single_mode_swap"], "seed": SEED}
 
     def __post_init__(self):
         own(self, "chain", self._kinds)
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
 
     def resolved_proposal(self, m: int) -> str:
         if self.proposal is not None:

@@ -11,6 +11,7 @@ import pytest
 import bosonsim
 from bosonsim.cli import _COMMANDS, _COMMON, main
 from bosonsim.distinguishability import HomogeneousModel
+from bosonsim.fields import base
 from bosonsim.probability import ExperimentInstance
 from bosonsim.randgen import haar_unitary
 
@@ -356,6 +357,33 @@ class TestExitCodes:
         assert main(["bound", "--config", str(config)]) == 2
         assert "has the wrong type" in capsys.readouterr().err
 
+    # A number outside its setting's or field's bounds exits 2 with a message naming the field and the bound.
+    _VERIFY = ["verify", "--n", "3", "--m", "9", "--x", "0.5", "--k", "0", "--trials", "50"]
+    _SAMPLE = ["sample", "--k", "1", "--num-samples", "2"]
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (_VERIFY + ["--seed", "-1"], None, "setting field 'seed' must be at least 0, got -1"),
+        (_SAMPLE + ["--seed", "-1"], None, "setting field 'seed' must be at least 0, got -1"),
+        (["prob"], None, "ensemble field 'seed' must be at least 0, got -1"),
+        (_SAMPLE + ["--burn-in", "-1"], None, "setting field 'burn_in' must be at least 0, got -1"),
+        (_VERIFY + ["--threads", "0"], None, "setting field 'threads' must be at least 1, got 0"),
+        (_VERIFY, "-1", "setting field 'seed' must be at least 0, got -1"),
+        (_SAMPLE, "-1", "setting field 'seed' must be at least 0, got -1"),
+    ])
+    def test_out_of_range_is_config_error(self, capsys, tmp_path, monkeypatch, instance_without_output, argv, env,
+                                          message):
+        if env is not None:
+            monkeypatch.setenv("BOSONSIM_SEED", env)
+        if argv[0] == "prob":  # an instance whose ensemble seed is negative
+            path = tmp_path / "ensemble.json"
+            path.write_text(json.dumps({"ensemble": {"kind": "haar_unitary", "m": 2, "seed": -1},
+                                        "model": {"type": "homogeneous", "x": 0.5}}))
+            argv = argv + ["--instance", str(path)]
+        elif argv[0] == "sample":
+            argv = argv + ["--instance", str(instance_without_output)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_programming_error_propagates(self, capsys, instance_file, monkeypatch):
         def broken(inst):
             raise TypeError("a bug, not a config error")
@@ -374,7 +402,8 @@ class TestSettingsTable:
     def test_every_setting_is_a_config_field(self, capsys, tmp_path, instance_file, command, name):
         kind = _settings(command)[name][0]
         valid = {int: 1, float: 0.5, str: str(tmp_path / "out.txt")}  # the converters take a flag's text
-        value = kind[0] if isinstance(kind, list) else valid.get(kind, str(instance_file) if name == "instance" else "0.5")
+        value = kind[0] if isinstance(kind, list) else valid.get(base(kind) or kind,
+                                                                 str(instance_file) if name == "instance" else "0.5")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"schema": 1, "command": command, name: value}))
         main([command, "--config", str(config)])

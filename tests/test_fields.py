@@ -1,12 +1,13 @@
 """The field rule of ``bosonsim.fields``, as every constructor and JSON reader applies it."""
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsim.bounds import BoundSpec
+from bosonsim.bounds import BoundSpec, validate_bound_monte_carlo
 from bosonsim.distinguishability import ExplicitModel, GeneralizedOBBModel, HomogeneousModel, model_from_dict
 from bosonsim.probability import ExperimentInstance
 from bosonsim.randgen import EnsembleSpec, haar_unitary
@@ -32,9 +33,38 @@ HALF = HomogeneousModel(0.5)
     pytest.param(lambda: ChainConfig(num_samples=10, proposal="gibbs"), "proposal", id="chain-proposal"),
     pytest.param(lambda: EnsembleSpec("haar_unitary", 4.7, 1), "m", id="ensemble-modes"),
     pytest.param(lambda: EnsembleSpec("bernoulli", 4, 1), "kind", id="ensemble-kind"),
+    pytest.param(lambda: validate_bound_monte_carlo(3, 9, 1, HALF, trials=50, seed=1.5), "seed", id="validation-seed"),
 ])
 def test_constructor_refuses_a_field_of_the_wrong_kind(build, name):
     with pytest.raises(ValueError, match=f"field '{name}'"):
+        build()
+
+
+# Each value lies outside its field's bounds, and the message names the field and the bound.
+@pytest.mark.parametrize("build, name, bound", [
+    pytest.param(lambda: EnsembleSpec("haar_unitary", 2, -1), "seed", "at least 0", id="ensemble-seed"),
+    pytest.param(lambda: EnsembleSpec("haar_unitary", 0, 1), "m", "at least 1", id="ensemble-modes"),
+    pytest.param(lambda: EnsembleSpec("gaussian_iid", 2, 1, 0), "n", "at least 1", id="ensemble-photons"),
+    pytest.param(lambda: EnsembleSpec.from_dict({"kind": "haar_unitary", "m": 2, "seed": -1}), "seed", "at least 0",
+                 id="ensemble-json-seed"),
+    pytest.param(lambda: ChainConfig(num_samples=3, seed=-1), "seed", "at least 0", id="chain-seed"),
+    pytest.param(lambda: ChainConfig(num_samples=0), "num_samples", "at least 1", id="chain-samples"),
+    pytest.param(lambda: ChainConfig(num_samples=3, burn_in=-1), "burn_in", "at least 0", id="chain-burn-in"),
+    pytest.param(lambda: ChainConfig(num_samples=3, thinning=0), "thinning", "at least 1", id="chain-thinning"),
+    pytest.param(lambda: BoundSpec("homogeneous_x", 0.5, -1), "k", "at least 0", id="bound-order"),
+    pytest.param(lambda: BoundSpec("homogeneous_x", -0.5, 1), "parameter", "at least 0.0", id="bound-parameter"),
+    pytest.param(lambda: HomogeneousModel(math.nan), "x", r"in \[0.0, 1.0\]", id="homogeneous-nan"),
+    pytest.param(lambda: HomogeneousModel(1.5), "x", r"in \[0.0, 1.0\]", id="homogeneous-above"),
+    pytest.param(lambda: GeneralizedOBBModel((0.5, math.nan)), "x", r"in \[0.0, 1.0\]", id="obb-nan"),
+    pytest.param(lambda: GeneralizedOBBModel((math.inf,)), "x", r"in \[0.0, 1.0\]", id="obb-inf"),
+    pytest.param(lambda: GeneralizedOBBModel([1.5, 0.5]), "x", r"in \[0.0, 1.0\]", id="obb-above"),
+    pytest.param(lambda: ExperimentInstance(np.eye(2), (-1, 2), (1, 0), HALF), "input_occupation", "at least 0",
+                 id="instance-input"),
+    pytest.param(lambda: validate_bound_monte_carlo(3, 9, 1, HALF, trials=50, seed=-1), "seed", "at least 0",
+                 id="validation-seed"),
+])
+def test_constructor_refuses_a_field_out_of_range(build, name, bound):
+    with pytest.raises(ValueError, match=f"field '{name}' must (be|lie) {bound}, got "):
         build()
 
 
