@@ -1,21 +1,27 @@
 """The permanent kernel and the sub-block permanents of the split expansions.
 
-Every permanent goes through one exact, double-precision, deterministic
-kernel: Ryser's formula evaluated with numpy over all column subsets at
-once.  A cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks which columns
-each non-empty subset holds, so ``a @ bits`` gives every subset's row sums
-in one product, and a sign vector (-1)^(n - |S|) closes the sum.  The public
+Every permanent goes through Ryser's formula, exact, double-precision and
+deterministic, evaluated with numpy over all column subsets at once.  A
+cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks which columns each
+non-empty subset holds, so ``a @ bits`` gives every subset's row sums in one
+product, and a sign vector (-1)^(n - |S|) closes the sum.  The public
 functions accept stacks (with a 2-d permutation array, one Hadamard
-permanent per matrix and row).  The Laplace split here and the mixture
-engine in ``probability`` both sum small complex permanents times larger
-non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2
-built by row expansion.  The Laplace split takes its complex j x j blocks
-from ``_block_permanents`` as one kernel stack; the mixture takes the small
-ones from the lattice of M.  Every loop over a stack, subsets, row sets or
-lattice rows, here and in ``probability``, goes in passes of as many items
-as fit one byte budget, ``_BUDGET``.  Every public kernel refuses a call
-over ``_WORK`` before any work, at one price per evaluator: ``_ryser_work``,
-``_laplace_work`` or ``_lattice_work`` (none above n = 12).
+permanent per matrix and row) and cost n 2^n per permanent, plus n^2 2^n
+for the row sums.  The direct walk of ``probability`` takes its Hadamard
+permanents from ``_pair_permanents`` instead: per distinct column subset of
+a block it forms the row-pair sums once, for every permutation and every
+output that holds the subset, and multiplies n of them per permutation, so
+T permutations of one matrix cost (2^n - 1)(n^2 + T n).  The Laplace split
+here and the mixture engine in ``probability`` both sum small complex
+permanents times larger non-negative ones, read from ``_lattice``, every
+sub-permanent of |M|^2 built by row expansion.  The Laplace split takes its
+complex j x j blocks from ``_block_permanents`` as one kernel stack; the
+mixture takes the small ones from the lattice of M.  Every loop over a
+stack, subsets, permutations, row sets or lattice rows, here and in
+``probability``, goes in passes of as many items as fit one byte budget,
+``_BUDGET``.  Every kernel refuses a call over
+``_WORK`` before any work, at one price per evaluator: ``_ryser_work``,
+``_pair_work``, ``_laplace_work`` or ``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
 
@@ -92,31 +98,58 @@ def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, signs
 
 
+def _cached(n: int) -> bool:
+    """Whether the whole subset table of n columns (membership rows and signs) fits the budget, and is cached."""
+    return 16 * (n + 1) << n <= _BUDGET
+
+
+def _chunks(n: int, width: int):
+    """Yield (bits, signs) of the subset chunks 0..width-1, width..2 width-1, ... of ``_subsets``.
+
+    They are views of the cached table while ``_cached(n)``; above that each is built when it is
+    reached, so a caller whose outer loop runs over the chunks builds each one once per call.
+    """
+    subsets = (1 << n) - 1
+    table = _subset_table(n) if _cached(n) else None
+    for start in range(0, subsets, width):
+        stop = min(start + width, subsets)
+        yield (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
+
+
 def _ryser(count: int, n: int, block) -> np.ndarray:
     """Permanents of ``count`` finite n x n matrices, without input checks.
 
     ``block(lo, hi)`` returns matrices lo..hi-1 as a (hi - lo, n, n) complex
-    array; it is called once per pass over the stack, so a caller can build
-    the matrices pass by pass.
+    array.  While the subset table is cached (n <= 12) the passes over the
+    stack are the outer loop and ``block`` is called once per pass, so a
+    caller can build the matrices pass by pass.  Above that the subset chunks
+    are the outer loop, each built once per call, and ``block`` is called
+    once per chunk and pass.  Every matrix adds its chunks in the same order
+    either way.
     """
     if n == 0:
         return np.ones(count, dtype=complex)
-    subsets = (1 << n) - 1
     # A pass holds 16 n bytes of row sums per matrix and subset, counted four times over: passes four
     # times as large ran stacks of small matrices up to 1.5x slower (2 MiB of L2 cache per core).
-    width = min(subsets, _per_pass(64 * n))
+    width = min((1 << n) - 1, _per_pass(64 * n))
     step = _per_pass(64 * n * width)
-    # The whole subset table (membership rows and signs) is cached while it fits the budget.
-    table = _subset_table(n) if 16 * (n + 1) << n <= _BUDGET else None
     out = np.zeros(count, dtype=complex)
-    for lo in range(0, count, step):
-        rows = block(lo, min(lo + step, count)).reshape(-1, n)
-        for start in range(0, subsets, width):
-            stop = min(start + width, subsets)
-            bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
-            row_sums = (rows @ bits).reshape(-1, n, bits.shape[1])
-            out[lo : lo + step] += row_sums.prod(axis=1) @ signs
+    if _cached(n):  # sliced here, not by ``_chunks``: a generator per call is 5% of a 6 x 6 permanent
+        bits, signs = _subset_table(n)
+        for lo in range(0, count, step):
+            rows = block(lo, min(lo + step, count)).reshape(-1, n)
+            for start in range(0, (1 << n) - 1, width):
+                out[lo : lo + step] += _ryser_sums(rows, bits[:, start : start + width], signs[start : start + width])
+    else:
+        for bits, signs in _chunks(n, width):
+            for lo in range(0, count, step):
+                out[lo : lo + step] += _ryser_sums(block(lo, min(lo + step, count)).reshape(-1, n), bits, signs)
     return out
+
+
+def _ryser_sums(rows: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Ryser's sums over one subset chunk of the n x n matrices whose rows are stacked in ``rows``."""
+    return (rows @ bits).reshape(-1, len(bits), bits.shape[1]).prod(axis=1) @ signs
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -205,6 +238,97 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
 
         values = _ryser(len(flat) * len(words), n, products)
     return complex(values[0]) if shape == () else values.reshape(shape)
+
+
+def _pair_work(n: int, count: int, taus: int, pairs: int) -> int:
+    """Kernel operations of ``_pair_permanents``: ``count`` n x n matrices, ``taus`` permutations, ``pairs`` row pairs.
+
+    Per non-empty column subset: one sum per row pair and n factors per
+    permutation, (2^n - 1)(pairs + taus n) per matrix.  Subsets that several
+    matrices of a block share are priced once per matrix, so a block's price
+    bounds its work.
+    """
+    return count * ((1 << n) - 1) * (pairs + taus * n)
+
+
+def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The (B, T) Hadamard permanents of the matrices rows[:, cols[b]] over the permutations ``taus``.
+
+    ``rows`` is an (n, w) block and each row of the (B, n) table ``cols``
+    holds n distinct column indices into it (a collisional output passes its
+    interference matrix with cols = range(n)).  By Ryser's formula the
+    permanent of M * conj(M[tau, :]) is the sum over the non-empty column
+    subsets S of (-1)^(n - |S|) prod_i W_{i, tau(i)}(S), with the row-pair
+    sums W_il(S) = sum_{c in S} M_ic conj(M_lc).  A term depends on the
+    columns of S alone, so each distinct column subset of a pass gets its
+    sums (of the pairs some tau uses) and its products once, however many
+    matrices of the block hold it; each matrix then sums its subsets'
+    products with their signs.  Priced by ``_pair_work`` and refused over
+    ``_WORK`` before any work; the pair products must be finite.  Subsets
+    are keyed by bit masks over the columns of a pass, so a pass holds at
+    most 64 distinct columns: the whole block if its columns fit, else
+    64 // n matrices.
+    """
+    count, n = cols.shape
+    pairs, factors = _ranks(np.arange(n) * n + taus, n * n)  # pair (i, l) is i n + l
+    _afford(_pair_work(n, count, len(taus), len(pairs)), "{} Hadamard permanents at n = {}", count * len(taus), n)
+    left, right = np.divmod(pairs, n)
+    out = np.zeros((count, len(taus)), dtype=complex)
+    # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a quarter, so
+    # a block of sampler targets holds about what the kernel held for it.  One matrix's chunk keeps its table
+    # whole where it fits, else 128 subsets share each pass over the permutations and its pair sums.
+    width = min((1 << n) - 1, max(_per_pass(32 * len(taus)), 128))
+    step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
+    if cols.size > 64 and len(_ranks(cols, rows.shape[1])[0]) > 64:
+        step = min(step, 64 // n)
+    for bits, signs in _chunks(n, width):
+        bits, signs = bits.real.astype(np.uint64), signs.real
+        for lo in range(0, count, step):
+            block = cols[lo : lo + step]
+            used, local = _ranks(block, rows.shape[1])
+            keys = (np.uint64(1) << local.astype(np.uint64)) @ bits
+            keys, inverse = np.unique(keys, return_inverse=True)
+            inverse = inverse.reshape(len(block), len(signs))  # (matrices, subsets)
+            block_rows = rows[:, used]
+            sums = _finite(block_rows[left] * np.conj(block_rows[right]))  # (pairs, columns)
+            tstep = _per_pass(32 * len(keys))
+            for t in range(0, len(taus), tstep):
+                table = _subset_terms(keys, sums, factors[t : t + tstep])
+                gstep = _per_pass(64 * len(signs) * len(table))
+                for g in range(0, len(block), gstep):
+                    part = table.take(inverse[g : g + gstep], axis=1) @ signs  # each matrix's signed sum
+                    out[lo + g : lo + g + part.shape[1], t : t + tstep] += part.T
+    return out
+
+
+def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of an integer array over range(size), ascending, and each entry's rank among them."""
+    present = np.zeros(size, dtype=bool)
+    present[values] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+
+
+def _subset_terms(keys: np.ndarray, sums: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The (T, D) Ryser products of the column subsets ``keys`` over the permutations of ``factors``.
+
+    ``keys`` are bit masks over the columns of ``sums``, the (pairs, columns)
+    row-pair products; ``factors[t]`` lists the pairs (i, tau_t(i)) of one
+    of T permutations of n rows.  Subsets go in passes within a quarter of
+    ``_BUDGET``: per subset its membership (integer and complex), its pair
+    sums, and its product and one factor per permutation.
+    """
+    table = np.empty((len(factors), len(keys)), dtype=complex)
+    columns = np.arange(sums.shape[1], dtype=np.uint64)[:, None]
+    step = _per_pass(4 * (24 * len(columns) + 16 * (len(sums) + 2 * len(factors) + 1)))
+    for lo in range(0, len(keys), step):
+        member = keys[lo : lo + step] >> columns  # (columns, subsets)
+        member &= np.uint64(1)
+        pair_sums = sums @ member.astype(complex)
+        part = pair_sums.take(factors[:, 0], axis=0)  # contiguous (T, subsets) products, then one copy into the table
+        for factor in factors.T[1:]:
+            part *= pair_sums.take(factor, axis=0)
+        table[:, lo : lo + step] = part
+    return table
 
 
 @functools.lru_cache(maxsize=64)

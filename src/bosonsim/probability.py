@@ -10,10 +10,13 @@ Truncating at order k keeps the at-most-k-photon interference terms, and the
 neglected tail is the truncation error.
 
 Two engines evaluate the orders.  The walk visits every permutation of each
-order it needs, class by class, which costs about (class size) x 2^n x n^2
-per matrix, with one evaluator call for all orders of a whole stack of matrices;
-it serves truncation at any k (the sampler's targets included) and the
-by-order split of explicit overlap matrices.  Its Laplace strategy
+order it needs, with one evaluator call for all orders of a block of
+matrices; it serves truncation at any k (the sampler's targets included)
+and the by-order split of explicit overlap matrices.  Its direct strategy
+(``linalg._pair_permanents``) forms the n^2 row-pair sums of each column
+subset once and multiplies n of them per permutation, about
+2^n x (n^2 + n x (permutations)) per matrix, and the outputs of a sampler
+block that share a column subset share its terms.  Its Laplace strategy
 (``laplace_split_permanent``) is an independent check of the expansion, not
 a faster path: it pays a whole |M|^2 lattice per matrix even at k <= 1, so
 it runs up to n = 12, and the direct strategy serves n >= 13.  For the
@@ -39,8 +42,8 @@ import numpy as np
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
-from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _per_pass
-from .linalg import _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
+from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _pair_permanents
+from .linalg import _pair_work, _per_pass, _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -240,16 +243,18 @@ def _class_table(n: int, moved: int) -> np.ndarray:
     return table
 
 
-def _order_walk(matrices: np.ndarray, weights, taus, orders, evaluate) -> np.ndarray:
-    """Orders 0..k of each matrix in a (B, n, n) stack, without the normalization.
+def _order_walk(rows: np.ndarray, cols: np.ndarray, weights, taus, orders, evaluate) -> np.ndarray:
+    """Orders 0..k of each matrix rows[:, cols[b]] of a block, without the normalization.
 
-    ``taus`` holds the nonzero-weight permutations moving 0, 2..k points,
-    one per row, and ``orders`` is the (T, k + 1) complex 0/1 table of how many
-    each moves.  One ``evaluate(matrices, taus)`` call gives the (B, T)
-    Hadamard permanents of all orders, and each order of each matrix is
-    checked against that matrix's own summed |terms|.  Column 1 stays zero.
+    ``rows`` is an (n, w) block and ``cols`` a (B, n) table of distinct
+    column indices into it.  ``taus`` holds the nonzero-weight permutations
+    moving 0, 2..k points, one per row, and ``orders`` is the (T, k + 1)
+    complex 0/1 table of how many each moves.  One ``evaluate(rows, cols,
+    taus)`` call gives the (B, T) Hadamard permanents of all orders, and each
+    order of each matrix is checked against that matrix's own summed |terms|.
+    Column 1 stays zero.
     """
-    terms = weights * evaluate(matrices, taus)
+    terms = weights * evaluate(rows, cols, taus)
     # Complex products only: a first real BLAS product would add 0.4 MB to the sampler's peak memory.
     return _real_part(terms @ orders, (np.abs(terms) @ orders).real)
 
@@ -259,20 +264,28 @@ def _check_order(k: int, n: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
 
 
+def _laplace_block(rows: np.ndarray, cols: np.ndarray, taus) -> np.ndarray:
+    """``laplace_split_permanent`` of the (B, n, n) stack of matrices rows[:, cols[b]]."""
+    return laplace_split_permanent(rows[:, cols].transpose(1, 0, 2), taus)
+
+
 def _truncation_walk(model, n: int, k: int, strategy: str):
     """Check the arguments of an order-k truncation and fix what does not depend on the output.
 
-    Returns ``walk(matrices)``, the ``_order_walk`` orders 0..k of a
-    (B, n, n) stack of interference matrices.  Once the predicted cost per
-    matrix is within ``_WORK``, the overlap weights and the class tables are
-    computed here, once for any number of stacks.
+    Returns ``walk(rows, cols)``, the ``_order_walk`` orders 0..k of the
+    interference matrices rows[:, cols[b]]: one matrix is
+    ``walk(matrix, np.arange(n)[None])``, and a block of outputs from one
+    input is the input's rows of the transfer matrix with each output's
+    modes.  Once the predicted cost per matrix is within ``_WORK``, the
+    overlap weights and the class tables are computed here, once for any
+    number of blocks.
     """
     _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
-    if strategy == "direct":  # every permutation of the orders is one n x n permanent
-        evaluate, work = hadamard_permanent, _ryser_work(n, sum(classes))
+    if strategy == "direct":  # every column subset's Ryser terms, shared by the permutations and the block
+        evaluate, work = _pair_permanents, _pair_work(n, 1, sum(classes), n * n if k >= 2 else n)
     elif strategy == "laplace":
-        evaluate, work = laplace_split_permanent, _laplace_work(n, classes)
+        evaluate, work = _laplace_block, _laplace_work(n, classes)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     _afford(work, "the order-{} {} walk at n = {}", k, strategy, n)
@@ -384,7 +397,8 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     """
     visibilities = getattr(inst.model, "visibilities", None)
     if visibilities is None:
-        orders = _truncation_walk(inst.model, inst.n, inst.n, "direct")(inst.interference_matrix[None])
+        walk = _truncation_walk(inst.model, inst.n, inst.n, "direct")
+        orders = walk(inst.interference_matrix, np.arange(inst.n)[None])
     else:
         _mixture_work(inst.n, 1)
         orders = _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))
@@ -402,10 +416,19 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     of the direct one, and slower: it builds the whole lattice even for
     k <= 1, and n >= 13 is refused (the direct walk serves it).  Both
     strategies agree up to roundoff; k = n reproduces the exact probability,
-    and a walk over ``_WORK`` raises ValueError before any work.
+    and a walk over ``_WORK`` (``linalg._pair_work`` for the direct one)
+    raises ValueError before any work.  Each order's imaginary residue must
+    stay within 1e-10 of its summed |terms| (ArithmeticError above).
+
+    Numerics: the worst order-2 imaginary residue over its summed |terms|,
+    direct walk, 8 complex Gaussian matrices per size (m = n^2 modes, OBB
+    visibilities in [0.5, 0.95]), was 2.5e-12, 4.7e-12, 1.8e-11 and 5.4e-11
+    at n = 13, 14, 15 and 16, the same to two digits whether each
+    permutation's permanent was a separate kernel call or the row-pair sums
+    were shared.
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
-    per_order = (walk(inst.interference_matrix[None])[0] / inst.normalization).tolist()
+    per_order = (walk(inst.interference_matrix, np.arange(inst.n)[None])[0] / inst.normalization).tolist()
     return TruncationResult(k=k, total=float(math.fsum(per_order)), per_order=per_order, model=inst.model.to_dict())
 
 

@@ -43,9 +43,9 @@ class DegenerateTargetError(RuntimeError):
     """The chain kept proposing states of zero target weight."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis chain parameters.
+    """Metropolis chain parameters, checked once at construction and read-only after.
 
     ``proposal`` is "uniform_noncollisional" (independence proposals,
     default for m <= 64) or "single_mode_swap" (move one photon to an empty
@@ -101,7 +101,7 @@ def _chain_target(base: ExperimentInstance, k: int):
         out = []
         for lo in range(0, len(states), _BLOCK):
             cols = np.nonzero(np.array(states[lo : lo + _BLOCK]))[1].reshape(-1, base.n)
-            orders = walk(rows[:, cols].transpose(1, 0, 2)).tolist()
+            orders = walk(rows, cols).tolist()
             out.extend(max(math.fsum(row), 0.0) for row in orders)
         return out
 

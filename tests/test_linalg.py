@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosonsim.distinguishability import GeneralizedOBBModel
-from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, hadamard_permanent, laplace_split_permanent, permanent, submatrix
+from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents, _pair_work
+from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
 
@@ -137,6 +138,24 @@ class TestStacks:
             assert abs(value - permanent(a)) <= tol
             assert abs(value - glynn_permanent(a)) <= tol
 
+    def test_subset_chunks_built_once_above_twelve(self, monkeypatch):
+        # Above n = 12 the subset table is not cached: each chunk is built once per call, not once
+        # per matrix, and every matrix adds its chunks in the same order, so the values are exactly
+        # those of single calls.
+        import bosonsim.linalg as linalg
+
+        rng = np.random.default_rng(18)
+        stack = _random_complex(rng, 13, (3,))
+        taus = np.array([np.arange(13), np.roll(np.arange(13), 1)])
+        single = [permanent(a) for a in stack], [hadamard_permanent(a, taus) for a in stack]
+        built, subsets = [], linalg._subsets
+        monkeypatch.setattr(linalg, "_subsets", lambda n, start, stop: built.append(start) or subsets(n, start, stop))
+        chunks = math.ceil(((1 << 13) - 1) / (linalg._BUDGET // (64 * 13)))
+        assert list(permanent(stack)) == single[0]
+        assert len(built) == len(set(built)) == chunks
+        assert np.array_equal(hadamard_permanent(stack, taus), np.array(single[1]))
+        assert len(built) == 2 * chunks
+
     def test_hadamard_rows_match_single_calls(self):
         rng = np.random.default_rng(17)
         for n in (1, 4, 6):
@@ -244,14 +263,17 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
     taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
     x = rng.uniform(0.0, 1.0, 6)
 
+    block = stack.transpose(1, 0, 2).reshape(6, 18), np.arange(18).reshape(3, 6)
+
     def evaluate():
-        return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus), _mixture_orders(stack, x)]
+        return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus),
+                _pair_permanents(*block, taus), _mixture_orders(stack, x)]
 
     whole = evaluate()
     monkeypatch.setattr(linalg, "_BUDGET", 4096)
     split = evaluate()
     products = _term_scale(stack[:, None] * np.conj(stack[:, taus]))
-    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products]):
+    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products]):
         assert np.all(np.abs(many - one) <= TERM_TOL * scale)
     assert np.all(np.abs(split[-1] - whole[-1]) <= TERM_TOL * np.abs(whole[-1]).sum(axis=1, keepdims=True))
 
@@ -344,6 +366,92 @@ def _check_stacked_tables(rng):
             assert column.shape == (batch,)
             scale = TERM_TOL * _term_scale(stack * np.conj(stack[:, taus[-1], :]))
             assert np.all(np.abs(column - hadamard_permanent(stack, taus[-1])) <= scale)
+
+
+def _moving(rng, n, j):
+    """A permutation of range(n) moving exactly j points (a j-cycle; j = 0 gives the identity)."""
+    tau = np.arange(n)
+    moved = rng.choice(n, j, replace=False)
+    tau[moved] = np.roll(moved, 1)
+    return tau
+
+
+class TestPairPermanents:
+    """The direct walk's evaluator against ``hadamard_permanent``, permutation by permutation."""
+
+    @staticmethod
+    def _check(rows, cols, taus):
+        values = _pair_permanents(rows, np.asarray(cols), np.asarray(taus))
+        assert values.shape == (len(cols), len(taus))
+        for c, row in zip(cols, values):
+            a = rows[:, c]
+            for tau, value in zip(taus, row):
+                assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_single_matrix_every_order(self, n):
+        # The identity and two permutations moving each count 2..n of points (orders k = 0..n),
+        # one matrix keyed by column position.
+        rng = np.random.default_rng(60 + n)
+        taus = [_moving(rng, n, j) for j in [0] + [j for j in range(2, n + 1) for _ in range(2)]]
+        self._check(_random_complex(rng, n), [np.arange(n)], taus)
+
+    def test_block_sharing_columns(self):
+        # 40 outputs of 4 photons over 7 modes, as a sampler block: most column subsets recur.
+        rng = np.random.default_rng(74)
+        rows = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+        cols = np.sort([rng.choice(7, 4, replace=False) for _ in range(40)], axis=1)
+        self._check(rows, cols, np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)]))
+
+    def test_collisional_output(self):
+        # Two photons in one output mode repeat a column; keyed by position, the copies stay two columns.
+        matrix = _random_complex(np.random.default_rng(75), 4)[:3][:, [1, 1, 3]]
+        self._check(matrix, [np.arange(3)], np.concatenate([_class_table(3, j) for j in range(4)]))
+
+    @pytest.mark.parametrize("m", [64, 70])
+    def test_block_over_many_modes(self, m):
+        # The outputs cover every mode: all 64 bits of a subset key (mode 63 included), or more
+        # columns than a key holds (70), with a few more outputs that share columns.
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        order = rng.permutation(m)
+        cover = np.append(order, order[: -m % 3]).reshape(-1, 3)
+        cols = np.sort(np.concatenate([cover, [rng.choice(m, 3, replace=False) for _ in range(5)]]), axis=1)
+        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]))
+
+    def test_permutations_that_skip_row_pairs(self, monkeypatch):
+        # The walk drops zero-weight permutations; here none moves row 0, so only 10 of the 16 row
+        # pairs are summed, and the price counts those.
+        import bosonsim.linalg as linalg
+
+        prices, afford = [], linalg._afford
+        monkeypatch.setattr(linalg, "_afford", lambda work, *args: prices.append(work) or afford(work, *args))
+        taus = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2], [0, 2, 3, 1]]
+        self._check(_random_complex(np.random.default_rng(76), 4), [np.arange(4)], taus)
+        assert prices[0] == _pair_work(4, 1, 5, 10) == 15 * (10 + 5 * 4)
+
+    def test_rejects_overflow_and_nan(self):
+        # A NaN entry, or finite entries whose row-pair product overflows, in one output of a block.
+        rows = np.eye(3, 5, dtype=complex)
+        cols, taus = np.array([[0, 1, 2], [1, 3, 4]]), np.array([[0, 1, 2], [1, 0, 2]])
+        for bad in (np.nan, 1e200):
+            broken = rows.copy()
+            broken[0, 4] = broken[1, 4] = bad
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+                _pair_permanents(broken, cols, taus)
+
+    def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
+        import bosonsim.linalg as linalg
+
+        for name in ("_chunks", "_subset_terms"):
+            monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
+        # 5,000 identity permanents at n = 16: per subset 16 diagonal pair sums and 16 factors.
+        n, count = 16, 5000
+        predicted = count * ((1 << n) - 1) * (n + n)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
+            _pair_permanents(np.ones((n, n)), np.tile(np.arange(n), (count, 1)), np.arange(n)[None])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLaplaceSplit:

@@ -216,6 +216,12 @@ def _term_scale(orders) -> float:
     return float(np.abs(orders).sum())
 
 
+def _block(stack):
+    """A (B, n, n) stack as the walk's (rows, cols) block: the matrices side by side, each over its own columns."""
+    count, n = len(stack), stack.shape[-1]
+    return np.transpose(stack, (1, 0, 2)).reshape(n, count * n), np.arange(count * n).reshape(count, n)
+
+
 @st.composite
 def _obb_instances(draw):
     """A Haar instance with n <= 7 photons, a possibly collisional output, and x with 0s and 1s."""
@@ -390,10 +396,10 @@ class TestStackedWalk:
     def test_stack_matches_each_matrix_and_truncation(self, case):
         instances, model, n, k, strategy = case
         walk = _truncation_walk(model, n, k, strategy)
-        stacked = walk(np.array([inst.interference_matrix for inst in instances]).reshape(-1, n, n))
+        stacked = walk(*_block(np.array([inst.interference_matrix for inst in instances]).reshape(-1, n, n)))
         assert stacked.shape == (len(instances), k + 1)
         for inst, orders in zip(instances, stacked):
-            alone = walk(inst.interference_matrix[None])[0]
+            alone = walk(inst.interference_matrix, np.arange(n)[None])[0]
             reference = truncated_probability(inst, k, strategy).per_order
             scale = 1e-12 * _term_scale(alone)
             assert np.all(np.abs(orders - alone) <= scale)
@@ -401,21 +407,22 @@ class TestStackedWalk:
             assert k < 1 or orders[1] == 0.0
 
     def test_stack_spanning_several_kernel_chunks(self):
-        # 40 matrices of n = 5 at k = 3 give 400 and 800 product matrices per
-        # order, against 105 per kernel chunk.
+        # 40 matrices of n = 5 at k = 3: the direct evaluator's 200 columns go
+        # 12 matrices (60 columns) per pass of subset keys, and the Laplace
+        # split's block stacks span several kernel passes.
         rng = np.random.default_rng(31)
         stack = np.array([gaussian_matrix(5, 10, rng) for _ in range(40)])
         for strategy in ("direct", "laplace"):
             walk = _truncation_walk(GeneralizedOBBModel((0.9, 0.2, 0.7, 1.0, 0.5)), 5, 3, strategy)
-            together = walk(stack)
+            together = walk(*_block(stack))
             for matrix, orders in zip(stack, together):
-                alone = walk(matrix[None])[0]
+                alone = walk(matrix, np.arange(5)[None])[0]
                 assert np.all(np.abs(orders - alone) <= 1e-12 * _term_scale(alone))
 
     def test_empty_stack(self):
         for strategy in ("direct", "laplace"):
             walk = _truncation_walk(HomogeneousModel(0.5), 4, 2, strategy)
-            assert walk(np.zeros((0, 4, 4))).shape == (0, 3)
+            assert walk(*_block(np.zeros((0, 4, 4)))).shape == (0, 3)
 
     def test_residue_in_one_matrix_of_a_stack_fails(self):
         # Real matrices have real Hadamard permanents, so under non-Hermitian
@@ -426,9 +433,9 @@ class TestStackedWalk:
         skewed = 1e-2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         for strategy in ("direct", "laplace"):
             walk = _truncation_walk(_SkewedModel(), 3, 3, strategy)
-            assert walk(np.array([real, real])).shape == (2, 4)
+            assert walk(*_block(np.array([real, real]))).shape == (2, 4)
             with pytest.raises(ArithmeticError):
-                walk(np.array([real, skewed]))
+                walk(*_block(np.array([real, skewed])))
 
     def test_arguments_checked_before_any_stack(self):
         with pytest.raises(ValueError):
@@ -580,19 +587,29 @@ class TestWorkBudget:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        """Count kernel work (n 2^n per n x n permanent, sum_s C(n, s)^2 s per lattice) and record predictions.
+        """Count kernel work and record predictions.
 
+        Counted: n 2^n per n x n permanent, sum_s C(n, s)^2 s per lattice, and per distinct
+        column subset of a direct walk's block one sum per row pair and n factors per permutation.
         Predictions are recorded in call order, those of the engines and of the public kernels alike.
         """
         import bosonsim.linalg as linalg
         import bosonsim.probability as probability
 
         tally = {"counted": 0, "predicted": []}
-        ryser, lattice, afford = linalg._ryser, linalg._lattice, linalg._afford
+        ryser, lattice, afford, pair_permanents = linalg._ryser, linalg._lattice, linalg._afford, linalg._pair_permanents
 
         def counting_ryser(count, n, block):
             tally["counted"] += count * n << n
             return ryser(count, n, block)
+
+        def counting_pair_permanents(rows, cols, taus):
+            n = cols.shape[1]
+            subsets = {frozenset(c[i] for i in s) for c in cols.tolist()
+                       for size in range(1, n + 1) for s in itertools.combinations(range(n), size)}
+            pairs = {(i, tau[i]) for tau in taus.tolist() for i in range(n)}
+            tally["counted"] += len(subsets) * (len(pairs) + len(taus) * n)
+            return pair_permanents(rows, cols, taus)
 
         def counting_lattice(source, top):
             for s, level in enumerate(lattice(source, top)):
@@ -604,6 +621,7 @@ class TestWorkBudget:
             return afford(work, what, *args)
 
         monkeypatch.setattr(linalg, "_ryser", counting_ryser)
+        monkeypatch.setattr(probability, "_pair_permanents", counting_pair_permanents)
         monkeypatch.setattr(linalg, "_lattice", counting_lattice)
         monkeypatch.setattr(probability, "_lattice", counting_lattice)
         monkeypatch.setattr(linalg, "_afford", recording_afford)
@@ -639,15 +657,15 @@ class TestWorkBudget:
     def test_refused_before_any_work(self, monkeypatch, call):
         import bosonsim.probability as probability
 
-        # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12)
-        # takes all 12! permutations of size 12: 12! * 12 * 2^12 operations.
+        # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes all 12!
+        # permutations: per column subset, 12^2 row-pair sums and 12 factors per permutation.
         predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
-            call, math.factorial(12) * 12 << 12)
+            call, ((1 << 12) - 1) * (12 * 12 + math.factorial(12) * 12))
 
         def no_work(*args):
             raise AssertionError("work started before the cost check")
 
-        for name in ("_class_table", "hadamard_permanent", "laplace_split_permanent", "_subset_sums"):
+        for name in ("_class_table", "_pair_permanents", "hadamard_permanent", "laplace_split_permanent", "_subset_sums"):
             monkeypatch.setattr(probability, name, no_work)
         n = int(call.split("-")[-2 if call.startswith(("direct", "laplace")) else -1])
         model = ExplicitModel(np.eye(n)) if "explicit" in call else HomogeneousModel(0.5)

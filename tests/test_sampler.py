@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -249,6 +250,15 @@ class TestChain:
     def test_proposal_auto_selection(self):
         assert ChainConfig(num_samples=1, seed=0).resolved_proposal(64) == "uniform_noncollisional"
         assert ChainConfig(num_samples=1, seed=0).resolved_proposal(65) == "single_mode_swap"
+
+    def test_config_is_read_only(self):
+        # The field rule runs at construction, so a field set afterwards would skip it: thinning 0
+        # made the chain return no samples without an error.
+        cfg = ChainConfig(num_samples=3)
+        for name, value in (("thinning", 0), ("seed", -1), ("num_samples", 5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert (cfg.num_samples, cfg.thinning, cfg.seed) == (3, 10, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
