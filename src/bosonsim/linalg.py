@@ -8,10 +8,13 @@ product, and a sign vector (-1)^(n - |S|) closes the sum.  The public
 functions accept stacks (with a 2-d permutation array, one Hadamard
 permanent per matrix and row) and cost n 2^n per permanent, plus n^2 2^n
 for the row sums.  The direct walk of ``probability`` takes its Hadamard
-permanents from ``_pair_permanents`` instead: per distinct column subset of
-a block it forms the row-pair sums once, for every permutation and every
-output that holds the subset, and multiplies n of them per permutation, so
-T permutations of one matrix cost (2^n - 1)(n^2 + T n).  The Laplace split
+permanents from ``_pair_permanents`` instead: per column subset it forms
+the row-pair sums once for every permutation and multiplies n of them per
+permutation, so T permutations of one matrix cost (2^n - 1)(n P + T n) for
+the P <= n^2 row pairs they use, priced at the T n (2^n - 1) products.  A
+block whose outputs share many subsets evaluates each distinct one once,
+and a small single matrix takes one product matrix per permutation, where
+the per-call overhead is the larger cost.  The Laplace split
 here and the mixture engine in ``probability`` both sum small complex
 permanents times larger non-negative ones, read from ``_lattice``, every
 sub-permanent of |M|^2 built by row expansion.  The Laplace split takes its
@@ -91,65 +94,51 @@ def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Membership table and signs of every non-empty subset of n columns, read-only, or None where
+    they (16 (n + 1) 2^n bytes) do not fit the budget, above n = 12."""
+    if 16 * (n + 1) << n > _BUDGET:
+        return None
     bits, signs = _subsets(n, 0, (1 << n) - 1)
     bits.setflags(write=False)
     signs.setflags(write=False)
     return bits, signs
 
 
-def _cached(n: int) -> bool:
-    """Whether the whole subset table of n columns (membership rows and signs) fits the budget, and is cached."""
-    return 16 * (n + 1) << n <= _BUDGET
-
-
-def _chunks(n: int, width: int):
-    """Yield (bits, signs) of the subset chunks 0..width-1, width..2 width-1, ... of ``_subsets``.
-
-    They are views of the cached table while ``_cached(n)``; above that each is built when it is
-    reached, so a caller whose outer loop runs over the chunks builds each one once per call.
-    """
-    subsets = (1 << n) - 1
-    table = _subset_table(n) if _cached(n) else None
-    for start in range(0, subsets, width):
-        stop = min(start + width, subsets)
-        yield (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
-
-
 def _ryser(count: int, n: int, block) -> np.ndarray:
     """Permanents of ``count`` finite n x n matrices, without input checks.
 
     ``block(lo, hi)`` returns matrices lo..hi-1 as a (hi - lo, n, n) complex
-    array.  While the subset table is cached (n <= 12) the passes over the
-    stack are the outer loop and ``block`` is called once per pass, so a
-    caller can build the matrices pass by pass.  Above that the subset chunks
-    are the outer loop, each built once per call, and ``block`` is called
-    once per chunk and pass.  Every matrix adds its chunks in the same order
-    either way.
+    array, so a caller can build the matrices pass by pass.  While the subset
+    table is cached (n <= 12) its chunks are free slices, so the passes over
+    the stack are the outer loop and ``block`` is called once per pass; above
+    that the chunks are the outer loop, so each is built once per call and
+    ``block`` is called once per chunk and pass.  Every matrix adds its
+    chunks in subset order either way.
     """
     if n == 0:
         return np.ones(count, dtype=complex)
+    subsets = (1 << n) - 1
     # A pass holds 16 n bytes of row sums per matrix and subset, counted four times over: passes four
     # times as large ran stacks of small matrices up to 1.5x slower (2 MiB of L2 cache per core).
-    width = min((1 << n) - 1, _per_pass(64 * n))
+    width = min(subsets, _per_pass(64 * n))
     step = _per_pass(64 * n * width)
+    table = _subset_table(n)
+    chunks, passes = range(0, subsets, width), range(0, count, step)
     out = np.zeros(count, dtype=complex)
-    if _cached(n):  # sliced here, not by ``_chunks``: a generator per call is 5% of a 6 x 6 permanent
-        bits, signs = _subset_table(n)
-        for lo in range(0, count, step):
-            rows = block(lo, min(lo + step, count)).reshape(-1, n)
-            for start in range(0, (1 << n) - 1, width):
-                out[lo : lo + step] += _ryser_sums(rows, bits[:, start : start + width], signs[start : start + width])
-    else:
-        for bits, signs in _chunks(n, width):
-            for lo in range(0, count, step):
-                out[lo : lo + step] += _ryser_sums(block(lo, min(lo + step, count)).reshape(-1, n), bits, signs)
+    chunk_start = pass_start = None  # what ``bits`` and ``matrices`` hold
+    for outer in passes if table else chunks:
+        for inner in chunks if table else passes:
+            start, lo = (inner, outer) if table else (outer, inner)
+            if chunk_start != start:
+                stop = min(start + width, subsets)
+                bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
+                chunk_start = start
+            if pass_start != lo:
+                matrices, pass_start = block(lo, min(lo + step, count)).reshape(-1, n), lo
+            row_sums = (matrices @ bits).reshape(-1, n, bits.shape[1])
+            out[lo : lo + step] += row_sums.prod(axis=1) @ signs
     return out
-
-
-def _ryser_sums(rows: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Ryser's sums over one subset chunk of the n x n matrices whose rows are stacked in ``rows``."""
-    return (rows @ bits).reshape(-1, len(bits), bits.shape[1]).prod(axis=1) @ signs
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -240,15 +229,15 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def _pair_work(n: int, count: int, taus: int, pairs: int) -> int:
-    """Kernel operations of ``_pair_permanents``: ``count`` n x n matrices, ``taus`` permutations, ``pairs`` row pairs.
+def _pair_work(n: int, count: int, taus: int) -> int:
+    """Kernel operations of ``_pair_permanents``: ``count`` n x n matrices over ``taus`` permutations.
 
-    Per non-empty column subset: one sum per row pair and n factors per
-    permutation, (2^n - 1)(pairs + taus n) per matrix.  Subsets that several
-    matrices of a block share are priced once per matrix, so a block's price
+    n factors per permutation and non-empty column subset, count taus n (2^n - 1).  As in
+    ``_ryser_work``, the sums that the factors are read from are not counted, and subsets
+    that several matrices of a block share are priced once per matrix, so a block's price
     bounds its work.
     """
-    return count * ((1 << n) - 1) * (pairs + taus * n)
+    return count * taus * n * ((1 << n) - 1)
 
 
 def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -259,45 +248,80 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
     interference matrix with cols = range(n)).  By Ryser's formula the
     permanent of M * conj(M[tau, :]) is the sum over the non-empty column
     subsets S of (-1)^(n - |S|) prod_i W_{i, tau(i)}(S), with the row-pair
-    sums W_il(S) = sum_{c in S} M_ic conj(M_lc).  A term depends on the
-    columns of S alone, so each distinct column subset of a pass gets its
-    sums (of the pairs some tau uses) and its products once, however many
-    matrices of the block hold it; each matrix then sums its subsets'
-    products with their signs.  Priced by ``_pair_work`` and refused over
-    ``_WORK`` before any work; the pair products must be finite.  Subsets
-    are keyed by bit masks over the columns of a pass, so a pass holds at
-    most 64 distinct columns: the whole block if its columns fit, else
-    64 // n matrices.
+    sums W_il(S) = sum_{c in S} M_ic conj(M_lc), so each subset's sums (of
+    the pairs some tau uses) serve every permutation.  A term depends on the
+    columns of S alone, so a block whose outputs share many subsets keys
+    them by bit masks over its columns (at most 64) and evaluates each
+    distinct one once (``_keyed_sums``); otherwise each matrix takes its
+    subsets from the subset table (``_matrix_sums``), whichever is predicted
+    to take less work.  A single small matrix, below about 2^17 row-sum
+    products, where per-call overhead dominates, takes Ryser's formula per
+    permutation instead.  Priced by ``_pair_work`` and refused over
+    ``_WORK`` before any work; the pair products must be finite.
     """
     count, n = cols.shape
+    _afford(_pair_work(n, count, len(taus)), "{} Hadamard permanents at n = {}", count * len(taus), n)
+    if count == 1 and len(taus) * n * n << n < 1 << 17:  # measured crossover: n = 6 at k = 3, n = 7 at k = 2
+        a = rows[:, cols[0]]
+        return _ryser(len(taus), n, lambda lo, hi: _finite(a * np.conj(a[taus[lo:hi], :])))[None]
     pairs, factors = _ranks(np.arange(n) * n + taus, n * n)  # pair (i, l) is i n + l
-    _afford(_pair_work(n, count, len(taus), len(pairs)), "{} Hadamard permanents at n = {}", count * len(taus), n)
+    used, local = _ranks(cols, rows.shape[1])
     left, right = np.divmod(pairs, n)
+    sums = _finite(rows[left][:, used] * np.conj(rows[right][:, used]))  # (pairs, columns)
+    subsets, table = (1 << n) - 1, _subset_table(n)
+    # Keyed, a subset's sums take all w columns, but each distinct subset (at most C(w, s), or B C(n, s), of
+    # size s) is summed and multiplied once; by matrix, each matrix's 2^n - 1 subsets take n columns each.
+    distinct = sum(min(math.comb(len(used), s), count * math.comb(n, s)) for s in range(1, n + 1))
+    keyed = distinct * (len(used) * len(pairs) + len(taus) * n)
+    if len(used) <= 64 and keyed < count * subsets * (n * len(pairs) + len(taus) * n):
+        # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a
+        # quarter, so a block of sampler targets holds about what the kernel held for it; 128 subsets at least
+        # share each pass over the permutations and its pair sums.
+        route, width = _keyed_sums, min(subsets, max(_per_pass(32 * len(taus)), 128))
+        step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
+    else:
+        route, width = _matrix_sums, min(subsets, _per_pass(64 * len(pairs)))
+        step = _per_pass(64 * len(pairs) * width)  # pair sums per matrix and subset, counted four times as in _ryser
     out = np.zeros((count, len(taus)), dtype=complex)
-    # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a quarter, so
-    # a block of sampler targets holds about what the kernel held for it.  One matrix's chunk keeps its table
-    # whole where it fits, else 128 subsets share each pass over the permutations and its pair sums.
-    width = min((1 << n) - 1, max(_per_pass(32 * len(taus)), 128))
-    step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
-    if cols.size > 64 and len(_ranks(cols, rows.shape[1])[0]) > 64:
-        step = min(step, 64 // n)
-    for bits, signs in _chunks(n, width):
-        bits, signs = bits.real.astype(np.uint64), signs.real
+    for start in range(0, subsets, width):
+        stop = min(start + width, subsets)
+        bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
         for lo in range(0, count, step):
-            block = cols[lo : lo + step]
-            used, local = _ranks(block, rows.shape[1])
-            keys = (np.uint64(1) << local.astype(np.uint64)) @ bits
-            keys, inverse = np.unique(keys, return_inverse=True)
-            inverse = inverse.reshape(len(block), len(signs))  # (matrices, subsets)
-            block_rows = rows[:, used]
-            sums = _finite(block_rows[left] * np.conj(block_rows[right]))  # (pairs, columns)
-            tstep = _per_pass(32 * len(keys))
-            for t in range(0, len(taus), tstep):
-                table = _subset_terms(keys, sums, factors[t : t + tstep])
-                gstep = _per_pass(64 * len(signs) * len(table))
-                for g in range(0, len(block), gstep):
-                    part = table.take(inverse[g : g + gstep], axis=1) @ signs  # each matrix's signed sum
-                    out[lo + g : lo + g + part.shape[1], t : t + tstep] += part.T
+            out[lo : lo + step] += route(sums, local[lo : lo + step], bits, signs, factors)
+    return out
+
+
+def _matrix_sums(sums: np.ndarray, block: np.ndarray, bits: np.ndarray, signs: np.ndarray, factors: np.ndarray):
+    """The (B, T) signed Ryser sums over one subset chunk of each matrix of a pass, subset by subset.
+
+    ``sums`` holds the (pairs, columns) row-pair products, ``block`` the (B, n)
+    columns of the matrices, ``bits`` and ``signs`` the chunk's membership and
+    signs, and ``factors[t]`` the pairs (i, tau_t(i)) of each permutation.
+    """
+    pair_sums = (sums[:, block].reshape(-1, block.shape[1]) @ bits).reshape(len(sums), len(block), -1)
+    out = np.empty((len(block), len(factors)), dtype=complex)
+    step = _per_pass(64 * (block.shape[1] + 1) * pair_sums[0].size)  # per permutation, its n factors and product, x4
+    for t in range(0, len(factors), step):
+        out[:, t : t + step] = (pair_sums[factors[t : t + step]].prod(axis=1) @ signs).T
+    return out
+
+
+def _keyed_sums(sums: np.ndarray, block: np.ndarray, bits: np.ndarray, signs: np.ndarray, factors: np.ndarray):
+    """``_matrix_sums``, with each distinct column subset of the pass evaluated once.
+
+    Subsets are keyed by bit masks over the (at most 64) columns of ``sums``;
+    each matrix then gathers its subsets' products.
+    """
+    keys = (np.uint64(1) << block.astype(np.uint64)) @ bits.real.astype(np.uint64)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(len(block), len(signs))  # (matrices, subsets)
+    out = np.empty((len(block), len(factors)), dtype=complex)
+    step = _per_pass(32 * len(keys))
+    for t in range(0, len(factors), step):
+        terms = _subset_terms(keys, sums, factors[t : t + step])
+        gstep = _per_pass(64 * len(signs) * len(terms))
+        for g in range(0, len(block), gstep):
+            out[g : g + gstep, t : t + step] = (terms.take(inverse[g : g + gstep], axis=1) @ signs).T
     return out
 
 

@@ -13,13 +13,14 @@ Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, with one evaluator call for all orders of a block of
 matrices; it serves truncation at any k (the sampler's targets included)
 and the by-order split of explicit overlap matrices.  Its direct strategy
-(``linalg._pair_permanents``) forms the n^2 row-pair sums of each column
-subset once and multiplies n of them per permutation, about
-2^n x (n^2 + n x (permutations)) per matrix, and the outputs of a sampler
-block that share a column subset share its terms.  Its Laplace strategy
-(``laplace_split_permanent``) is an independent check of the expansion, not
-a faster path: it pays a whole |M|^2 lattice per matrix even at k <= 1, so
-it runs up to n = 12, and the direct strategy serves n >= 13.  For the
+(``linalg._pair_permanents``) forms the row-pair sums of each column subset
+once and multiplies n of them per permutation, about
+2^n x (n^3 + n x (permutations)) per matrix and priced at the products; a
+sampler block whose outputs share many column subsets evaluates each once.
+Its Laplace strategy (``laplace_split_permanent``) is an independent check
+of the expansion, not a faster path: it pays a whole |M|^2 lattice per
+matrix even at k <= 1, so it runs up to n = 12, and the direct strategy
+serves n >= 13.  For the
 homogeneous and OBB models a permutation's overlap weight depends only on
 the set A of photons it moves, x_A = prod_{i in A} x_i, so the probability
 is a multilinear polynomial in the visibilities (the mixture formula of
@@ -283,7 +284,7 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
     if strategy == "direct":  # every column subset's Ryser terms, shared by the permutations and the block
-        evaluate, work = _pair_permanents, _pair_work(n, 1, sum(classes), n * n if k >= 2 else n)
+        evaluate, work = _pair_permanents, _pair_work(n, 1, sum(classes))
     elif strategy == "laplace":
         evaluate, work = _laplace_block, _laplace_work(n, classes)
     else:
@@ -422,7 +423,7 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
 
     Numerics: the worst order-2 imaginary residue over its summed |terms|,
     direct walk, 8 complex Gaussian matrices per size (m = n^2 modes, OBB
-    visibilities in [0.5, 0.95]), was 2.5e-12, 4.7e-12, 1.8e-11 and 5.4e-11
+    visibilities in [0.5, 0.95]), was 1.9e-12, 5.8e-12, 1.3e-11 and 5.9e-11
     at n = 13, 14, 15 and 16, the same to two digits whether each
     permutation's permanent was a separate kernel call or the row-pair sums
     were shared.

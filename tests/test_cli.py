@@ -239,8 +239,8 @@ class TestSampleCommand:
         assert with_env != with_flag
 
     def test_block_over_the_budget_exit_code(self, capsys, tmp_path):
-        # An order-4 target at n = 12 sums 4,962 Hadamard permanents of size 12 (2.44e8 operations, within
-        # the budget), but a block of 256 targets is priced at 6.26e10: the chain is refused at its first block.
+        # An order-4 target at n = 12 sums 4,962 permanents of size 12 (2.44e8 operations, within the
+        # budget), but a block of 256 targets takes 6.24e10: the chain is refused at its first block.
         inst = ExperimentInstance(haar_unitary(24, seed=11), (1,) * 12 + (0,) * 12, (1,) * 12 + (0,) * 12, HomogeneousModel(0.8))
         data = inst.to_dict()
         del data["output"]
@@ -250,7 +250,7 @@ class TestSampleCommand:
         assert main(["sample", "--instance", str(path), "--k", "4", "--num-samples", "10", "--seed", "5"]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "6.26e+10 kernel operations, over the budget" in err
+        assert err.startswith("error:") and "6.24e+10 kernel operations, over the budget" in err
         assert "Traceback" not in err
 
     def test_degenerate_target_exit_code(self, capsys, tmp_path):

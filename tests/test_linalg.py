@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -263,17 +264,19 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
     taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
     x = rng.uniform(0.0, 1.0, 6)
 
+    # The pair evaluator takes the stack side by side (matrix by matrix) and its first matrix three times (keyed).
     block = stack.transpose(1, 0, 2).reshape(6, 18), np.arange(18).reshape(3, 6)
+    copies = stack[0], np.tile(np.arange(6), (3, 1))
 
     def evaluate():
         return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus),
-                _pair_permanents(*block, taus), _mixture_orders(stack, x)]
+                _pair_permanents(*block, taus), _pair_permanents(*copies, taus), _mixture_orders(stack, x)]
 
     whole = evaluate()
     monkeypatch.setattr(linalg, "_BUDGET", 4096)
     split = evaluate()
     products = _term_scale(stack[:, None] * np.conj(stack[:, taus]))
-    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products]):
+    for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products, products[:1]]):
         assert np.all(np.abs(many - one) <= TERM_TOL * scale)
     assert np.all(np.abs(split[-1] - whole[-1]) <= TERM_TOL * np.abs(whole[-1]).sum(axis=1, keepdims=True))
 
@@ -379,9 +382,20 @@ def _moving(rng, n, j):
 class TestPairPermanents:
     """The direct walk's evaluator against ``hadamard_permanent``, permutation by permutation."""
 
-    @staticmethod
-    def _check(rows, cols, taus):
-        values = _pair_permanents(rows, np.asarray(cols), np.asarray(taus))
+    ROUTES = ("_ryser", "_matrix_sums", "_keyed_sums")
+
+    @classmethod
+    def _check(cls, rows, cols, taus, monkeypatch=None, route=None):
+        """Compare each value with its own Hadamard permanent; with ``route``, the evaluator takes that route alone."""
+        import bosonsim.linalg as linalg
+
+        cols, taus, taken = np.asarray(cols), np.asarray(taus), []
+        with pytest.MonkeyPatch.context() if monkeypatch is None else monkeypatch.context() as patch:
+            for name in cls.ROUTES:
+                patch.setattr(linalg, name, functools.partial(lambda f, name, *args: taken.append(name) or f(*args),
+                                                              getattr(linalg, name), name))
+            values = _pair_permanents(rows, cols, taus)
+        assert route is None or set(taken) == {route}
         assert values.shape == (len(cols), len(taus))
         for c, row in zip(cols, values):
             a = rows[:, c]
@@ -389,46 +403,70 @@ class TestPairPermanents:
                 assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
 
     @pytest.mark.parametrize("n", range(1, 14))
-    def test_single_matrix_every_order(self, n):
-        # The identity and two permutations moving each count 2..n of points (orders k = 0..n),
-        # one matrix keyed by column position.
+    def test_single_matrix_every_order(self, n, monkeypatch):
+        # The identity and two permutations moving each count 2..n of points (orders k = 0..n): one
+        # matrix keyed by column position, then beside another on its own columns (matrix by matrix),
+        # then twice over the same columns (each shared subset once).
         rng = np.random.default_rng(60 + n)
         taus = [_moving(rng, n, j) for j in [0] + [j for j in range(2, n + 1) for _ in range(2)]]
-        self._check(_random_complex(rng, n), [np.arange(n)], taus)
+        a, b = _random_complex(rng, n), _random_complex(rng, n)
+        self._check(a, [np.arange(n)], taus)
+        self._check(np.hstack([a, b]), [np.arange(n), np.arange(n, 2 * n)], taus, monkeypatch, "_matrix_sums")
+        self._check(a, [np.arange(n)] * 2, taus, monkeypatch, "_keyed_sums")
 
-    def test_block_sharing_columns(self):
-        # 40 outputs of 4 photons over 7 modes, as a sampler block: most column subsets recur.
+    @pytest.mark.parametrize("n, k, route", [(5, 2, "_ryser"), (6, 3, "_ryser"), (7, 2, "_matrix_sums"),
+                                             (6, 4, "_matrix_sums")])
+    def test_single_matrix_route(self, n, k, route, monkeypatch):
+        # Below 2^17 row-sum products (T n^2 2^n) one matrix takes a product matrix per permutation.
+        taus = np.concatenate([_class_table(n, j) for j in [0] + list(range(2, k + 1))])
+        self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus, monkeypatch, route)
+
+    def test_block_sharing_columns(self, monkeypatch):
+        # 40 outputs of 4 photons over 7 modes, as a sampler block: most column subsets recur, so they are keyed.
         rng = np.random.default_rng(74)
         rows = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
         cols = np.sort([rng.choice(7, 4, replace=False) for _ in range(40)], axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)]))
+        self._check(rows, cols, np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)]), monkeypatch, "_keyed_sums")
 
     def test_collisional_output(self):
         # Two photons in one output mode repeat a column; keyed by position, the copies stay two columns.
         matrix = _random_complex(np.random.default_rng(75), 4)[:3][:, [1, 1, 3]]
         self._check(matrix, [np.arange(3)], np.concatenate([_class_table(3, j) for j in range(4)]))
+        self._check(matrix, [np.arange(3)] * 3, np.concatenate([_class_table(3, j) for j in range(4)]))
 
-    @pytest.mark.parametrize("m", [64, 70])
-    def test_block_over_many_modes(self, m):
-        # The outputs cover every mode: all 64 bits of a subset key (mode 63 included), or more
-        # columns than a key holds (70), with a few more outputs that share columns.
+    @pytest.mark.parametrize("m", [64, 70, 81])
+    def test_block_over_many_modes(self, m, monkeypatch):
+        # The outputs cover every mode, with a few more that share columns: they share few subsets, so
+        # each matrix takes its own.
         rng = np.random.default_rng(m)
         rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         order = rng.permutation(m)
         cover = np.append(order, order[: -m % 3]).reshape(-1, 3)
         cols = np.sort(np.concatenate([cover, [rng.choice(m, 3, replace=False) for _ in range(5)]]), axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]))
+        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]), monkeypatch, "_matrix_sums")
+
+    def test_keys_over_64_columns(self):
+        # Keyed sums over 64 columns use every bit of a key (mode 63 included) and agree with the sums
+        # taken matrix by matrix.
+        import bosonsim.linalg as linalg
+
+        rng = np.random.default_rng(77)
+        sums = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+        block = np.sort(np.concatenate([rng.permutation(64)[:63].reshape(-1, 3), [[0, 31, 63]] * 4]), axis=1)
+        bits, signs = linalg._subset_table(3)
+        factors = _ranks_of(np.concatenate([_class_table(3, j) for j in range(4)]))
+        keyed, by_matrix = (route(sums, block, bits, signs, factors)
+                            for route in (linalg._keyed_sums, linalg._matrix_sums))
+        assert np.all(np.abs(keyed - by_matrix) <= TERM_TOL * np.abs(by_matrix).max())
 
     def test_permutations_that_skip_row_pairs(self, monkeypatch):
         # The walk drops zero-weight permutations; here none moves row 0, so only 10 of the 16 row
-        # pairs are summed, and the price counts those.
-        import bosonsim.linalg as linalg
-
-        prices, afford = [], linalg._afford
-        monkeypatch.setattr(linalg, "_afford", lambda work, *args: prices.append(work) or afford(work, *args))
+        # pairs are summed, by each route.
         taus = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2], [0, 2, 3, 1]]
-        self._check(_random_complex(np.random.default_rng(76), 4), [np.arange(4)], taus)
-        assert prices[0] == _pair_work(4, 1, 5, 10) == 15 * (10 + 5 * 4)
+        a, b = _random_complex(np.random.default_rng(76), 4, (2,))
+        self._check(a, [np.arange(4)], taus)
+        self._check(np.hstack([a, b]), [np.arange(4), np.arange(4, 8)], taus, monkeypatch, "_matrix_sums")
+        self._check(a, [np.arange(4)] * 2, taus, monkeypatch, "_keyed_sums")
 
     def test_rejects_overflow_and_nan(self):
         # A NaN entry, or finite entries whose row-pair product overflows, in one output of a block.
@@ -439,19 +477,29 @@ class TestPairPermanents:
             broken[0, 4] = broken[1, 4] = bad
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
                 _pair_permanents(broken, cols, taus)
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+                _pair_permanents(broken, cols[1:], taus)
 
     def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
         import bosonsim.linalg as linalg
 
-        for name in ("_chunks", "_subset_terms"):
+        for name in ("_subsets", "_subset_table", "_subset_terms") + self.ROUTES:
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
-        # 5,000 identity permanents at n = 16: per subset 16 diagonal pair sums and 16 factors.
-        n, count = 16, 5000
-        predicted = count * ((1 << n) - 1) * (n + n)
+        # 10,000 identity permanents at n = 16: 16 factors per subset.
+        n, count = 16, 10000
+        predicted = count * ((1 << n) - 1) * n
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
             _pair_permanents(np.ones((n, n)), np.tile(np.arange(n), (count, 1)), np.arange(n)[None])
         assert time.perf_counter() - start < 1.0
+
+
+def _ranks_of(taus: np.ndarray) -> np.ndarray:
+    """The row-pair factors of each permutation, as ``_pair_permanents`` numbers them (pair (i, l) is i n + l)."""
+    import bosonsim.linalg as linalg
+
+    n = taus.shape[1]
+    return linalg._ranks(np.arange(n) * n + taus, n * n)[1]
 
 
 class TestLaplaceSplit:

@@ -590,7 +590,7 @@ class TestWorkBudget:
         """Count kernel work and record predictions.
 
         Counted: n 2^n per n x n permanent, sum_s C(n, s)^2 s per lattice, and per distinct
-        column subset of a direct walk's block one sum per row pair and n factors per permutation.
+        column subset of a direct walk's block n factors per permutation.
         Predictions are recorded in call order, those of the engines and of the public kernels alike.
         """
         import bosonsim.linalg as linalg
@@ -607,8 +607,7 @@ class TestWorkBudget:
             n = cols.shape[1]
             subsets = {frozenset(c[i] for i in s) for c in cols.tolist()
                        for size in range(1, n + 1) for s in itertools.combinations(range(n), size)}
-            pairs = {(i, tau[i]) for tau in taus.tolist() for i in range(n)}
-            tally["counted"] += len(subsets) * (len(pairs) + len(taus) * n)
+            tally["counted"] += len(subsets) * len(taus) * n
             return pair_permanents(rows, cols, taus)
 
         def counting_lattice(source, top):
@@ -658,9 +657,9 @@ class TestWorkBudget:
         import bosonsim.probability as probability
 
         # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes all 12!
-        # permutations: per column subset, 12^2 row-pair sums and 12 factors per permutation.
+        # permutations: per column subset, 12 factors per permutation.
         predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
-            call, ((1 << 12) - 1) * (12 * 12 + math.factorial(12) * 12))
+            call, ((1 << 12) - 1) * math.factorial(12) * 12)
 
         def no_work(*args):
             raise AssertionError("work started before the cost check")
