@@ -1,30 +1,31 @@
 """The permanent kernel and the sub-block permanents of the split expansions.
 
 Every permanent goes through Ryser's formula, exact, double-precision and
-deterministic, evaluated with numpy over all column subsets at once.  A
-cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks which columns each
-non-empty subset holds, so ``a @ bits`` gives every subset's row sums in one
-product, and a sign vector (-1)^(n - |S|) closes the sum.  The public
-functions accept stacks (with a 2-d permutation array, one Hadamard
-permanent per matrix and row) and cost n 2^n per permanent, plus n^2 2^n
-for the row sums.  The direct walk of ``probability`` takes its Hadamard
-permanents from ``_pair_permanents`` instead: per column subset it forms
-the row-pair sums once for every permutation and multiplies n of them per
-permutation, so T permutations of one matrix cost (2^n - 1)(n P + T n) for
-the P <= n^2 row pairs they use, priced at the T n (2^n - 1) products.  A
-block whose outputs share many subsets evaluates each distinct one once,
-and a small single matrix takes one product matrix per permutation, where
-the per-call overhead is the larger cost.  The Laplace split
-here and the mixture engine in ``probability`` both sum small complex
-permanents times larger non-negative ones, read from ``_lattice``, every
-sub-permanent of |M|^2 built by row expansion.  The Laplace split takes its
-complex j x j blocks from ``_block_permanents`` as one kernel stack; the
-mixture takes the small ones from the lattice of M.  Every loop over a
-stack, subsets, permutations, row sets or lattice rows, here and in
-``probability``, goes in passes of as many items as fit one byte budget,
-``_BUDGET``.  Every kernel refuses a call over
-``_WORK`` before any work, at one price per evaluator: ``_ryser_work``,
-``_pair_work``, ``_laplace_work`` or ``_lattice_work`` (none above n = 12).
+deterministic, evaluated with numpy over all column subsets at once by one
+loop, ``_ryser``.  A cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks
+which columns each non-empty subset holds, so ``a @ bits`` gives every
+subset's row sums in one product, and a sign vector (-1)^(n - |S|) closes
+the sum.  The public functions accept stacks (with a 2-d permutation array,
+one Hadamard permanent per matrix and row) and cost n 2^n per permanent,
+plus n^2 2^n for the row sums.  ``_ryser`` can also pick rows: an item is
+then a table of rows, and each of T permanents multiplies the subset sums
+of its own n rows, so one item's sums serve all T.  The direct walk of
+``probability`` takes its Hadamard permanents from ``_pair_permanents``,
+whose rows are row-pair products: per column subset the row-pair sums are
+formed once and each permutation multiplies n of them.  Each matrix is one
+item, or, in a block whose outputs share many subsets, each distinct subset
+is evaluated once.  The Laplace split here and the mixture engine in
+``probability`` both sum small complex permanents times larger non-negative
+ones, read from ``_lattice``, every sub-permanent of |M|^2 built by row
+expansion.  The Laplace split takes its complex j x j blocks from
+``_ryser`` too, one item per matrix and j-column set with each
+permutation's row pairs picked; the mixture takes the small ones from the
+lattice of M.  Every loop over a stack, subsets, picks, permutations, row
+sets or lattice rows, here and in ``probability``, goes in passes of as many
+items as fit one byte budget, ``_BUDGET``.  Every kernel refuses a call over
+``_WORK`` before any work, at one price per evaluator: ``_ryser_work`` (n 2^n
+per permanent, picked or not), ``_laplace_work`` or ``_lattice_work`` (none
+above n = 12).
 """
 from __future__ import annotations
 
@@ -105,28 +106,37 @@ def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return bits, signs
 
 
-def _ryser(count: int, n: int, block) -> np.ndarray:
-    """Permanents of ``count`` finite n x n matrices, without input checks.
+def _ryser(count: int, n: int, block, picks: np.ndarray | None = None) -> np.ndarray:
+    """Permanents of ``count`` items over n columns, without input checks.
 
-    ``block(lo, hi)`` returns matrices lo..hi-1 as a (hi - lo, n, n) complex
-    array, so a caller can build the matrices pass by pass.  While the subset
-    table is cached (n <= 12) its chunks are free slices, so the passes over
-    the stack are the outer loop and ``block`` is called once per pass; above
-    that the chunks are the outer loop, so each is built once per call and
-    ``block`` is called once per chunk and pass.  Every matrix adds its
-    chunks in subset order either way.
+    With ``picks=None`` an item is one n x n matrix: ``block(lo, hi)``
+    returns items lo..hi-1 as a (hi - lo, n, n) complex array, and the result
+    holds one permanent per item.  With a (T, n) integer table ``picks`` an
+    item is a table of rows: ``block(lo, hi)`` returns the tables of items
+    lo..hi-1 rows first, as a (rows, hi - lo, n) complex array, and the
+    (count, T) result holds per item the T permanents of its rows picks[t].
+    Each row's subset sums are formed once and serve every permanent that
+    picks it, gathered from whole (items, subsets) slabs.  A caller can
+    build the items pass by pass.  While the subset table is cached
+    (n <= 12) its chunks are free slices, so the passes over the items are
+    the outer loop and ``block`` is called once per pass; above that the
+    chunks are the outer loop, so each is built once per call and ``block``
+    is called once per chunk and pass.  Every item adds its chunks in subset
+    order either way.
     """
+    shape = (count,) if picks is None else (count, len(picks))
     if n == 0:
-        return np.ones(count, dtype=complex)
+        return np.ones(shape, dtype=complex)
     subsets = (1 << n) - 1
-    # A pass holds 16 n bytes of row sums per matrix and subset, counted four times over: passes four
+    rows = n if picks is None else int(picks.max(initial=0)) + 1
+    # A pass holds 16 bytes of row sums per row, item and subset, counted four times over: passes four
     # times as large ran stacks of small matrices up to 1.5x slower (2 MiB of L2 cache per core).
-    width = min(subsets, _per_pass(64 * n))
-    step = _per_pass(64 * n * width)
+    width = min(subsets, _per_pass(64 * rows))
+    step = _per_pass(64 * rows * width)
     table = _subset_table(n)
     chunks, passes = range(0, subsets, width), range(0, count, step)
-    out = np.zeros(count, dtype=complex)
-    chunk_start = pass_start = None  # what ``bits`` and ``matrices`` hold
+    out = np.zeros(shape, dtype=complex)
+    chunk_start = pass_start = None  # what ``bits`` and ``items`` hold
     for outer in passes if table else chunks:
         for inner in chunks if table else passes:
             start, lo = (inner, outer) if table else (outer, inner)
@@ -135,9 +145,17 @@ def _ryser(count: int, n: int, block) -> np.ndarray:
                 bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
                 chunk_start = start
             if pass_start != lo:
-                matrices, pass_start = block(lo, min(lo + step, count)).reshape(-1, n), lo
-            row_sums = (matrices @ bits).reshape(-1, n, bits.shape[1])
-            out[lo : lo + step] += row_sums.prod(axis=1) @ signs
+                items, pass_start = block(lo, min(lo + step, count)), lo
+            row_sums = (items.reshape(-1, n) @ bits).reshape(len(items), -1, len(signs))
+            if picks is None:
+                out[lo : lo + step] += row_sums.prod(axis=1) @ signs
+                continue
+            per = _per_pass(32 * row_sums[0].size)  # per permanent, its product and one gathered factor
+            for t in range(0, len(picks), per):
+                part = row_sums.take(picks[t : t + per, 0], axis=0)
+                for factor in picks[t : t + per, 1:].T:
+                    part *= row_sums.take(factor, axis=0)
+                out[lo : lo + step, t : t + per] += (part @ signs).T
     return out
 
 
@@ -229,17 +247,6 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def _pair_work(n: int, count: int, taus: int) -> int:
-    """Kernel operations of ``_pair_permanents``: ``count`` n x n matrices over ``taus`` permutations.
-
-    n factors per permutation and non-empty column subset, count taus n (2^n - 1).  As in
-    ``_ryser_work``, the sums that the factors are read from are not counted, and subsets
-    that several matrices of a block share are priced once per matrix, so a block's price
-    bounds its work.
-    """
-    return count * taus * n * ((1 << n) - 1)
-
-
 def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """The (B, T) Hadamard permanents of the matrices rows[:, cols[b]] over the permutations ``taus``.
 
@@ -249,66 +256,48 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
     permanent of M * conj(M[tau, :]) is the sum over the non-empty column
     subsets S of (-1)^(n - |S|) prod_i W_{i, tau(i)}(S), with the row-pair
     sums W_il(S) = sum_{c in S} M_ic conj(M_lc), so each subset's sums (of
-    the pairs some tau uses) serve every permutation.  A term depends on the
-    columns of S alone, so a block whose outputs share many subsets keys
-    them by bit masks over its columns (at most 64) and evaluates each
-    distinct one once (``_keyed_sums``); otherwise each matrix takes its
-    subsets from the subset table (``_matrix_sums``), whichever is predicted
-    to take less work.  A single small matrix, below about 2^17 row-sum
-    products, where per-call overhead dominates, takes Ryser's formula per
-    permutation instead.  Priced by ``_pair_work`` and refused over
+    the pairs some tau uses) serve every permutation.  Each output is one
+    ``_ryser`` item whose rows are its row-pair products and whose picks are
+    each tau's pairs.  A term depends on the columns of S alone, so where
+    that is predicted to take less work (never for a single matrix), a block
+    whose outputs share many subsets keys them by bit masks over its columns
+    (at most 64) and evaluates each distinct one once (``_keyed_sums``).
+    Priced as T permanents per matrix by ``_ryser_work`` and refused over
     ``_WORK`` before any work; the pair products must be finite.
     """
     count, n = cols.shape
-    _afford(_pair_work(n, count, len(taus)), "{} Hadamard permanents at n = {}", count * len(taus), n)
-    if count == 1 and len(taus) * n * n << n < 1 << 17:  # measured crossover: n = 6 at k = 3, n = 7 at k = 2
-        a = rows[:, cols[0]]
-        return _ryser(len(taus), n, lambda lo, hi: _finite(a * np.conj(a[taus[lo:hi], :])))[None]
+    _afford(_ryser_work(n, count * len(taus)), "{} Hadamard permanents at n = {}", count * len(taus), n)
     pairs, factors = _ranks(np.arange(n) * n + taus, n * n)  # pair (i, l) is i n + l
     used, local = _ranks(cols, rows.shape[1])
     left, right = np.divmod(pairs, n)
     sums = _finite(rows[left][:, used] * np.conj(rows[right][:, used]))  # (pairs, columns)
-    subsets, table = (1 << n) - 1, _subset_table(n)
+    subsets = (1 << n) - 1
     # Keyed, a subset's sums take all w columns, but each distinct subset (at most C(w, s), or B C(n, s), of
     # size s) is summed and multiplied once; by matrix, each matrix's 2^n - 1 subsets take n columns each.
     distinct = sum(min(math.comb(len(used), s), count * math.comb(n, s)) for s in range(1, n + 1))
     keyed = distinct * (len(used) * len(pairs) + len(taus) * n)
-    if len(used) <= 64 and keyed < count * subsets * (n * len(pairs) + len(taus) * n):
-        # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a
-        # quarter, so a block of sampler targets holds about what the kernel held for it; 128 subsets at least
-        # share each pass over the permutations and its pair sums.
-        route, width = _keyed_sums, min(subsets, max(_per_pass(32 * len(taus)), 128))
-        step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
-    else:
-        route, width = _matrix_sums, min(subsets, _per_pass(64 * len(pairs)))
-        step = _per_pass(64 * len(pairs) * width)  # pair sums per matrix and subset, counted four times as in _ryser
+    if len(used) > 64 or keyed >= count * subsets * (n * len(pairs) + len(taus) * n):
+        return _ryser(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
+    # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a
+    # quarter, so a block of sampler targets holds about what the kernel held for it; 128 subsets at least
+    # share each pass over the permutations and its pair sums.
+    width, table = min(subsets, max(_per_pass(32 * len(taus)), 128)), _subset_table(n)
+    step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
     out = np.zeros((count, len(taus)), dtype=complex)
     for start in range(0, subsets, width):
         stop = min(start + width, subsets)
         bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
         for lo in range(0, count, step):
-            out[lo : lo + step] += route(sums, local[lo : lo + step], bits, signs, factors)
-    return out
-
-
-def _matrix_sums(sums: np.ndarray, block: np.ndarray, bits: np.ndarray, signs: np.ndarray, factors: np.ndarray):
-    """The (B, T) signed Ryser sums over one subset chunk of each matrix of a pass, subset by subset.
-
-    ``sums`` holds the (pairs, columns) row-pair products, ``block`` the (B, n)
-    columns of the matrices, ``bits`` and ``signs`` the chunk's membership and
-    signs, and ``factors[t]`` the pairs (i, tau_t(i)) of each permutation.
-    """
-    pair_sums = (sums[:, block].reshape(-1, block.shape[1]) @ bits).reshape(len(sums), len(block), -1)
-    out = np.empty((len(block), len(factors)), dtype=complex)
-    step = _per_pass(64 * (block.shape[1] + 1) * pair_sums[0].size)  # per permutation, its n factors and product, x4
-    for t in range(0, len(factors), step):
-        out[:, t : t + step] = (pair_sums[factors[t : t + step]].prod(axis=1) @ signs).T
+            out[lo : lo + step] += _keyed_sums(sums, local[lo : lo + step], bits, signs, factors)
     return out
 
 
 def _keyed_sums(sums: np.ndarray, block: np.ndarray, bits: np.ndarray, signs: np.ndarray, factors: np.ndarray):
-    """``_matrix_sums``, with each distinct column subset of the pass evaluated once.
+    """The (B, T) signed Ryser sums over one subset chunk of each matrix of a pass, each distinct subset once.
 
+    ``sums`` holds the (pairs, columns) row-pair products, ``block`` the (B, n)
+    columns of the matrices, ``bits`` and ``signs`` the chunk's membership and
+    signs, and ``factors[t]`` the pairs (i, tau_t(i)) of each permutation.
     Subsets are keyed by bit masks over the (at most 64) columns of ``sums``;
     each matrix then gathers its subsets' products.
     """
@@ -408,33 +397,6 @@ def _lattice(source: np.ndarray, top: int):
         yield level
 
 
-def _block_permanents(source: np.ndarray, rows: np.ndarray, cols: np.ndarray, conj_rows: np.ndarray) -> np.ndarray:
-    """The (S, R, C) permanents of source[s][rows[r], cols[c]] * conj(source[s][conj_rows[r], cols[c]]).
-
-    Block offsets are built per pass of row sets, and each kernel pass is
-    gathered from them; entries are not checked.
-    """
-    count, n, j = source.shape[0], source.shape[-1], cols.shape[1]
-    flat = source.reshape(-1)
-
-    def permanents(lo, hi):  # a function, so that one group's offsets are freed before the next
-        pairs = (hi - lo) * len(cols)
-        left, right = ((index[lo:hi, None, :, None] * n + cols[None, :, None, :]).reshape(pairs, j, j)
-                       for index in (rows, conj_rows))
-
-        def block(first, last):
-            which, pair = np.divmod(np.arange(first, last), pairs)
-            base = (which * n * n)[:, None, None]
-            return flat[left[pair] + base] * np.conj(flat[right[pair] + base])
-
-        return _ryser(count * pairs, j, block).reshape(count, hi - lo, len(cols))
-
-    group = _per_pass(16 * len(cols) * j * j)
-    # At least one group, so that no row sets give an empty (S, 0, C) table.
-    parts = [permanents(lo, min(lo + group, len(rows))) for lo in range(0, max(len(rows), 1), group)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
 def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     """Evaluate ``hadamard_permanent`` by expanding about the moved rows.
 
@@ -442,13 +404,16 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     rows are expanded over all C(n, j) column subsets C: each term is the
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
-    j the complex blocks (per matrix, permutation and C) are one block
-    stack; the non-negative ones are level n - j of the ``_lattice`` of
-    |M|^2, built once for every count, keeping only the levels read.  The
-    price, ``_laplace_work``, holds the whole lattice even for the identity
-    alone: the split checks the order expansion and is not a faster path
-    than ``hadamard_permanent``.  Above n = 12 or over ``_WORK`` it raises
-    ValueError before any work.  Matrices go in groups whose lattices and
+    j the complex blocks are one ``_ryser`` call: each matrix and C is one
+    item, whose rows are the products M_ic conj(M_lc) over C of the row
+    pairs (i, l) that the count's permutations use, and each permutation
+    picks its j pairs (i, tau(i)), so permutations that share pairs share
+    their subset sums.  The non-negative blocks are level n - j of the
+    ``_lattice`` of |M|^2, built once for every count, keeping only the
+    levels read.  The price, ``_laplace_work``, holds the whole lattice even
+    for the identity alone: the split checks the order expansion and is not
+    a faster path than ``hadamard_permanent``.  Above n = 12 or over
+    ``_WORK`` it raises ValueError before any work.  Matrices go in groups whose lattices and
     tables fit ``_BUDGET``, and share one set of row choices.
     """
     a, flat, words, shape = _hadamard_args(matrix, perm)
@@ -460,25 +425,32 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     moduli = _finite(np.abs(flat) ** 2)  # also bounds every product entry, |x y| <= max(|x|, |y|)^2
     values = np.zeros((len(flat), len(words)), dtype=complex)
     moved_counts = np.flatnonzero(sizes)
-    # Per matrix: the lattice, then a complex block and a complement per permutation and C.
+    # Per matrix: the lattice, its row-pair products, then a complex block and a complement per permutation and C.
     width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)
-    group = _per_pass(8 * math.comb(2 * n, n) + 24 * width)
-    plans = []  # per count: its permutations, moved rows, their conjugate rows and the ranks of the fixed-row sets
+    group = _per_pass(8 * math.comb(2 * n, n) + 16 * n**3 + 24 * width)
+    plans = []  # per count: its permutations, row pairs, each one's picks and the ranks of the fixed-row sets
     for j in moved_counts:
         taus = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
         moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
-        conj_rows = np.take_along_axis(words[taus], moved, axis=1)
-        plans.append((j, taus, moved, conj_rows, _lattice_tables(n)[0][(1 << kept).sum(1)]))
+        pairs, picks = _ranks(moved * n + np.take_along_axis(words[taus], moved, axis=1), n * n)
+        plans.append((j, taus, np.divmod(pairs, n), picks, _lattice_tables(n)[0][(1 << kept).sum(1)]))
     reads = {n - j for j in moved_counts}
     for lo in range(0, len(flat), group):
         block = flat[lo : lo + group]
         levels = _lattice(moduli[lo : lo + group], max(reads, default=0))
         held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j, taus, moved, conj_rows, ranks in plans:
+        for j, taus, (left, right), picks, ranks in plans:
+            # Item (matrix b, j-set c) takes its rows from the (pairs, matrices, n) row-pair products.
+            products, sets = (block[:, left] * np.conj(block[:, right])).transpose(1, 0, 2), _sets(n, j)
+
+            def tables(first, last):
+                which, c = np.divmod(np.arange(first, last), len(sets))
+                return products[:, which[:, None], sets[c]]
+
+            blocks = _ryser(len(block) * len(sets), j, tables, picks).reshape(len(block), len(sets), len(taus))
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
-            values[lo : lo + group, taus] = np.einsum(
-                "btc,tcb->bt", _block_permanents(block, moved, _sets(n, j), conj_rows), held[n - j][ranks, ::-1])
+            values[lo : lo + group, taus] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
     return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 

@@ -15,8 +15,9 @@ matrices; it serves truncation at any k (the sampler's targets included)
 and the by-order split of explicit overlap matrices.  Its direct strategy
 (``linalg._pair_permanents``) forms the row-pair sums of each column subset
 once and multiplies n of them per permutation, about
-2^n x (n^3 + n x (permutations)) per matrix and priced at the products; a
-sampler block whose outputs share many column subsets evaluates each once.
+2^n x (n^3 + n x (permutations)) per matrix and priced as one Ryser sum per
+permutation; a sampler block whose outputs share many column subsets
+evaluates each once.
 Its Laplace strategy (``laplace_split_permanent``) is an independent check
 of the expansion, not a faster path: it pays a whole |M|^2 lattice per
 matrix even at k <= 1, so it runs up to n = 12, and the direct strategy
@@ -44,7 +45,7 @@ from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
 from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _pair_permanents
-from .linalg import _pair_work, _per_pass, _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
+from .linalg import _per_pass, _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -97,7 +98,7 @@ def output_configurations(m: int, n: int, noncollisional: bool = False):
         yield tuple(occ)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentInstance:
     """One interferometer run: transfer matrix, occupations, and a model.
 
@@ -105,7 +106,9 @@ class ExperimentInstance:
     a bare n x n complex Gaussian matrix with single-photon occupations.  The
     interference matrix is the submatrix with rows picked by the input
     mode-assignment list and columns by the output one, and collisional
-    occupations contribute the product-of-factorials normalization.
+    occupations contribute the product-of-factorials normalization.  The
+    fields are checked once at construction and are read-only after;
+    ``dataclasses.replace`` builds a new, checked instance.
     """
 
     unitary: np.ndarray
@@ -115,7 +118,7 @@ class ExperimentInstance:
     _kinds = {"input_occupation": listed((int, 0)), "output_occupation": listed((int, 0))}
 
     def __post_init__(self):
-        self.unitary = np.asarray(self.unitary, dtype=complex)
+        object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
         if self.unitary.ndim != 2 or self.unitary.shape[0] != self.unitary.shape[1]:
             raise ValueError("transfer matrix must be square")
         own(self, "instance", self._kinds)
@@ -244,20 +247,22 @@ def _class_table(n: int, moved: int) -> np.ndarray:
     return table
 
 
-def _order_walk(rows: np.ndarray, cols: np.ndarray, weights, taus, orders, evaluate) -> np.ndarray:
+def _order_walk(rows: np.ndarray, cols: np.ndarray, weights, taus, present, starts, k, evaluate) -> np.ndarray:
     """Orders 0..k of each matrix rows[:, cols[b]] of a block, without the normalization.
 
     ``rows`` is an (n, w) block and ``cols`` a (B, n) table of distinct
     column indices into it.  ``taus`` holds the nonzero-weight permutations
-    moving 0, 2..k points, one per row, and ``orders`` is the (T, k + 1)
-    complex 0/1 table of how many each moves.  One ``evaluate(rows, cols,
-    taus)`` call gives the (B, T) Hadamard permanents of all orders, and each
-    order of each matrix is checked against that matrix's own summed |terms|.
-    Column 1 stays zero.
+    moving 0, 2..k points, one per row, ordered by how many they move: those
+    moving ``present[i]`` start at row ``starts[i]``.  One ``evaluate(rows,
+    cols, taus)`` call gives the (B, T) Hadamard permanents of all orders,
+    and each order of each matrix is checked against that matrix's own
+    summed |terms|.  Orders with no permutation, column 1 among them, stay zero.
     """
     terms = weights * evaluate(rows, cols, taus)
-    # Complex products only: a first real BLAS product would add 0.4 MB to the sampler's peak memory.
-    return _real_part(terms @ orders, (np.abs(terms) @ orders).real)
+    orders, magnitudes = np.zeros((len(terms), k + 1), dtype=complex), np.zeros((len(terms), k + 1))
+    orders[:, present] = np.add.reduceat(terms, starts, axis=1)
+    magnitudes[:, present] = np.add.reduceat(np.abs(terms), starts, axis=1)
+    return _real_part(orders, magnitudes)
 
 
 def _check_order(k: int, n: int) -> None:
@@ -284,18 +289,22 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
     if strategy == "direct":  # every column subset's Ryser terms, shared by the permutations and the block
-        evaluate, work = _pair_permanents, _pair_work(n, 1, sum(classes))
+        evaluate, work = _pair_permanents, _ryser_work(n, sum(classes))
     elif strategy == "laplace":
         evaluate, work = _laplace_block, _laplace_work(n, classes)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     _afford(work, "the order-{} {} walk at n = {}", k, strategy, n)
-    overlaps, rows = np.asarray(model.overlap_matrix(n)), np.arange(n)
+    overlaps = np.asarray(model.overlap_matrix(n))
     taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
-    weights = overlaps[rows, taus].prod(axis=1)
+    weights = np.ones(len(taus), dtype=overlaps.dtype)
+    for i, row in enumerate(overlaps):  # a product over rows, without a (T, n) gather
+        weights *= row[taus[:, i]]
     taus, weights = taus[weights != 0.0], weights[weights != 0.0]
-    orders = ((taus != rows).sum(axis=1)[:, None] == np.arange(k + 1)).astype(complex)
-    return functools.partial(_order_walk, weights=weights, taus=taus, orders=orders, evaluate=evaluate)
+    # The classes go j = 0..k and the filter keeps their order, so each order is one run of the permutations.
+    present, starts = np.unique((taus != np.arange(n)).sum(axis=1), return_index=True)
+    return functools.partial(_order_walk, weights=weights, taus=taus, present=present, starts=starts, k=k,
+                             evaluate=evaluate)
 
 
 def _subset_sums(matrices: np.ndarray) -> np.ndarray:
@@ -417,9 +426,10 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     of the direct one, and slower: it builds the whole lattice even for
     k <= 1, and n >= 13 is refused (the direct walk serves it).  Both
     strategies agree up to roundoff; k = n reproduces the exact probability,
-    and a walk over ``_WORK`` (``linalg._pair_work`` for the direct one)
-    raises ValueError before any work.  Each order's imaginary residue must
-    stay within 1e-10 of its summed |terms| (ArithmeticError above).
+    and a walk over ``_WORK`` (``linalg._ryser_work`` per permutation for the
+    direct one) raises ValueError before any work.  Each order's imaginary
+    residue must stay within 1e-10 of its summed |terms| (ArithmeticError
+    above).
 
     Numerics: the worst order-2 imaginary residue over its summed |terms|,
     direct walk, 8 complex Gaussian matrices per size (m = n^2 modes, OBB

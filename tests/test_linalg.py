@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosonsim.distinguishability import GeneralizedOBBModel
-from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents, _pair_work
+from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
 from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
@@ -254,14 +254,15 @@ def test_complements_reverse_the_lattice_order():
 
 def test_every_pass_loop_across_a_seam(monkeypatch):
     # A 4 KB budget splits every loop it sizes into several passes: the kernel's
-    # subsets and stack, the subset table (built per pass above n = 5), the row
-    # sets of the block gathers, the lattice rows, and the matrix groups of the
-    # Laplace split and of the mixture.  Each must match the one-pass values.
+    # subsets and items, its picks (the 191 permutations in two passes by matrix,
+    # the 135 moving 4 rows in three over each Laplace item), the subset table
+    # (built per pass above n = 5), the lattice rows, and the matrix groups of
+    # the Laplace split and of the mixture.  Each must match the one-pass values.
     import bosonsim.linalg as linalg
 
     rng = np.random.default_rng(31)
     stack = _random_complex(rng, 6, (3,))
-    taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
+    taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3, 4)])
     x = rng.uniform(0.0, 1.0, 6)
 
     # The pair evaluator takes the stack side by side (matrix by matrix) and its first matrix three times (keyed).
@@ -382,7 +383,7 @@ def _moving(rng, n, j):
 class TestPairPermanents:
     """The direct walk's evaluator against ``hadamard_permanent``, permutation by permutation."""
 
-    ROUTES = ("_ryser", "_matrix_sums", "_keyed_sums")
+    ROUTES = ("_ryser", "_keyed_sums")
 
     @classmethod
     def _check(cls, rows, cols, taus, monkeypatch=None, route=None):
@@ -405,21 +406,20 @@ class TestPairPermanents:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_single_matrix_every_order(self, n, monkeypatch):
         # The identity and two permutations moving each count 2..n of points (orders k = 0..n): one
-        # matrix keyed by column position, then beside another on its own columns (matrix by matrix),
+        # matrix keyed by column position and beside another on its own columns (matrix by matrix),
         # then twice over the same columns (each shared subset once).
         rng = np.random.default_rng(60 + n)
         taus = [_moving(rng, n, j) for j in [0] + [j for j in range(2, n + 1) for _ in range(2)]]
         a, b = _random_complex(rng, n), _random_complex(rng, n)
-        self._check(a, [np.arange(n)], taus)
-        self._check(np.hstack([a, b]), [np.arange(n), np.arange(n, 2 * n)], taus, monkeypatch, "_matrix_sums")
+        self._check(a, [np.arange(n)], taus, monkeypatch, "_ryser")
+        self._check(np.hstack([a, b]), [np.arange(n), np.arange(n, 2 * n)], taus, monkeypatch, "_ryser")
         self._check(a, [np.arange(n)] * 2, taus, monkeypatch, "_keyed_sums")
 
-    @pytest.mark.parametrize("n, k, route", [(5, 2, "_ryser"), (6, 3, "_ryser"), (7, 2, "_matrix_sums"),
-                                             (6, 4, "_matrix_sums")])
-    def test_single_matrix_route(self, n, k, route, monkeypatch):
-        # Below 2^17 row-sum products (T n^2 2^n) one matrix takes a product matrix per permutation.
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (6, 4)])
+    def test_single_matrix_route(self, n, k, monkeypatch):
+        # Every single matrix goes by matrix, small ones too: one ``_ryser`` item picking each permutation's pairs.
         taus = np.concatenate([_class_table(n, j) for j in [0] + list(range(2, k + 1))])
-        self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus, monkeypatch, route)
+        self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus, monkeypatch, "_ryser")
 
     def test_block_sharing_columns(self, monkeypatch):
         # 40 outputs of 4 photons over 7 modes, as a sampler block: most column subsets recur, so they are keyed.
@@ -443,7 +443,7 @@ class TestPairPermanents:
         order = rng.permutation(m)
         cover = np.append(order, order[: -m % 3]).reshape(-1, 3)
         cols = np.sort(np.concatenate([cover, [rng.choice(m, 3, replace=False) for _ in range(5)]]), axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]), monkeypatch, "_matrix_sums")
+        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]), monkeypatch, "_ryser")
 
     def test_keys_over_64_columns(self):
         # Keyed sums over 64 columns use every bit of a key (mode 63 included) and agree with the sums
@@ -455,8 +455,8 @@ class TestPairPermanents:
         block = np.sort(np.concatenate([rng.permutation(64)[:63].reshape(-1, 3), [[0, 31, 63]] * 4]), axis=1)
         bits, signs = linalg._subset_table(3)
         factors = _ranks_of(np.concatenate([_class_table(3, j) for j in range(4)]))
-        keyed, by_matrix = (route(sums, block, bits, signs, factors)
-                            for route in (linalg._keyed_sums, linalg._matrix_sums))
+        keyed = linalg._keyed_sums(sums, block, bits, signs, factors)
+        by_matrix = linalg._ryser(len(block), 3, lambda lo, hi: sums[:, block[lo:hi]], factors)
         assert np.all(np.abs(keyed - by_matrix) <= TERM_TOL * np.abs(by_matrix).max())
 
     def test_permutations_that_skip_row_pairs(self, monkeypatch):
@@ -464,8 +464,8 @@ class TestPairPermanents:
         # pairs are summed, by each route.
         taus = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2], [0, 2, 3, 1]]
         a, b = _random_complex(np.random.default_rng(76), 4, (2,))
-        self._check(a, [np.arange(4)], taus)
-        self._check(np.hstack([a, b]), [np.arange(4), np.arange(4, 8)], taus, monkeypatch, "_matrix_sums")
+        self._check(a, [np.arange(4)], taus, monkeypatch, "_ryser")
+        self._check(np.hstack([a, b]), [np.arange(4), np.arange(4, 8)], taus, monkeypatch, "_ryser")
         self._check(a, [np.arange(4)] * 2, taus, monkeypatch, "_keyed_sums")
 
     def test_rejects_overflow_and_nan(self):
@@ -485,9 +485,9 @@ class TestPairPermanents:
 
         for name in ("_subsets", "_subset_table", "_subset_terms") + self.ROUTES:
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
-        # 10,000 identity permanents at n = 16: 16 factors per subset.
+        # 10,000 identity permanents at n = 16, each priced as one n 2^n Ryser sum.
         n, count = 16, 10000
-        predicted = count * ((1 << n) - 1) * n
+        predicted = count * n << n
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
             _pair_permanents(np.ones((n, n)), np.tile(np.arange(n), (count, 1)), np.arange(n)[None])
@@ -566,7 +566,7 @@ class TestLaplaceSplit:
         import bosonsim.linalg as linalg
         import bosonsim.probability as probability
 
-        for module, name in ((linalg, "_lattice"), (linalg, "_block_permanents"), (probability, "_class_table")):
+        for module, name in ((linalg, "_lattice"), (linalg, "_ryser"), (probability, "_class_table")):
             monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started above the lattice limit"))
         rng = np.random.default_rng(24)
         inst = ExperimentInstance.from_matrix(_random_complex(rng, 13) / np.sqrt(13), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
@@ -576,6 +576,19 @@ class TestLaplaceSplit:
             with pytest.raises(ValueError, match="so it is limited to n <= 12"):
                 call()
         assert time.perf_counter() - start < 1.0
+
+    def test_stack_over_shared_pairs(self):
+        # Order k = 3 at n = 6 over a stack of 2: the 55 permutations moving 2 or 3 rows share their
+        # row pairs, so each item's pair sums serve several of them, one permutation at a time against
+        # its own Hadamard permanent.
+        rng = np.random.default_rng(23)
+        stack = _random_complex(rng, 6, (2,))
+        taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
+        values = laplace_split_permanent(stack, taus)
+        assert values.shape == (2, len(taus))
+        for a, row in zip(stack, values):
+            for tau, value in zip(taus, row):
+                assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
 
     def test_stack_memory_is_bounded(self):
         # 256 matrices over the 112 permutations moving 3 of 8 points: held at

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -62,6 +63,17 @@ class TestInstance:
     def test_occupation_length_mismatch(self):
         with pytest.raises(ValueError):
             ExperimentInstance(np.eye(3), (1, 1), (1, 1, 0), HomogeneousModel(0.5))
+
+    def test_instance_is_read_only(self):
+        # The checks run at construction, so a field set afterwards would skip them: 7 input photons
+        # over 3 modes reached the kernel as a (7, 3) interference matrix.  A replaced field is checked.
+        inst = ExperimentInstance(np.eye(3), (1, 1, 0), (0, 1, 1), HomogeneousModel(0.5))
+        for name, value in (("input_occupation", (1, 1, 5)), ("unitary", np.eye(2)), ("model", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, value)
+        assert inst.input_occupation == (1, 1, 0) and inst.unitary.shape == (3, 3)
+        with pytest.raises(ValueError, match="photon number mismatch"):
+            dataclasses.replace(inst, input_occupation=(1, 1, 5))
 
     def test_normalization_counts_collisions(self):
         inst = ExperimentInstance(np.eye(3), (2, 1, 0), (0, 1, 2), HomogeneousModel(0.5))
@@ -589,26 +601,19 @@ class TestWorkBudget:
     def work(self, monkeypatch):
         """Count kernel work and record predictions.
 
-        Counted: n 2^n per n x n permanent, sum_s C(n, s)^2 s per lattice, and per distinct
-        column subset of a direct walk's block n factors per permutation.
+        Counted: n 2^n per n x n permanent, one per item or, with picks, per item and pick, and
+        sum_s C(n, s)^2 s per lattice.
         Predictions are recorded in call order, those of the engines and of the public kernels alike.
         """
         import bosonsim.linalg as linalg
         import bosonsim.probability as probability
 
         tally = {"counted": 0, "predicted": []}
-        ryser, lattice, afford, pair_permanents = linalg._ryser, linalg._lattice, linalg._afford, linalg._pair_permanents
+        ryser, lattice, afford = linalg._ryser, linalg._lattice, linalg._afford
 
-        def counting_ryser(count, n, block):
-            tally["counted"] += count * n << n
-            return ryser(count, n, block)
-
-        def counting_pair_permanents(rows, cols, taus):
-            n = cols.shape[1]
-            subsets = {frozenset(c[i] for i in s) for c in cols.tolist()
-                       for size in range(1, n + 1) for s in itertools.combinations(range(n), size)}
-            tally["counted"] += len(subsets) * len(taus) * n
-            return pair_permanents(rows, cols, taus)
+        def counting_ryser(count, n, block, picks=None):
+            tally["counted"] += count * (1 if picks is None else len(picks)) * n << n
+            return ryser(count, n, block, picks)
 
         def counting_lattice(source, top):
             for s, level in enumerate(lattice(source, top)):
@@ -620,7 +625,6 @@ class TestWorkBudget:
             return afford(work, what, *args)
 
         monkeypatch.setattr(linalg, "_ryser", counting_ryser)
-        monkeypatch.setattr(probability, "_pair_permanents", counting_pair_permanents)
         monkeypatch.setattr(linalg, "_lattice", counting_lattice)
         monkeypatch.setattr(probability, "_lattice", counting_lattice)
         monkeypatch.setattr(linalg, "_afford", recording_afford)
@@ -657,9 +661,9 @@ class TestWorkBudget:
         import bosonsim.probability as probability
 
         # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes all 12!
-        # permutations: per column subset, 12 factors per permutation.
+        # permutations, each priced as one 12 x 12 Ryser sum.
         predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
-            call, ((1 << 12) - 1) * math.factorial(12) * 12)
+            call, math.factorial(12) * 12 << 12)
 
         def no_work(*args):
             raise AssertionError("work started before the cost check")
