@@ -86,7 +86,8 @@ class ExplicitModel:
     """
 
     def __init__(self, s):
-        s = np.asarray(s, dtype=complex)
+        s = np.array(s, dtype=complex)  # a read-only copy: the caller's array cannot bypass the checks
+        s.setflags(write=False)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("overlap matrix must be square")
         if not np.allclose(s, s.conj().T, atol=_MATRIX_ATOL):

@@ -13,14 +13,13 @@ of its own n rows, so one item's sums serve all T.  The direct walk of
 ``probability`` takes its Hadamard permanents from ``_pair_permanents``,
 whose rows are row-pair products: per column subset the row-pair sums are
 formed once and each permutation multiplies n of them.  Each matrix is one
-item, or, in a block whose outputs share many subsets, each distinct subset
-is evaluated once.  The Laplace split here and the mixture engine in
-``probability`` both sum small complex permanents times larger non-negative
-ones, read from ``_lattice``, every sub-permanent of |M|^2 built by row
-expansion.  The Laplace split takes its complex j x j blocks from
-``_ryser`` too, one item per matrix and j-column set with each
-permutation's row pairs picked; the mixture takes the small ones from the
-lattice of M.  Every loop over a stack, subsets, picks, permutations, row
+item, a single one and each output of a sampler block alike.  The Laplace
+split here and the mixture engine in ``probability`` both sum small complex
+permanents times larger non-negative ones, read from ``_lattice``, every
+sub-permanent of |M|^2 built by row expansion.  The Laplace split takes
+its complex j x j blocks from ``_ryser`` too, one item per matrix and
+j-column set with each permutation's row pairs picked; the mixture takes
+the small ones from the lattice of M.  Every loop over a stack, subsets, picks, permutations, row
 sets or lattice rows, here and in ``probability``, goes in passes of as many
 items as fit one byte budget, ``_BUDGET``.  Every kernel refuses a call over
 ``_WORK`` before any work, at one price per evaluator: ``_ryser_work`` (n 2^n
@@ -48,7 +47,9 @@ _BUDGET = 1 << 20
 # Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per matrix,
 # 6.8 MB of float64 at n = 12 but 94 MB at n = 14, and the mixture holds all levels (83 MB at n = 13).
 _LATTICE_N = 12
-# Predicted kernel operations one call may take (a j x j permanent is j 2^j): 4 min at 25 ns each (2 cores).
+# Predicted kernel operations one call may take (a j x j permanent is j 2^j).  Measured on 2 cores, an operation
+# takes 4.4 ns in ``permanent`` at n = 10 (a 256-matrix stack) and 10 ns at n = 16, so the budget is about 38 s
+# and 86 s of it, and 1.7-1.8 ns in the order-2 direct walk at n = 12 and 16, about 15 s of walk.
 _WORK = 1 << 33
 
 
@@ -258,12 +259,9 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
     sums W_il(S) = sum_{c in S} M_ic conj(M_lc), so each subset's sums (of
     the pairs some tau uses) serve every permutation.  Each output is one
     ``_ryser`` item whose rows are its row-pair products and whose picks are
-    each tau's pairs.  A term depends on the columns of S alone, so where
-    that is predicted to take less work (never for a single matrix), a block
-    whose outputs share many subsets keys them by bit masks over its columns
-    (at most 64) and evaluates each distinct one once (``_keyed_sums``).
-    Priced as T permanents per matrix by ``_ryser_work`` and refused over
-    ``_WORK`` before any work; the pair products must be finite.
+    each tau's pairs.  Priced as T permanents per matrix by ``_ryser_work``
+    and refused over ``_WORK`` before any work; the pair products must be
+    finite.
     """
     count, n = cols.shape
     _afford(_ryser_work(n, count * len(taus)), "{} Hadamard permanents at n = {}", count * len(taus), n)
@@ -271,47 +269,7 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
     used, local = _ranks(cols, rows.shape[1])
     left, right = np.divmod(pairs, n)
     sums = _finite(rows[left][:, used] * np.conj(rows[right][:, used]))  # (pairs, columns)
-    subsets = (1 << n) - 1
-    # Keyed, a subset's sums take all w columns, but each distinct subset (at most C(w, s), or B C(n, s), of
-    # size s) is summed and multiplied once; by matrix, each matrix's 2^n - 1 subsets take n columns each.
-    distinct = sum(min(math.comb(len(used), s), count * math.comb(n, s)) for s in range(1, n + 1))
-    keyed = distinct * (len(used) * len(pairs) + len(taus) * n)
-    if len(used) > 64 or keyed >= count * subsets * (n * len(pairs) + len(taus) * n):
-        return _ryser(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
-    # A pass's table of products takes up to half the budget and its inner passes (pair sums, gathers) a
-    # quarter, so a block of sampler targets holds about what the kernel held for it; 128 subsets at least
-    # share each pass over the permutations and its pair sums.
-    width, table = min(subsets, max(_per_pass(32 * len(taus)), 128)), _subset_table(n)
-    step = _per_pass(64 * width)  # keys, their sort and the inverse, per matrix and subset
-    out = np.zeros((count, len(taus)), dtype=complex)
-    for start in range(0, subsets, width):
-        stop = min(start + width, subsets)
-        bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
-        for lo in range(0, count, step):
-            out[lo : lo + step] += _keyed_sums(sums, local[lo : lo + step], bits, signs, factors)
-    return out
-
-
-def _keyed_sums(sums: np.ndarray, block: np.ndarray, bits: np.ndarray, signs: np.ndarray, factors: np.ndarray):
-    """The (B, T) signed Ryser sums over one subset chunk of each matrix of a pass, each distinct subset once.
-
-    ``sums`` holds the (pairs, columns) row-pair products, ``block`` the (B, n)
-    columns of the matrices, ``bits`` and ``signs`` the chunk's membership and
-    signs, and ``factors[t]`` the pairs (i, tau_t(i)) of each permutation.
-    Subsets are keyed by bit masks over the (at most 64) columns of ``sums``;
-    each matrix then gathers its subsets' products.
-    """
-    keys = (np.uint64(1) << block.astype(np.uint64)) @ bits.real.astype(np.uint64)
-    keys, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.reshape(len(block), len(signs))  # (matrices, subsets)
-    out = np.empty((len(block), len(factors)), dtype=complex)
-    step = _per_pass(32 * len(keys))
-    for t in range(0, len(factors), step):
-        terms = _subset_terms(keys, sums, factors[t : t + step])
-        gstep = _per_pass(64 * len(signs) * len(terms))
-        for g in range(0, len(block), gstep):
-            out[g : g + gstep, t : t + step] = (terms.take(inverse[g : g + gstep], axis=1) @ signs).T
-    return out
+    return _ryser(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
 
 
 def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,29 +277,6 @@ def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     present = np.zeros(size, dtype=bool)
     present[values] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
-
-
-def _subset_terms(keys: np.ndarray, sums: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """The (T, D) Ryser products of the column subsets ``keys`` over the permutations of ``factors``.
-
-    ``keys`` are bit masks over the columns of ``sums``, the (pairs, columns)
-    row-pair products; ``factors[t]`` lists the pairs (i, tau_t(i)) of one
-    of T permutations of n rows.  Subsets go in passes within a quarter of
-    ``_BUDGET``: per subset its membership (integer and complex), its pair
-    sums, and its product and one factor per permutation.
-    """
-    table = np.empty((len(factors), len(keys)), dtype=complex)
-    columns = np.arange(sums.shape[1], dtype=np.uint64)[:, None]
-    step = _per_pass(4 * (24 * len(columns) + 16 * (len(sums) + 2 * len(factors) + 1)))
-    for lo in range(0, len(keys), step):
-        member = keys[lo : lo + step] >> columns  # (columns, subsets)
-        member &= np.uint64(1)
-        pair_sums = sums @ member.astype(complex)
-        part = pair_sums.take(factors[:, 0], axis=0)  # contiguous (T, subsets) products, then one copy into the table
-        for factor in factors.T[1:]:
-            part *= pair_sums.take(factor, axis=0)
-        table[:, lo : lo + step] = part
-    return table
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,14 +16,12 @@ and the by-order split of explicit overlap matrices.  Its direct strategy
 (``linalg._pair_permanents``) forms the row-pair sums of each column subset
 once and multiplies n of them per permutation, about
 2^n x (n^3 + n x (permutations)) per matrix and priced as one Ryser sum per
-permutation; a sampler block whose outputs share many column subsets
-evaluates each once.
-Its Laplace strategy (``laplace_split_permanent``) is an independent check
-of the expansion, not a faster path: it pays a whole |M|^2 lattice per
-matrix even at k <= 1, so it runs up to n = 12, and the direct strategy
-serves n >= 13.  For the
-homogeneous and OBB models a permutation's overlap weight depends only on
-the set A of photons it moves, x_A = prod_{i in A} x_i, so the probability
+permutation.  Its Laplace strategy (``laplace_split_permanent``) is an
+independent check of the expansion, not a faster path: it pays a whole
+|M|^2 lattice per matrix even at k <= 1, so it runs up to n = 12, and the
+direct strategy serves n >= 13.  For the homogeneous and OBB models a
+permutation's overlap weight depends only on the set A of photons it
+moves, x_A = prod_{i in A} x_i, so the probability
 is a multilinear polynomial in the visibilities (the mixture formula of
 Renema et al., PRL 120, 220502 (2018)).  The mixture engine gets all n + 1
 orders from one sum over the 2^n photon subsets, over C(2n, n) pairs of
@@ -118,7 +116,9 @@ class ExperimentInstance:
     _kinds = {"input_occupation": listed((int, 0)), "output_occupation": listed((int, 0))}
 
     def __post_init__(self):
-        object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
+        unitary = np.array(self.unitary, dtype=complex)  # a read-only copy, never the caller's array
+        unitary.setflags(write=False)
+        object.__setattr__(self, "unitary", unitary)
         if self.unitary.ndim != 2 or self.unitary.shape[0] != self.unitary.shape[1]:
             raise ValueError("transfer matrix must be square")
         own(self, "instance", self._kinds)

@@ -65,6 +65,15 @@ class TestExplicitValidation:
         model = ExplicitModel(gram)
         np.testing.assert_allclose(model.overlap_matrix(4), gram)
 
+    def test_matrix_is_a_read_only_copy(self):
+        # Writes to the caller's array would bypass the Hermitian and PSD checks.
+        s = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        model = ExplicitModel(s)
+        s[0, 1] = 5.0
+        assert model.s[0, 1] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            model.s[0, 1] = 5.0
+
     def test_rejects_non_hermitian(self):
         bad = np.eye(3, dtype=complex)
         bad[0, 1] = 0.5

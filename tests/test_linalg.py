@@ -1,4 +1,4 @@
-import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -265,7 +265,7 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
     taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3, 4)])
     x = rng.uniform(0.0, 1.0, 6)
 
-    # The pair evaluator takes the stack side by side (matrix by matrix) and its first matrix three times (keyed).
+    # The pair evaluator takes the stack side by side and its first matrix three times over.
     block = stack.transpose(1, 0, 2).reshape(6, 18), np.arange(18).reshape(3, 6)
     copies = stack[0], np.tile(np.arange(6), (3, 1))
 
@@ -383,20 +383,11 @@ def _moving(rng, n, j):
 class TestPairPermanents:
     """The direct walk's evaluator against ``hadamard_permanent``, permutation by permutation."""
 
-    ROUTES = ("_ryser", "_keyed_sums")
-
-    @classmethod
-    def _check(cls, rows, cols, taus, monkeypatch=None, route=None):
-        """Compare each value with its own Hadamard permanent; with ``route``, the evaluator takes that route alone."""
-        import bosonsim.linalg as linalg
-
-        cols, taus, taken = np.asarray(cols), np.asarray(taus), []
-        with pytest.MonkeyPatch.context() if monkeypatch is None else monkeypatch.context() as patch:
-            for name in cls.ROUTES:
-                patch.setattr(linalg, name, functools.partial(lambda f, name, *args: taken.append(name) or f(*args),
-                                                              getattr(linalg, name), name))
-            values = _pair_permanents(rows, cols, taus)
-        assert route is None or set(taken) == {route}
+    @staticmethod
+    def _check(rows, cols, taus):
+        """Compare each value with its own Hadamard permanent."""
+        cols, taus = np.asarray(cols), np.asarray(taus)
+        values = _pair_permanents(rows, cols, taus)
         assert values.shape == (len(cols), len(taus))
         for c, row in zip(cols, values):
             a = rows[:, c]
@@ -404,69 +395,56 @@ class TestPairPermanents:
                 assert abs(value - hadamard_permanent(a, tau)) <= TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
 
     @pytest.mark.parametrize("n", range(1, 14))
-    def test_single_matrix_every_order(self, n, monkeypatch):
+    def test_single_matrix_every_order(self, n):
         # The identity and two permutations moving each count 2..n of points (orders k = 0..n): one
-        # matrix keyed by column position and beside another on its own columns (matrix by matrix),
-        # then twice over the same columns (each shared subset once).
+        # matrix alone, beside another on its own columns, then twice over the same columns.
         rng = np.random.default_rng(60 + n)
         taus = [_moving(rng, n, j) for j in [0] + [j for j in range(2, n + 1) for _ in range(2)]]
         a, b = _random_complex(rng, n), _random_complex(rng, n)
-        self._check(a, [np.arange(n)], taus, monkeypatch, "_ryser")
-        self._check(np.hstack([a, b]), [np.arange(n), np.arange(n, 2 * n)], taus, monkeypatch, "_ryser")
-        self._check(a, [np.arange(n)] * 2, taus, monkeypatch, "_keyed_sums")
+        self._check(a, [np.arange(n)], taus)
+        self._check(np.hstack([a, b]), [np.arange(n), np.arange(n, 2 * n)], taus)
+        self._check(a, [np.arange(n)] * 2, taus)
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (6, 4)])
-    def test_single_matrix_route(self, n, k, monkeypatch):
-        # Every single matrix goes by matrix, small ones too: one ``_ryser`` item picking each permutation's pairs.
+    def test_single_matrix_route(self, n, k):
+        # A single matrix over every permutation of orders 0 and 2..k: one ``_ryser`` item picking each one's pairs.
         taus = np.concatenate([_class_table(n, j) for j in [0] + list(range(2, k + 1))])
-        self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus, monkeypatch, "_ryser")
+        self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus)
 
-    def test_block_sharing_columns(self, monkeypatch):
-        # 40 outputs of 4 photons over 7 modes, as a sampler block: most column subsets recur, so they are keyed.
+    def test_block_sharing_columns(self):
+        # Sampler blocks whose outputs share most column subsets: 40 outputs of 4 photons over 7 modes,
+        # and all 70 outputs of 4 photons over 8 modes.
         rng = np.random.default_rng(74)
+        taus = np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)])
         rows = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-        cols = np.sort([rng.choice(7, 4, replace=False) for _ in range(40)], axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)]), monkeypatch, "_keyed_sums")
+        self._check(rows, np.sort([rng.choice(7, 4, replace=False) for _ in range(40)], axis=1), taus)
+        rows = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        self._check(rows, list(itertools.combinations(range(8), 4)), taus)
 
     def test_collisional_output(self):
-        # Two photons in one output mode repeat a column; keyed by position, the copies stay two columns.
+        # Two photons in one output mode repeat a column; by position, the copies stay two columns.
         matrix = _random_complex(np.random.default_rng(75), 4)[:3][:, [1, 1, 3]]
         self._check(matrix, [np.arange(3)], np.concatenate([_class_table(3, j) for j in range(4)]))
         self._check(matrix, [np.arange(3)] * 3, np.concatenate([_class_table(3, j) for j in range(4)]))
 
     @pytest.mark.parametrize("m", [64, 70, 81])
-    def test_block_over_many_modes(self, m, monkeypatch):
-        # The outputs cover every mode, with a few more that share columns: they share few subsets, so
-        # each matrix takes its own.
+    def test_block_over_many_modes(self, m):
+        # The outputs cover every mode, with a few more that share columns.
         rng = np.random.default_rng(m)
         rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         order = rng.permutation(m)
         cover = np.append(order, order[: -m % 3]).reshape(-1, 3)
         cols = np.sort(np.concatenate([cover, [rng.choice(m, 3, replace=False) for _ in range(5)]]), axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]), monkeypatch, "_ryser")
+        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]))
 
-    def test_keys_over_64_columns(self):
-        # Keyed sums over 64 columns use every bit of a key (mode 63 included) and agree with the sums
-        # taken matrix by matrix.
-        import bosonsim.linalg as linalg
-
-        rng = np.random.default_rng(77)
-        sums = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
-        block = np.sort(np.concatenate([rng.permutation(64)[:63].reshape(-1, 3), [[0, 31, 63]] * 4]), axis=1)
-        bits, signs = linalg._subset_table(3)
-        factors = _ranks_of(np.concatenate([_class_table(3, j) for j in range(4)]))
-        keyed = linalg._keyed_sums(sums, block, bits, signs, factors)
-        by_matrix = linalg._ryser(len(block), 3, lambda lo, hi: sums[:, block[lo:hi]], factors)
-        assert np.all(np.abs(keyed - by_matrix) <= TERM_TOL * np.abs(by_matrix).max())
-
-    def test_permutations_that_skip_row_pairs(self, monkeypatch):
+    def test_permutations_that_skip_row_pairs(self):
         # The walk drops zero-weight permutations; here none moves row 0, so only 10 of the 16 row
-        # pairs are summed, by each route.
+        # pairs are summed: for one matrix, two side by side, and one twice over.
         taus = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2], [0, 2, 3, 1]]
         a, b = _random_complex(np.random.default_rng(76), 4, (2,))
-        self._check(a, [np.arange(4)], taus, monkeypatch, "_ryser")
-        self._check(np.hstack([a, b]), [np.arange(4), np.arange(4, 8)], taus, monkeypatch, "_ryser")
-        self._check(a, [np.arange(4)] * 2, taus, monkeypatch, "_keyed_sums")
+        self._check(a, [np.arange(4)], taus)
+        self._check(np.hstack([a, b]), [np.arange(4), np.arange(4, 8)], taus)
+        self._check(a, [np.arange(4)] * 2, taus)
 
     def test_rejects_overflow_and_nan(self):
         # A NaN entry, or finite entries whose row-pair product overflows, in one output of a block.
@@ -483,7 +461,7 @@ class TestPairPermanents:
     def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
         import bosonsim.linalg as linalg
 
-        for name in ("_subsets", "_subset_table", "_subset_terms") + self.ROUTES:
+        for name in ("_ryser", "_subsets", "_subset_table"):
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
         # 10,000 identity permanents at n = 16, each priced as one n 2^n Ryser sum.
         n, count = 16, 10000
@@ -492,14 +470,6 @@ class TestPairPermanents:
         with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
             _pair_permanents(np.ones((n, n)), np.tile(np.arange(n), (count, 1)), np.arange(n)[None])
         assert time.perf_counter() - start < 1.0
-
-
-def _ranks_of(taus: np.ndarray) -> np.ndarray:
-    """The row-pair factors of each permutation, as ``_pair_permanents`` numbers them (pair (i, l) is i n + l)."""
-    import bosonsim.linalg as linalg
-
-    n = taus.shape[1]
-    return linalg._ranks(np.arange(n) * n + taus, n * n)[1]
 
 
 class TestLaplaceSplit:

@@ -75,6 +75,14 @@ class TestInstance:
         with pytest.raises(ValueError, match="photon number mismatch"):
             dataclasses.replace(inst, input_occupation=(1, 1, 5))
 
+    def test_unitary_is_a_read_only_copy(self):
+        unitary = np.eye(3, dtype=complex)
+        inst = ExperimentInstance(unitary, (1, 1, 0), (0, 1, 1), HomogeneousModel(0.5))
+        unitary[0, 0] = 5.0
+        assert inst.unitary[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            inst.unitary[0, 0] = 5.0
+
     def test_normalization_counts_collisions(self):
         inst = ExperimentInstance(np.eye(3), (2, 1, 0), (0, 1, 2), HomogeneousModel(0.5))
         assert inst.normalization == 2.0 * 2.0  # 2! on input mode 0, 2! on output mode 2
