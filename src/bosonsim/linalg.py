@@ -1,30 +1,29 @@
 """The permanent kernel and the sub-block permanents of the split expansions.
 
-Every permanent goes through Ryser's formula, exact, double-precision and
-deterministic, evaluated with numpy over all column subsets at once by one
-loop, ``_ryser``.  A cached 0/1 table ``bits`` of shape (n, 2^n - 1) marks
-which columns each non-empty subset holds, so ``a @ bits`` gives every
-subset's row sums in one product, and a sign vector (-1)^(n - |S|) closes
-the sum.  The public functions accept stacks (with a 2-d permutation array,
-one Hadamard permanent per matrix and row) and cost n 2^n per permanent,
-plus n^2 2^n for the row sums.  ``_ryser`` can also pick rows: an item is
-then a table of rows, and each of T permanents multiplies the subset sums
-of its own n rows, so one item's sums serve all T.  The direct walk of
+Every permanent goes through Glynn's formula (Eur. J. Combin. 31 (2010)),
+exact, double-precision and deterministic, evaluated with numpy over all
+2^(n - 1) column signings at once by one loop, ``_glynn``.  A cached +-1
+table ``signs`` (n, 2^(n - 1)), column 0 never flipped, gives every signed
+row sum as one product ``a @ signs``, and the weights prod(delta) / 2^(n - 1)
+(exact: the scale is a power of two) close the sum.  On a non-negative matrix
+such as |M|^2 its terms cancel by up to about (e/2)^n, Ryser's by e^n.  The
+public functions accept stacks (with a 2-d permutation array, one Hadamard
+permanent per matrix and row).  ``_glynn`` can also pick rows: an item is
+then a table of rows, and each of T permanents multiplies the signed sums of
+its own n rows, so one item's sums serve all T.  The direct walk of
 ``probability`` takes its Hadamard permanents from ``_pair_permanents``,
-whose rows are row-pair products: per column subset the row-pair sums are
-formed once and each permutation multiplies n of them.  Each matrix is one
-item, a single one and each output of a sampler block alike.  The Laplace
-split here and the mixture engine in ``probability`` both sum small complex
-permanents times larger non-negative ones, read from ``_lattice``, every
-sub-permanent of |M|^2 built by row expansion.  The Laplace split takes
-its complex j x j blocks from ``_ryser`` too, one item per matrix and
-j-column set with each permutation's row pairs picked; the mixture takes
-the small ones from the lattice of M.  Every loop over a stack, subsets, picks, permutations, row
-sets or lattice rows, here and in ``probability``, goes in passes of as many
-items as fit one byte budget, ``_BUDGET``.  Every kernel refuses a call over
-``_WORK`` before any work, at one price per evaluator: ``_ryser_work`` (n 2^n
-per permanent, picked or not), ``_laplace_work`` or ``_lattice_work`` (none
-above n = 12).
+whose rows are row-pair products, one item per matrix, a single one and each
+output of a sampler block alike.  The Laplace split here and the mixture
+engine in ``probability`` both sum small complex permanents times larger
+non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2 built
+by row expansion; the split takes its complex j x j blocks from ``_glynn``
+too, the mixture from the lattice of M.  Every loop over a stack, signings,
+picks, permutations, row sets or lattice rows, here and in ``probability``,
+goes in passes of as many items as fit one byte budget, ``_BUDGET``.  Every
+kernel refuses a call over ``_WORK`` before any work, at one price per
+evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not, twice the
+n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work`` or
+``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
 
@@ -41,15 +40,15 @@ __all__ = [
     "submatrix",
 ]
 
-# Bytes that one pass of any loop here or in ``probability`` holds at once, and the largest subset
-# table that is cached (with its signs, 851,760 B at n = 12 and 1,834,784 B at n = 13).
+# Bytes that one pass of any loop here or in ``probability`` holds at once, and the largest signing
+# table that is cached (with its weights, 917,504 B at n = 13 and 1,966,080 B at n = 14).
 _BUDGET = 1 << 20
 # Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per matrix,
 # 6.8 MB of float64 at n = 12 but 94 MB at n = 14, and the mixture holds all levels (83 MB at n = 13).
 _LATTICE_N = 12
-# Predicted kernel operations one call may take (a j x j permanent is j 2^j).  Measured on 2 cores, an operation
-# takes 4.4 ns in ``permanent`` at n = 10 (a 256-matrix stack) and 10 ns at n = 16, so the budget is about 38 s
-# and 86 s of it, and 1.7-1.8 ns in the order-2 direct walk at n = 12 and 16, about 15 s of walk.
+# Predicted kernel operations one call may take (a j x j permanent is j 2^j, half a Glynn factor each).  Measured on
+# 2 cores, an operation takes 1.6-1.7 ns in ``permanent`` at n = 10 (a 256-matrix stack) and 4.5-5.0 ns at n = 16,
+# so the budget is about 14 s and 41 s of it, and 0.85-0.91 ns in the order-2 direct walk at n = 12 to 18, 7.6 s.
 _WORK = 1 << 33
 
 
@@ -60,7 +59,7 @@ def _afford(work: int, what: str, *args) -> None:
 
 
 def _ryser_work(n: int, count: int) -> int:
-    """Kernel operations of ``count`` n x n permanents by Ryser's formula, count n 2^n."""
+    """Kernel operations of ``count`` n x n permanents, count n 2^n (Ryser's term count, twice Glynn's)."""
     return count * n << n
 
 
@@ -87,28 +86,27 @@ def _per_pass(item_bytes: int) -> int:
     return _BUDGET // (item_bytes or 1) or 1
 
 
-def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Membership table and Ryser signs of the non-empty column subsets start..stop-1 (masks start+1..stop)."""
-    masks = np.arange(start + 1, stop + 1)
-    bits = (masks >> np.arange(n)[:, None]) & 1
-    signs = 1.0 - 2.0 * ((n - bits.sum(axis=0)) % 2)
-    return bits.astype(complex), signs.astype(complex)
+def _signings(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column signs and Glynn weights of the signings start..stop-1 (column 0 is never flipped)."""
+    flips = (np.arange(start, stop) << 1 >> np.arange(n)[:, None]) & 1
+    weights = (1.0 - 2.0 * (flips.sum(axis=0) % 2)) / (1 << n - 1)  # prod(delta) / 2^(n - 1), exact
+    return (1.0 - 2.0 * flips).astype(complex), weights.astype(complex)
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Membership table and signs of every non-empty subset of n columns, read-only, or None where
-    they (16 (n + 1) 2^n bytes) do not fit the budget, above n = 12."""
-    if 16 * (n + 1) << n > _BUDGET:
+def _signing_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column signs and weights of all 2^(n - 1) signings of n columns, read-only, or None where
+    they (16 (n + 1) 2^(n - 1) bytes) do not fit the budget, above n = 13."""
+    if 16 * (n + 1) << n - 1 > _BUDGET:
         return None
-    bits, signs = _subsets(n, 0, (1 << n) - 1)
-    bits.setflags(write=False)
+    signs, weights = _signings(n, 0, 1 << n - 1)
     signs.setflags(write=False)
-    return bits, signs
+    weights.setflags(write=False)
+    return signs, weights
 
 
-def _ryser(count: int, n: int, block, picks: np.ndarray | None = None) -> np.ndarray:
-    """Permanents of ``count`` items over n columns, without input checks.
+def _glynn(count: int, n: int, block, picks: np.ndarray | None = None) -> np.ndarray:
+    """Permanents of ``count`` items over n columns by Glynn's formula, without input checks.
 
     With ``picks=None`` an item is one n x n matrix: ``block(lo, hi)``
     returns items lo..hi-1 as a (hi - lo, n, n) complex array, and the result
@@ -116,47 +114,47 @@ def _ryser(count: int, n: int, block, picks: np.ndarray | None = None) -> np.nda
     item is a table of rows: ``block(lo, hi)`` returns the tables of items
     lo..hi-1 rows first, as a (rows, hi - lo, n) complex array, and the
     (count, T) result holds per item the T permanents of its rows picks[t].
-    Each row's subset sums are formed once and serve every permanent that
-    picks it, gathered from whole (items, subsets) slabs.  A caller can
-    build the items pass by pass.  While the subset table is cached
-    (n <= 12) its chunks are free slices, so the passes over the items are
+    Each row's signed sums are formed once and serve every permanent that
+    picks it, gathered from whole (items, signings) slabs.  A caller can
+    build the items pass by pass.  While the signing table is cached
+    (n <= 13) its chunks are free slices, so the passes over the items are
     the outer loop and ``block`` is called once per pass; above that the
     chunks are the outer loop, so each is built once per call and ``block``
-    is called once per chunk and pass.  Every item adds its chunks in subset
+    is called once per chunk and pass.  Every item adds its chunks in signing
     order either way.
     """
     shape = (count,) if picks is None else (count, len(picks))
     if n == 0:
         return np.ones(shape, dtype=complex)
-    subsets = (1 << n) - 1
+    signings = 1 << n - 1
     rows = n if picks is None else int(picks.max(initial=0)) + 1
-    # A pass holds 16 bytes of row sums per row, item and subset, counted four times over: passes four
+    # A pass holds 16 bytes of signed sums per row, item and signing, counted four times over: passes four
     # times as large ran stacks of small matrices up to 1.5x slower (2 MiB of L2 cache per core).
-    width = min(subsets, _per_pass(64 * rows))
+    width = min(signings, _per_pass(64 * rows))
     step = _per_pass(64 * rows * width)
-    table = _subset_table(n)
-    chunks, passes = range(0, subsets, width), range(0, count, step)
+    table = _signing_table(n)
+    chunks, passes = range(0, signings, width), range(0, count, step)
     out = np.zeros(shape, dtype=complex)
-    chunk_start = pass_start = None  # what ``bits`` and ``items`` hold
+    chunk_start = pass_start = None  # what ``signs`` and ``items`` hold
     for outer in passes if table else chunks:
         for inner in chunks if table else passes:
             start, lo = (inner, outer) if table else (outer, inner)
             if chunk_start != start:
-                stop = min(start + width, subsets)
-                bits, signs = (table[0][:, start:stop], table[1][start:stop]) if table else _subsets(n, start, stop)
+                stop = min(start + width, signings)
+                signs, weights = (table[0][:, start:stop], table[1][start:stop]) if table else _signings(n, start, stop)
                 chunk_start = start
             if pass_start != lo:
                 items, pass_start = block(lo, min(lo + step, count)), lo
-            row_sums = (items.reshape(-1, n) @ bits).reshape(len(items), -1, len(signs))
+            sums = (items.reshape(-1, n) @ signs).reshape(len(items), -1, len(weights))
             if picks is None:
-                out[lo : lo + step] += row_sums.prod(axis=1) @ signs
+                out[lo : lo + step] += sums.prod(axis=1) @ weights
                 continue
-            per = _per_pass(32 * row_sums[0].size)  # per permanent, its product and one gathered factor
+            per = _per_pass(32 * sums[0].size)  # per permanent, its product and one gathered factor
             for t in range(0, len(picks), per):
-                part = row_sums.take(picks[t : t + per, 0], axis=0)
+                part = sums.take(picks[t : t + per, 0], axis=0)
                 for factor in picks[t : t + per, 1:].T:
-                    part *= row_sums.take(factor, axis=0)
-                out[lo : lo + step, t : t + per] += (part @ signs).T
+                    part *= sums.take(factor, axis=0)
+                out[lo : lo + step, t : t + per] += (part @ weights).T
     return out
 
 
@@ -191,31 +189,30 @@ def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tu
 
 
 def permanent(matrix) -> complex | np.ndarray:
-    """Permanent of a square matrix, or of each matrix in a stack, by Ryser's formula.
+    """Permanent of a square matrix, or of each matrix in a stack, by Glynn's formula.
 
-    perm(A) = sum over the non-empty column subsets S of (-1)^(n - |S|)
-    times the product over rows of the row sums restricted to S, which is
-    O(2^n * n^2) work here (the row sums of all subsets come from one matrix
-    product with the subset table).  A (n, n) matrix gives a ``complex``; a
-    stack (..., n, n) gives a complex array of shape (...).  The empty 0x0
-    matrix has permanent 1 (empty-product convention).  Entries must be
-    finite, and a stack over ``_WORK`` kernel operations (``_ryser_work``,
-    count * n * 2^n) raises ValueError before any work.
+    perm(A) = 2^-(n - 1) times the sum over the column signings delta in
+    {+1, -1}^n with delta_0 = +1 of prod(delta) times the product over rows
+    of the signed row sums sum_c delta_c A_ic, O(2^(n - 1) * n^2) work here
+    (one matrix product with the signing table).  A (n, n) matrix gives a
+    ``complex``; a stack (..., n, n) gives a complex array of shape (...).
+    The empty 0x0 matrix has permanent 1 (empty-product convention).  Entries
+    must be finite, and a stack over ``_WORK`` kernel operations
+    (``_ryser_work``, count * n * 2^n) raises ValueError before any work.
 
-    Numerics: the error is roundoff on the subset terms, which can be far
-    larger than the permanent they cancel down to.  Against Glynn's formula
-    on complex Gaussian matrices (30 per size), |Ryser - Glynn| stayed below
-    1e-15 * perm(|A|) for every n = 2..13, while the gap relative to
-    |perm(A)| grew from 1e-15 at n = 2..4 to a median of 4e-14 and a worst
-    case of 1e-12 at n = 12, and 1e-13 and 3e-11 at n = 13.  Beyond n = 13
-    it is not measured.
+    Numerics: against the exact permanent of the float input, the worst
+    relative error over 3 complex Gaussian M (m = n^2) per size was
+
+        n        10       12       14       16       18       20
+        |M|^2    3.5e-15  1.3e-14  2.3e-14  1.5e-14  1.4e-14  6.8e-14
+        M        2.0e-15  8.3e-15  1.7e-15  8.3e-15  2.8e-15  1.5e-14
     """
     a = _finite(_square(matrix))
     n = a.shape[-1]
     count = math.prod(a.shape[:-2])
     _afford(_ryser_work(n, count), "the permanents of {} matrices at n = {}", count, n)
     flat = a.reshape(count, n, n)
-    values = _ryser(count, n, lambda lo, hi: flat[lo:hi])
+    values = _glynn(count, n, lambda lo, hi: flat[lo:hi])
     return complex(values[0]) if a.ndim == 2 else values.reshape(a.shape[:-2])
 
 
@@ -238,13 +235,13 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     _afford(_ryser_work(n, len(flat) * len(words)), "{} Hadamard permanents at n = {}", len(flat) * len(words), n)
     one = a if a.ndim == 2 else a[0] if a.shape[:-2] == (1,) else None
     if one is not None:  # one matrix: the products need no per-entry gather of matrices
-        values = _ryser(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
+        values = _glynn(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
     else:
         def products(lo, hi):
             which, row = np.divmod(np.arange(lo, hi), len(words))
             return _finite(flat[which] * np.conj(flat[which[:, None], words[row]]))
 
-        values = _ryser(len(flat) * len(words), n, products)
+        values = _glynn(len(flat) * len(words), n, products)
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
@@ -253,12 +250,12 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
 
     ``rows`` is an (n, w) block and each row of the (B, n) table ``cols``
     holds n distinct column indices into it (a collisional output passes its
-    interference matrix with cols = range(n)).  By Ryser's formula the
-    permanent of M * conj(M[tau, :]) is the sum over the non-empty column
-    subsets S of (-1)^(n - |S|) prod_i W_{i, tau(i)}(S), with the row-pair
-    sums W_il(S) = sum_{c in S} M_ic conj(M_lc), so each subset's sums (of
+    interference matrix with cols = range(n)).  By Glynn's formula (see
+    ``permanent``) the permanent of M * conj(M[tau, :]) multiplies, per column
+    signing delta, the row-pair sums W_{i, tau(i)}(delta) with
+    W_il(delta) = sum_c delta_c M_ic conj(M_lc), so each signing's sums (of
     the pairs some tau uses) serve every permutation.  Each output is one
-    ``_ryser`` item whose rows are its row-pair products and whose picks are
+    ``_glynn`` item whose rows are its row-pair products and whose picks are
     each tau's pairs.  Priced as T permanents per matrix by ``_ryser_work``
     and refused over ``_WORK`` before any work; the pair products must be
     finite.
@@ -269,7 +266,7 @@ def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np
     used, local = _ranks(cols, rows.shape[1])
     left, right = np.divmod(pairs, n)
     sums = _finite(rows[left][:, used] * np.conj(rows[right][:, used]))  # (pairs, columns)
-    return _ryser(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
+    return _glynn(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
 
 
 def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +336,11 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     rows are expanded over all C(n, j) column subsets C: each term is the
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
-    j the complex blocks are one ``_ryser`` call: each matrix and C is one
+    j the complex blocks are one ``_glynn`` call: each matrix and C is one
     item, whose rows are the products M_ic conj(M_lc) over C of the row
     pairs (i, l) that the count's permutations use, and each permutation
     picks its j pairs (i, tau(i)), so permutations that share pairs share
-    their subset sums.  The non-negative blocks are level n - j of the
+    their signed sums.  The non-negative blocks are level n - j of the
     ``_lattice`` of |M|^2, built once for every count, keeping only the
     levels read.  The price, ``_laplace_work``, holds the whole lattice even
     for the identity alone: the split checks the order expansion and is not
@@ -383,7 +380,7 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
                 which, c = np.divmod(np.arange(first, last), len(sets))
                 return products[:, which[:, None], sets[c]]
 
-            blocks = _ryser(len(block) * len(sets), j, tables, picks).reshape(len(block), len(sets), len(taus))
+            blocks = _glynn(len(block) * len(sets), j, tables, picks).reshape(len(block), len(sets), len(taus))
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
             values[lo : lo + group, taus] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
     return complex(values[0, 0]) if shape == () else values.reshape(shape)

@@ -13,10 +13,10 @@ Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, with one evaluator call for all orders of a block of
 matrices; it serves truncation at any k (the sampler's targets included)
 and the by-order split of explicit overlap matrices.  Its direct strategy
-(``linalg._pair_permanents``) forms the row-pair sums of each column subset
-once and multiplies n of them per permutation, about
-2^n x (n^3 + n x (permutations)) per matrix and priced as one Ryser sum per
-permutation.  Its Laplace strategy (``laplace_split_permanent``) is an
+(``linalg._pair_permanents``) forms the row-pair sums of each signing of
+Glynn's formula once and multiplies n of them per permutation, about
+2^(n - 1) x (n^3 + n x (permutations)) per matrix, priced twice its factors,
+n 2^n per permutation.  Its Laplace strategy (``laplace_split_permanent``) is an
 independent check of the expansion, not a faster path: it pays a whole
 |M|^2 lattice per matrix even at k <= 1, so it runs up to n = 12, and the
 direct strategy serves n >= 13.  For the homogeneous and OBB models a
@@ -288,7 +288,7 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     """
     _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
-    if strategy == "direct":  # every column subset's Ryser terms, shared by the permutations and the block
+    if strategy == "direct":  # every column signing's Glynn terms, shared by the permutations and the block
         evaluate, work = _pair_permanents, _ryser_work(n, sum(classes))
     elif strategy == "laplace":
         evaluate, work = _laplace_block, _laplace_work(n, classes)
@@ -431,12 +431,10 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     residue must stay within 1e-10 of its summed |terms| (ArithmeticError
     above).
 
-    Numerics: the worst order-2 imaginary residue over its summed |terms|,
-    direct walk, 8 complex Gaussian matrices per size (m = n^2 modes, OBB
-    visibilities in [0.5, 0.95]), was 1.9e-12, 5.8e-12, 1.3e-11 and 5.9e-11
-    at n = 13, 14, 15 and 16, the same to two digits whether each
-    permutation's permanent was a separate kernel call or the row-pair sums
-    were shared.
+    Numerics: the worst imaginary residue of orders 0 and 2 over their summed
+    |terms|, direct walk, 2 complex Gaussian matrices per size (m = n^2, OBB
+    visibilities from 0.95 down to 0.55), at n = 12 / 14 / 16 / 18 / 20 was
+    2.7e-16 / 5.7e-17 / 1.2e-16 / 5.3e-16 / 9.3e-16 (1.3e-15 at n = 19).
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     per_order = (walk(inst.interference_matrix, np.arange(inst.n)[None])[0] / inst.normalization).tolist()

@@ -13,7 +13,7 @@ from bosonsim.distinguishability import GeneralizedOBBModel
 from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
-from conftest import brute_permanent, glynn_permanent, inverse_permutation, partitions, perm_from_cycle_lengths
+from conftest import brute_permanent, exact_permanent, inverse_permutation, partitions, perm_from_cycle_lengths, ryser_permanent
 
 # Agreement tolerance relative to the largest term either formula can sum.
 # perm(|A|) is no such bound: Ryser's subset terms need not vanish when it
@@ -50,14 +50,14 @@ class TestPermanent:
         rng = np.random.default_rng(1)
         a = _random_complex(rng, 5)
         reference = brute_permanent(a)
-        for value in (permanent(a), glynn_permanent(a)):
+        for value in (permanent(a), ryser_permanent(a)):
             assert value == pytest.approx(reference, rel=1e-10)
 
     def test_methods_agree_up_to_modest_sizes(self):
         rng = np.random.default_rng(2)
         for n in range(1, 9):
             a = _random_complex(rng, n)
-            assert glynn_permanent(a) == pytest.approx(permanent(a), rel=1e-9)
+            assert ryser_permanent(a) == pytest.approx(permanent(a), rel=1e-9)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -83,10 +83,10 @@ class TestPermanent:
                 permanent([[1.0, bad], [0.0, 1.0]])
 
     def test_numerics_at_twelve(self):
-        # Ryser's subset sum cancels more as n grows; on a Gaussian n = 12
-        # matrix the gap to Glynn is still at roundoff of perm(|A|).
+        # Both formulas cancel more as n grows (Ryser's more); on a Gaussian n = 12
+        # matrix the gap between them is still at roundoff of perm(|A|).
         a = _random_complex(np.random.default_rng(12), 12)
-        value, reference = permanent(a), glynn_permanent(a)
+        value, reference = permanent(a), ryser_permanent(a)
         assert abs(value - reference) <= 1e-15 * permanent(np.abs(a)).real
         assert abs(value - reference) <= 1e-12 * abs(reference)
 
@@ -98,13 +98,38 @@ class TestPermanent:
         import bosonsim.linalg as linalg
 
         shape, predicted = ((1100, 12, 12), "1.78e\\+10") if kernel.startswith("laplace") else ((29, 29), "1.56e\\+10")
-        for name in ("_ryser", "_lattice"):
+        for name in ("_glynn", "_lattice"):
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("kernel started over the budget"))
         args = (np.ones(shape),) if kernel == "permanent" else (np.ones(shape), np.arange(shape[-1]))
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"{predicted} kernel operations"):
             getattr(linalg, kernel)(*args)
         assert time.perf_counter() - start < 1.0
+
+
+class TestExactOracle:
+    """The kernel against the exact permanent of its float input (``exact_permanent``), above n = 12."""
+
+    def test_squared_moduli_at_fourteen(self):
+        # Glynn's kernel was within 2.3e-14 at n = 14; Ryser's was 1.1e-10 off.
+        a = np.abs(_random_complex(np.random.default_rng(80), 14)) ** 2
+        exact = exact_permanent(a).real
+        assert abs(permanent(a) - exact) <= 1e-13 * exact
+
+    def test_complex_at_twelve(self):
+        a = _random_complex(np.random.default_rng(81), 12)
+        exact = exact_permanent(a)
+        assert abs(permanent(a) - exact) <= 1e-13 * abs(exact)
+
+    def test_hadamard_at_twelve(self):
+        # The identity (perm |A|^2) and one transposition, each against its own exact value.
+        a = _random_complex(np.random.default_rng(82), 12)
+        tau = np.arange(12)
+        tau[[3, 7]] = tau[[7, 3]]
+        values = hadamard_permanent(a, [np.arange(12), tau])
+        for value, product in zip(values, (np.abs(a) ** 2, a * np.conj(a[tau, :]))):
+            exact = exact_permanent(product)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
 
 
 class TestStacks:
@@ -129,29 +154,29 @@ class TestStacks:
         values = permanent(stack)
         scale = TERM_TOL * _term_scale(stack)
         assert np.all(np.abs(values - np.array([permanent(a) for a in stack])) <= scale)
-        assert np.all(np.abs(values - np.array([glynn_permanent(a) for a in stack])) <= scale)
+        assert np.all(np.abs(values - np.array([ryser_permanent(a) for a in stack])) <= scale)
 
-    def test_more_subsets_than_one_chunk(self):
+    def test_more_signings_than_one_chunk(self):
         stack = _random_complex(np.random.default_rng(16), 13, (2,))
         values = permanent(stack)
         scale = TERM_TOL * _term_scale(stack)
         for a, value, tol in zip(stack, values, scale):
             assert abs(value - permanent(a)) <= tol
-            assert abs(value - glynn_permanent(a)) <= tol
+            assert abs(value - ryser_permanent(a)) <= tol
 
-    def test_subset_chunks_built_once_above_twelve(self, monkeypatch):
-        # Above n = 12 the subset table is not cached: each chunk is built once per call, not once
+    def test_signing_chunks_built_once_above_thirteen(self, monkeypatch):
+        # Above n = 13 the signing table is not cached: each chunk is built once per call, not once
         # per matrix, and every matrix adds its chunks in the same order, so the values are exactly
         # those of single calls.
         import bosonsim.linalg as linalg
 
         rng = np.random.default_rng(18)
-        stack = _random_complex(rng, 13, (3,))
-        taus = np.array([np.arange(13), np.roll(np.arange(13), 1)])
+        stack = _random_complex(rng, 14, (3,))
+        taus = np.array([np.arange(14), np.roll(np.arange(14), 1)])
         single = [permanent(a) for a in stack], [hadamard_permanent(a, taus) for a in stack]
-        built, subsets = [], linalg._subsets
-        monkeypatch.setattr(linalg, "_subsets", lambda n, start, stop: built.append(start) or subsets(n, start, stop))
-        chunks = math.ceil(((1 << 13) - 1) / (linalg._BUDGET // (64 * 13)))
+        built, signings = [], linalg._signings
+        monkeypatch.setattr(linalg, "_signings", lambda n, start, stop: built.append(start) or signings(n, start, stop))
+        chunks = math.ceil((1 << 13) / (linalg._BUDGET // (64 * 14)))
         assert list(permanent(stack)) == single[0]
         assert len(built) == len(set(built)) == chunks
         assert np.array_equal(hadamard_permanent(stack, taus), np.array(single[1]))
@@ -211,7 +236,7 @@ def test_ryser_and_glynn_agree(matrices):
     stack = matrices[None] if matrices.ndim == 2 else matrices
     values, scale = np.atleast_1d(permanent(matrices)), np.atleast_1d(_term_scale(matrices))
     for a, value, size in zip(stack, values, scale):
-        assert abs(value - glynn_permanent(a)) <= TERM_TOL * size
+        assert abs(value - ryser_permanent(a)) <= TERM_TOL * size
 
 
 @st.composite
@@ -227,7 +252,7 @@ def _lattice_stacks(draw):
 @settings(max_examples=40, deadline=None)
 @given(_lattice_stacks())
 def test_lattice_matches_the_kernel(stack):
-    # Every sub-permanent of the row-expansion lattice against Ryser on the cut-out block.
+    # Every sub-permanent of the row-expansion lattice against the kernel on the cut-out block.
     n = stack.shape[-1]
     levels = _lattice_tables(n)[1]
     count = 0
@@ -254,10 +279,10 @@ def test_complements_reverse_the_lattice_order():
 
 def test_every_pass_loop_across_a_seam(monkeypatch):
     # A 4 KB budget splits every loop it sizes into several passes: the kernel's
-    # subsets and items, its picks (the 191 permutations in two passes by matrix,
-    # the 135 moving 4 rows in three over each Laplace item), the subset table
-    # (built per pass above n = 5), the lattice rows, and the matrix groups of
-    # the Laplace split and of the mixture.  Each must match the one-pass values.
+    # signings and items, its picks (the 191 permutations in two passes by matrix,
+    # the 135 moving 4 rows in three over each Laplace item), the lattice rows,
+    # and the matrix groups of the Laplace split and of the mixture.  Each must
+    # match the one-pass values.
     import bosonsim.linalg as linalg
 
     rng = np.random.default_rng(31)
@@ -407,7 +432,7 @@ class TestPairPermanents:
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (6, 4)])
     def test_single_matrix_route(self, n, k):
-        # A single matrix over every permutation of orders 0 and 2..k: one ``_ryser`` item picking each one's pairs.
+        # A single matrix over every permutation of orders 0 and 2..k: one ``_glynn`` item picking each one's pairs.
         taus = np.concatenate([_class_table(n, j) for j in [0] + list(range(2, k + 1))])
         self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus)
 
@@ -461,9 +486,9 @@ class TestPairPermanents:
     def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
         import bosonsim.linalg as linalg
 
-        for name in ("_ryser", "_subsets", "_subset_table"):
+        for name in ("_glynn", "_signings", "_signing_table"):
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
-        # 10,000 identity permanents at n = 16, each priced as one n 2^n Ryser sum.
+        # 10,000 identity permanents at n = 16, each priced as n 2^n (twice Glynn's terms).
         n, count = 16, 10000
         predicted = count * n << n
         start = time.perf_counter()
@@ -536,7 +561,7 @@ class TestLaplaceSplit:
         import bosonsim.linalg as linalg
         import bosonsim.probability as probability
 
-        for module, name in ((linalg, "_lattice"), (linalg, "_ryser"), (probability, "_class_table")):
+        for module, name in ((linalg, "_lattice"), (linalg, "_glynn"), (probability, "_class_table")):
             monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started above the lattice limit"))
         rng = np.random.default_rng(24)
         inst = ExperimentInstance.from_matrix(_random_complex(rng, 13) / np.sqrt(13), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))

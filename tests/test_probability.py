@@ -519,6 +519,15 @@ class TestTruncation:
         assert result.to_dict()["model"] == inst.model.to_dict()
         assert "elapsed" not in result.to_dict()
 
+    def test_order_two_residue_at_sixteen(self, monkeypatch):
+        # Each order's imaginary residue stays within 1e-13 of its summed |terms| (Glynn's kernel gave
+        # 3e-17 to 1.2e-16 here; Ryser's gave up to 1.7e-11 at n = 16 and crossed 1e-10 from n = 18).
+        import bosonsim.probability as probability
+
+        monkeypatch.setattr(probability, "_RESIDUE", 1e-13)
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(16, 256, seed=2), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 16))))
+        assert len(truncated_probability(inst, 2).per_order) == 3
+
     def test_rejects_bad_order(self):
         rng = np.random.default_rng(12)
         inst = _haar_instance(rng, 2, 4)
@@ -617,11 +626,11 @@ class TestWorkBudget:
         import bosonsim.probability as probability
 
         tally = {"counted": 0, "predicted": []}
-        ryser, lattice, afford = linalg._ryser, linalg._lattice, linalg._afford
+        glynn, lattice, afford = linalg._glynn, linalg._lattice, linalg._afford
 
-        def counting_ryser(count, n, block, picks=None):
+        def counting_glynn(count, n, block, picks=None):
             tally["counted"] += count * (1 if picks is None else len(picks)) * n << n
-            return ryser(count, n, block, picks)
+            return glynn(count, n, block, picks)
 
         def counting_lattice(source, top):
             for s, level in enumerate(lattice(source, top)):
@@ -632,7 +641,7 @@ class TestWorkBudget:
             tally["predicted"].append(work)
             return afford(work, what, *args)
 
-        monkeypatch.setattr(linalg, "_ryser", counting_ryser)
+        monkeypatch.setattr(linalg, "_glynn", counting_glynn)
         monkeypatch.setattr(linalg, "_lattice", counting_lattice)
         monkeypatch.setattr(probability, "_lattice", counting_lattice)
         monkeypatch.setattr(linalg, "_afford", recording_afford)
@@ -669,7 +678,7 @@ class TestWorkBudget:
         import bosonsim.probability as probability
 
         # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes all 12!
-        # permutations, each priced as one 12 x 12 Ryser sum.
+        # permutations, each priced as 12 x 2^12 (``_ryser_work``).
         predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
             call, math.factorial(12) * 12 << 12)
 
