@@ -254,7 +254,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
 
     mean_abs = float(np.mean(np.abs(errors)))
     mean = float(np.mean(errors))
-    variance = float(np.var(errors, ddof=1)) if trials > 1 else 0.0
+    variance = float(np.var(errors, ddof=1))
     stderr = math.sqrt(variance / trials)
     predicted = _geometric_variance(n, m, k, spec.parameter)
     slack = 4.0 / math.sqrt(trials)

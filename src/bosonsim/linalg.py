@@ -8,22 +8,20 @@ row sum as one product ``a @ signs``, and the weights prod(delta) / 2^(n - 1)
 (exact: the scale is a power of two) close the sum.  On a non-negative matrix
 such as |M|^2 its terms cancel by up to about (e/2)^n, Ryser's by e^n.  The
 public functions accept stacks (with a 2-d permutation array, one Hadamard
-permanent per matrix and row).  ``_glynn`` can also pick rows: an item is
-then a table of rows, and each of T permanents multiplies the signed sums of
-its own n rows, so one item's sums serve all T.  The direct walk of
-``probability`` takes its Hadamard permanents from ``_pair_permanents``,
-whose rows are row-pair products, one item per matrix, a single one and each
-output of a sampler block alike.  The Laplace split here and the mixture
-engine in ``probability`` both sum small complex permanents times larger
-non-negative ones, read from ``_lattice``, every sub-permanent of |M|^2 built
-by row expansion; the split takes its complex j x j blocks from ``_glynn``
-too, the mixture from the lattice of M.  Every loop over a stack, signings,
-picks, permutations, row sets or lattice rows, here and in ``probability``,
-goes in passes of as many items as fit one byte budget, ``_BUDGET``.  Every
-kernel refuses a call over ``_WORK`` before any work, at one price per
-evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not, twice the
-n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work`` or
-``_lattice_work`` (none above n = 12).
+permanent per matrix and row).  Only ``_pair_permanents`` has ``_glynn`` pick
+rows and, but for one Hadamard permanent's product matrix, forms row-pair
+products M_ic conj(M_lc), so one matrix's signed pair sums serve every
+permutation: the Hadamard tables and stacks, the direct walk of
+``probability`` and the j x j blocks of the Laplace split.  That
+split and the mixture engine in ``probability`` sum small complex permanents
+times non-negative ones read from ``_lattice``, every sub-permanent of |M|^2
+built by row expansion.  Every loop over a stack, signings, picks,
+permutations, row sets or lattice rows, here and in ``probability``, goes in
+passes of as many items as fit one byte budget, ``_BUDGET``.  Each public
+call and each walk block is refused over ``_WORK`` before any work, once, at
+one price per evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not,
+twice the n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work``
+or ``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
 
@@ -124,7 +122,7 @@ def _glynn(count: int, n: int, block, picks: np.ndarray | None = None) -> np.nda
     order either way.
     """
     shape = (count,) if picks is None else (count, len(picks))
-    if n == 0:
+    if n == 0 or 0 in shape:  # the empty product, or no permanent at all
         return np.ones(shape, dtype=complex)
     signings = 1 << n - 1
     rows = n if picks is None else int(picks.max(initial=0)) + 1
@@ -172,10 +170,8 @@ def _square(matrix) -> np.ndarray:
 
 
 def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """The square ``matrix``, its (count, n, n) stack, the rows of ``perm`` and the result shape of a Hadamard kernel.
-
-    Raises ValueError unless ``perm`` is one word or a 2-d table of words, each a permutation of range(n).
-    """
+    """The square ``matrix``, its (count, n, n) stack, the rows of ``perm`` and the result shape of a Hadamard
+    kernel; raises ValueError unless ``perm`` is one word or a 2-d table of words, each a permutation of range(n)."""
     a = _square(matrix)
     n = a.shape[-1]
     word = np.asarray(perm, dtype=int)
@@ -186,6 +182,12 @@ def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tu
     if np.sort(words, axis=1).tobytes() != np.arange(n, dtype=int).tobytes() * len(words):
         raise ValueError(f"every row of perm must be a permutation of range({n})")
     return a, a.reshape(math.prod(a.shape[:-2]), n, n), words, a.shape[:-2] + word.shape[:-1]
+
+
+def _side_by_side(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (count, n, n) stack as one (n, count n) block, matrix b in its columns b n..b n + n - 1, and those columns."""
+    count, n = stack.shape[:2]
+    return stack.transpose(1, 0, 2).reshape(n, count * n), np.arange(count * n).reshape(count, n)
 
 
 def permanent(matrix) -> complex | np.ndarray:
@@ -221,52 +223,46 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
 
     ``perm`` is one permutation of range(n) in word form or a 2-d array with
     one permutation per row (any other row raises ValueError before any
-    work); ``matrix`` is one n x n matrix or a stack
-    (..., n, n).  The result has shape (stack shape) + (rows of ``perm``),
-    one Hadamard permanent per matrix and permutation, and is a ``complex``
-    for one matrix and one permutation.  The product matrices are formed
-    chunk by chunk inside the kernel, never all at once, and a call priced
+    work); ``matrix`` is one n x n matrix or a stack (..., n, n).  The
+    result has shape (stack shape) + (rows of ``perm``), one Hadamard
+    permanent per matrix and permutation, and is a ``complex`` for one
+    matrix and one permutation, taken from its product matrix; anything more
+    goes to ``_pair_permanents``, the matrices side by side.  A call priced
     over ``_WORK`` raises ValueError before any work.  With the identity
     permutation the value is the permanent of the squared moduli, a
     non-negative real; permuting by the inverse conjugates it.
     """
     a, flat, words, shape = _hadamard_args(matrix, perm)
-    n = a.shape[-1]
-    _afford(_ryser_work(n, len(flat) * len(words)), "{} Hadamard permanents at n = {}", len(flat) * len(words), n)
-    one = a if a.ndim == 2 else a[0] if a.shape[:-2] == (1,) else None
-    if one is not None:  # one matrix: the products need no per-entry gather of matrices
-        values = _glynn(len(words), n, lambda lo, hi: _finite(one * np.conj(one[words[lo:hi], :])))
-    else:
-        def products(lo, hi):
-            which, row = np.divmod(np.arange(lo, hi), len(words))
-            return _finite(flat[which] * np.conj(flat[which[:, None], words[row]]))
-
-        values = _glynn(len(flat) * len(words), n, products)
-    return complex(values[0]) if shape == () else values.reshape(shape)
+    n, count = a.shape[-1], len(flat) * len(words)
+    _afford(_ryser_work(n, count), "{} Hadamard permanents at n = {}", count, n)
+    if shape == ():  # one matrix and one permutation, as in ``exact_probability``'s loop
+        return complex(_glynn(1, n, lambda lo, hi: _finite(a * np.conj(a[words[0], :]))[None])[0])
+    values, codes = np.zeros((len(flat), len(words)), dtype=complex), np.arange(n) * n + words
+    group = _per_pass(48 * n**3)  # per matrix: its pair products (up to n^2 rows of n) and their two gathers
+    for lo in range(0, len(flat), group):
+        values[lo : lo + group] = _pair_permanents(*_side_by_side(flat[lo : lo + group]), codes)
+    return values.reshape(shape)
 
 
-def _pair_permanents(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """The (B, T) Hadamard permanents of the matrices rows[:, cols[b]] over the permutations ``taus``.
+def _pair_permanents(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The (B, T) permanents of row-pair products of the matrices M = rows[:, cols[b]], named by ``codes``.
 
-    ``rows`` is an (n, w) block and each row of the (B, n) table ``cols``
-    holds n distinct column indices into it (a collisional output passes its
-    interference matrix with cols = range(n)).  By Glynn's formula (see
-    ``permanent``) the permanent of M * conj(M[tau, :]) multiplies, per column
-    signing delta, the row-pair sums W_{i, tau(i)}(delta) with
-    W_il(delta) = sum_c delta_c M_ic conj(M_lc), so each signing's sums (of
-    the pairs some tau uses) serve every permutation.  Each output is one
-    ``_glynn`` item whose rows are its row-pair products and whose picks are
-    each tau's pairs.  Priced as T permanents per matrix by ``_ryser_work``
-    and refused over ``_WORK`` before any work; the pair products must be
-    finite.
+    ``rows`` is an (r, w) block; row b of the (B, n) table ``cols`` holds n
+    distinct column indices into it (a collisional output passes range(n)),
+    and row t of the (T, n) table ``codes`` n row pairs (i, l) as i r + l:
+    (i, tau(i)) over all rows gives the Hadamard permanent of M * conj(M[tau, :]),
+    over the rows tau moves a Laplace block.  Per column signing delta (see
+    ``permanent``), permanent [b, t] multiplies n row-pair sums W_il(delta) =
+    sum_c delta_c M_ic conj(M_lc): one ``_glynn`` item per matrix picks each
+    code row's pairs.  The products over all used columns are held at once
+    and must be finite; callers size their blocks and price their calls.
     """
     count, n = cols.shape
-    _afford(_ryser_work(n, count * len(taus)), "{} Hadamard permanents at n = {}", count * len(taus), n)
-    pairs, factors = _ranks(np.arange(n) * n + taus, n * n)  # pair (i, l) is i n + l
+    pairs, picks = _ranks(codes, len(rows) ** 2)
     used, local = _ranks(cols, rows.shape[1])
-    left, right = np.divmod(pairs, n)
-    sums = _finite(rows[left][:, used] * np.conj(rows[right][:, used]))  # (pairs, columns)
-    return _glynn(count, n, lambda lo, hi: sums[:, local[lo:hi]], factors)
+    left, right = np.divmod(pairs[:, None], len(rows))
+    sums = _finite(rows[left, used] * np.conj(rows[right, used]))  # (pairs, columns)
+    return _glynn(count, n, lambda lo, hi: sums[:, local[lo:hi]], picks)
 
 
 def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,54 +332,55 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     rows are expanded over all C(n, j) column subsets C: each term is the
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
-    j the complex blocks are one ``_glynn`` call: each matrix and C is one
-    item, whose rows are the products M_ic conj(M_lc) over C of the row
-    pairs (i, l) that the count's permutations use, and each permutation
-    picks its j pairs (i, tau(i)), so permutations that share pairs share
-    their signed sums.  The non-negative blocks are level n - j of the
-    ``_lattice`` of |M|^2, built once for every count, keeping only the
-    levels read.  The price, ``_laplace_work``, holds the whole lattice even
-    for the identity alone: the split checks the order expansion and is not
-    a faster path than ``hadamard_permanent``.  Above n = 12 or over
-    ``_WORK`` it raises ValueError before any work.  Matrices go in groups whose lattices and
+    j the complex blocks are one ``_pair_permanents`` call, one item per
+    matrix and C, each permutation naming its j moved row pairs (i, tau(i)).
+    The non-negative blocks are level n - j of the ``_lattice`` of |M|^2,
+    built once for every count, keeping only the levels read.  The price,
+    ``_laplace_work``, holds the whole lattice even for the identity alone:
+    the split checks the order expansion and is not a faster path than
+    ``hadamard_permanent``.  Above n = 12 or over ``_WORK`` it raises
+    ValueError before any work.  Matrices go in groups whose lattices and
     tables fit ``_BUDGET``, and share one set of row choices.
     """
     a, flat, words, shape = _hadamard_args(matrix, perm)
-    n = a.shape[-1]
-    fixed = words == np.arange(n)
+    rows, cols = _side_by_side(flat)
+    n = len(rows)
+    sizes = np.bincount((words != np.arange(n)).sum(axis=1)).tolist()
+    _afford(len(cols) * _laplace_work(n, sizes), "{} Laplace splits at n = {}", len(cols), n)
+    values = _laplace_split(rows, cols, words)
+    return complex(values[0, 0]) if shape == () else values.reshape(shape)
+
+
+def _laplace_split(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``laplace_split_permanent`` of the matrices rows[:, cols[b]], (B, T), without argument checks or price."""
+    n = cols.shape[1]
+    fixed = taus == np.arange(n)
     counts = n - fixed.sum(axis=1)
     sizes = np.bincount(counts)
-    _afford(len(flat) * _laplace_work(n, sizes.tolist()), "{} Laplace splits at n = {}", len(flat), n)
-    moduli = _finite(np.abs(flat) ** 2)  # also bounds every product entry, |x y| <= max(|x|, |y|)^2
-    values = np.zeros((len(flat), len(words)), dtype=complex)
+    values = np.zeros((len(cols), len(taus)), dtype=complex)
     moved_counts = np.flatnonzero(sizes)
     # Per matrix: the lattice, its row-pair products, then a complex block and a complement per permutation and C.
     width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)
     group = _per_pass(8 * math.comb(2 * n, n) + 16 * n**3 + 24 * width)
-    plans = []  # per count: its permutations, row pairs, each one's picks and the ranks of the fixed-row sets
+    plans = []  # per count: its permutations, their moved row pairs, the j-sets and the ranks of the fixed-row sets
     for j in moved_counts:
-        taus = np.flatnonzero(counts == j)
+        which = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
-        moved, kept = np.split(np.argsort(fixed[taus], axis=1, kind="stable"), [j], axis=1)
-        pairs, picks = _ranks(moved * n + np.take_along_axis(words[taus], moved, axis=1), n * n)
-        plans.append((j, taus, np.divmod(pairs, n), picks, _lattice_tables(n)[0][(1 << kept).sum(1)]))
+        moved, kept = np.split(np.argsort(fixed[which], axis=1, kind="stable"), [j], axis=1)
+        codes = moved * n + np.take_along_axis(taus[which], moved, axis=1)
+        plans.append((j, which, codes, _sets(n, j), _lattice_tables(n)[0][(1 << kept).sum(1)]))
     reads = {n - j for j in moved_counts}
-    for lo in range(0, len(flat), group):
-        block = flat[lo : lo + group]
-        levels = _lattice(moduli[lo : lo + group], max(reads, default=0))
+    for lo in range(0, len(cols), group):
+        local = cols[lo : lo + group]
+        levels = _lattice(_finite(np.abs(rows[:, local].transpose(1, 0, 2)) ** 2), max(reads, default=0))
         held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j, taus, (left, right), picks, ranks in plans:
-            # Item (matrix b, j-set c) takes its rows from the (pairs, matrices, n) row-pair products.
-            products, sets = (block[:, left] * np.conj(block[:, right])).transpose(1, 0, 2), _sets(n, j)
-
-            def tables(first, last):
-                which, c = np.divmod(np.arange(first, last), len(sets))
-                return products[:, which[:, None], sets[c]]
-
-            blocks = _glynn(len(block) * len(sets), j, tables, picks).reshape(len(block), len(sets), len(taus))
+        for j, which, codes, sets, ranks in plans:
+            # Item (matrix b, j-set c) is the columns local[b, sets[c]] of the block.
+            items = local[:, sets].reshape(len(local) * len(sets), j)
+            blocks = _pair_permanents(rows, items, codes).reshape(len(local), len(sets), len(which))
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
-            values[lo : lo + group, taus] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
-    return complex(values[0, 0]) if shape == () else values.reshape(shape)
+            values[lo : lo + group, which] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
+    return values
 
 
 def submatrix(matrix, input_modes, output_modes) -> np.ndarray:

@@ -12,16 +12,18 @@ neglected tail is the truncation error.
 Two engines evaluate the orders.  The walk visits every permutation of each
 order it needs, with one evaluator call for all orders of a block of
 matrices; it serves truncation at any k (the sampler's targets included)
-and the by-order split of explicit overlap matrices.  Its direct strategy
-(``linalg._pair_permanents``) forms the row-pair sums of each signing of
-Glynn's formula once and multiplies n of them per permutation, about
-2^(n - 1) x (n^3 + n x (permutations)) per matrix, priced twice its factors,
-n 2^n per permutation.  Its Laplace strategy (``laplace_split_permanent``) is an
-independent check of the expansion, not a faster path: it pays a whole
-|M|^2 lattice per matrix even at k <= 1, so it runs up to n = 12, and the
-direct strategy serves n >= 13.  For the homogeneous and OBB models a
-permutation's overlap weight depends only on the set A of photons it
-moves, x_A = prod_{i in A} x_i, so the probability
+and the by-order split of explicit overlap matrices.  Both strategies take
+the same block (rows and each output's columns) and a table of the
+permutations built once per walk.  The direct one (``linalg._pair_permanents``
+on row-pair codes) forms the row-pair sums of each signing of Glynn's formula
+once and multiplies n of them per permutation, about 2^(n - 1) x (n^3 + n x
+(permutations)) per matrix, priced twice its factors, n 2^n per permutation.
+The Laplace one (``linalg._laplace_split``, the core of
+``laplace_split_permanent``) is an independent check of the expansion, not a
+faster path: it pays a whole |M|^2 lattice per matrix even at k <= 1, so it
+runs up to n = 12, and the direct strategy serves n >= 13.  For the
+homogeneous and OBB models a permutation's overlap weight depends only on
+the set A of photons it moves, x_A = prod_{i in A} x_i, so the probability
 is a multilinear polynomial in the visibilities (the mixture formula of
 Renema et al., PRL 120, 220502 (2018)).  The mixture engine gets all n + 1
 orders from one sum over the 2^n photon subsets, over C(2n, n) pairs of
@@ -42,8 +44,8 @@ import numpy as np
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
-from .linalg import _afford, _finite, _laplace_work, _lattice, _lattice_tables, _lattice_work, _pair_permanents
-from .linalg import _per_pass, _ryser_work, hadamard_permanent, laplace_split_permanent, submatrix
+from .linalg import _afford, _finite, _laplace_split, _laplace_work, _lattice, _lattice_tables, _lattice_work
+from .linalg import _pair_permanents, _per_pass, _ryser_work, hadamard_permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -247,18 +249,20 @@ def _class_table(n: int, moved: int) -> np.ndarray:
     return table
 
 
-def _order_walk(rows: np.ndarray, cols: np.ndarray, weights, taus, present, starts, k, evaluate) -> np.ndarray:
+def _order_walk(rows: np.ndarray, cols: np.ndarray, weights, table, price, present, starts, k, evaluate) -> np.ndarray:
     """Orders 0..k of each matrix rows[:, cols[b]] of a block, without the normalization.
 
     ``rows`` is an (n, w) block and ``cols`` a (B, n) table of distinct
-    column indices into it.  ``taus`` holds the nonzero-weight permutations
-    moving 0, 2..k points, one per row, ordered by how many they move: those
-    moving ``present[i]`` start at row ``starts[i]``.  One ``evaluate(rows,
-    cols, taus)`` call gives the (B, T) Hadamard permanents of all orders,
-    and each order of each matrix is checked against that matrix's own
-    summed |terms|.  Orders with no permutation, column 1 among them, stay zero.
+    column indices into it.  ``table`` holds the evaluator's row for each
+    nonzero-weight permutation moving 0, 2..k points, ordered by how many they
+    move: those moving ``present[i]`` start at row ``starts[i]``.  A block over
+    ``_WORK`` at ``price`` per matrix is refused; else one ``evaluate(rows,
+    cols, table)`` call gives its (B, T) Hadamard permanents, and each order of
+    each matrix is checked against that matrix's own summed |terms|.  Orders
+    with no permutation, column 1 among them, stay zero.
     """
-    terms = weights * evaluate(rows, cols, taus)
+    _afford(len(cols) * price, "a block of {} order-{} walks at n = {}", len(cols), k, len(rows))
+    terms = weights * evaluate(rows, cols, table)
     orders, magnitudes = np.zeros((len(terms), k + 1), dtype=complex), np.zeros((len(terms), k + 1))
     orders[:, present] = np.add.reduceat(terms, starts, axis=1)
     magnitudes[:, present] = np.add.reduceat(np.abs(terms), starts, axis=1)
@@ -270,11 +274,6 @@ def _check_order(k: int, n: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
 
 
-def _laplace_block(rows: np.ndarray, cols: np.ndarray, taus) -> np.ndarray:
-    """``laplace_split_permanent`` of the (B, n, n) stack of matrices rows[:, cols[b]]."""
-    return laplace_split_permanent(rows[:, cols].transpose(1, 0, 2), taus)
-
-
 def _truncation_walk(model, n: int, k: int, strategy: str):
     """Check the arguments of an order-k truncation and fix what does not depend on the output.
 
@@ -283,18 +282,18 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     ``walk(matrix, np.arange(n)[None])``, and a block of outputs from one
     input is the input's rows of the transfer matrix with each output's
     modes.  Once the predicted cost per matrix is within ``_WORK``, the
-    overlap weights and the class tables are computed here, once for any
-    number of blocks.
+    overlap weights and the strategy's permutation table (row-pair codes, or
+    the permutations for Laplace) are computed here, once for any number of blocks.
     """
     _check_order(k, n)
     classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
     if strategy == "direct":  # every column signing's Glynn terms, shared by the permutations and the block
-        evaluate, work = _pair_permanents, _ryser_work(n, sum(classes))
+        evaluate, work = _pair_permanents, lambda sizes: _ryser_work(n, sum(sizes))
     elif strategy == "laplace":
-        evaluate, work = _laplace_block, _laplace_work(n, classes)
+        evaluate, work = _laplace_split, functools.partial(_laplace_work, n)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _afford(work, "the order-{} {} walk at n = {}", k, strategy, n)
+    _afford(work(classes), "the order-{} {} walk at n = {}", k, strategy, n)
     overlaps = np.asarray(model.overlap_matrix(n))
     taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
     weights = np.ones(len(taus), dtype=overlaps.dtype)
@@ -302,9 +301,11 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
         weights *= row[taus[:, i]]
     taus, weights = taus[weights != 0.0], weights[weights != 0.0]
     # The classes go j = 0..k and the filter keeps their order, so each order is one run of the permutations.
-    present, starts = np.unique((taus != np.arange(n)).sum(axis=1), return_index=True)
-    return functools.partial(_order_walk, weights=weights, taus=taus, present=present, starts=starts, k=k,
-                             evaluate=evaluate)
+    moved = (taus != np.arange(n)).sum(axis=1)
+    present, starts = np.unique(moved, return_index=True)
+    table = np.arange(n) * n + taus if strategy == "direct" else taus
+    return functools.partial(_order_walk, weights=weights, table=table, price=work(np.bincount(moved).tolist()),
+                             present=present, starts=starts, k=k, evaluate=evaluate)
 
 
 def _subset_sums(matrices: np.ndarray) -> np.ndarray:

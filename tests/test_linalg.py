@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from bosonsim.distinguishability import GeneralizedOBBModel
 from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
-from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, truncated_probability
+from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, _truncation_walk, truncated_probability
 from conftest import brute_permanent, exact_permanent, inverse_permutation, partitions, perm_from_cycle_lengths, ryser_permanent
 
 # Agreement tolerance relative to the largest term either formula can sum.
@@ -167,7 +167,8 @@ class TestStacks:
     def test_signing_chunks_built_once_above_thirteen(self, monkeypatch):
         # Above n = 13 the signing table is not cached: each chunk is built once per call, not once
         # per matrix, and every matrix adds its chunks in the same order, so the values are exactly
-        # those of single calls.
+        # those of single calls.  A chunk holds as many signings as fit the budget for the item's
+        # rows: the 14 rows of a matrix, or the 28 row pairs that the two permutations use.
         import bosonsim.linalg as linalg
 
         rng = np.random.default_rng(18)
@@ -176,11 +177,11 @@ class TestStacks:
         single = [permanent(a) for a in stack], [hadamard_permanent(a, taus) for a in stack]
         built, signings = [], linalg._signings
         monkeypatch.setattr(linalg, "_signings", lambda n, start, stop: built.append(start) or signings(n, start, stop))
-        chunks = math.ceil((1 << 13) / (linalg._BUDGET // (64 * 14)))
+        chunks = [math.ceil((1 << 13) / (linalg._BUDGET // (64 * rows))) for rows in (14, 28)]
         assert list(permanent(stack)) == single[0]
-        assert len(built) == len(set(built)) == chunks
+        assert len(built) == len(set(built)) == chunks[0]
         assert np.array_equal(hadamard_permanent(stack, taus), np.array(single[1]))
-        assert len(built) == 2 * chunks
+        assert len(built) == chunks[0] + len(set(built[chunks[0] :])) == sum(chunks)
 
     def test_hadamard_rows_match_single_calls(self):
         rng = np.random.default_rng(17)
@@ -278,16 +279,18 @@ def test_complements_reverse_the_lattice_order():
 
 
 def test_every_pass_loop_across_a_seam(monkeypatch):
-    # A 4 KB budget splits every loop it sizes into several passes: the kernel's
-    # signings and items, its picks (the 191 permutations in two passes by matrix,
-    # the 135 moving 4 rows in three over each Laplace item), the lattice rows,
-    # and the matrix groups of the Laplace split and of the mixture.  Each must
-    # match the one-pass values.
+    # A 2 KB budget splits every loop it sizes into several passes: the kernel's
+    # signings, where the n = 6 signing table (3,584 B) is no longer cached, so the
+    # chunks are the outer loop, and its items, its picks (the 191 permutations in
+    # three passes per matrix, the 135 moving 4 rows in three over each Laplace
+    # item), the matrix groups of the pair evaluator, of the Laplace split and of
+    # the mixture, and the lattice rows.  Each must match the one-pass values.
     import bosonsim.linalg as linalg
 
     rng = np.random.default_rng(31)
     stack = _random_complex(rng, 6, (3,))
     taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3, 4)])
+    codes = np.arange(6) * 6 + taus
     x = rng.uniform(0.0, 1.0, 6)
 
     # The pair evaluator takes the stack side by side and its first matrix three times over.
@@ -296,11 +299,19 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
 
     def evaluate():
         return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus),
-                _pair_permanents(*block, taus), _pair_permanents(*copies, taus), _mixture_orders(stack, x)]
+                _pair_permanents(*block, codes), _pair_permanents(*copies, codes), _mixture_orders(stack, x)]
 
     whole = evaluate()
-    monkeypatch.setattr(linalg, "_BUDGET", 4096)
-    split = evaluate()
+    built, signings = [], linalg._signings
+    monkeypatch.setattr(linalg, "_BUDGET", 2048)
+    monkeypatch.setattr(linalg, "_signings", lambda n, start, stop: built.append((n, stop - start)) or signings(n, start, stop))
+    linalg._signing_table.cache_clear()  # the n = 6 table cached under the full budget
+    try:
+        split = evaluate()
+    finally:
+        linalg._signing_table.cache_clear()  # no table refused under 2 KB stays cached for later tests
+    chunks = [size for n, size in built if n == 6]
+    assert len(chunks) > 4 and max(chunks) < 32
     products = _term_scale(stack[:, None] * np.conj(stack[:, taus]))
     for one, many, scale in zip(whole, split, [_term_scale(stack), products, products, products, products[:1]]):
         assert np.all(np.abs(many - one) <= TERM_TOL * scale)
@@ -412,7 +423,7 @@ class TestPairPermanents:
     def _check(rows, cols, taus):
         """Compare each value with its own Hadamard permanent."""
         cols, taus = np.asarray(cols), np.asarray(taus)
-        values = _pair_permanents(rows, cols, taus)
+        values = _pair_permanents(rows, cols, np.arange(len(rows)) * len(rows) + taus)
         assert values.shape == (len(cols), len(taus))
         for c, row in zip(cols, values):
             a = rows[:, c]
@@ -479,21 +490,25 @@ class TestPairPermanents:
             broken = rows.copy()
             broken[0, 4] = broken[1, 4] = bad
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-                _pair_permanents(broken, cols, taus)
+                _pair_permanents(broken, cols, np.arange(3) * 3 + taus)
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-                _pair_permanents(broken, cols[1:], taus)
+                _pair_permanents(broken, cols[1:], np.arange(3) * 3 + taus)
 
     def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
         import bosonsim.linalg as linalg
+        import bosonsim.probability as probability
 
         for name in ("_glynn", "_signings", "_signing_table"):
             monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("work started over the budget"))
-        # 10,000 identity permanents at n = 16, each priced as n 2^n (twice Glynn's terms).
+        monkeypatch.setattr(probability, "_pair_permanents", lambda *args: pytest.fail("work started over the budget"))
+        # An order-0 walk over a block of 10,000 outputs at n = 16: one identity permanent each, priced as
+        # n 2^n (twice Glynn's terms), though one output alone is within the budget.
         n, count = 16, 10000
         predicted = count * n << n
+        walk = _truncation_walk(GeneralizedOBBModel((0.5,) * n), n, 0, "direct")
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"{predicted:.3g}".replace("+", "\\+")):
-            _pair_permanents(np.ones((n, n)), np.tile(np.arange(n), (count, 1)), np.arange(n)[None])
+            walk(np.ones((n, n)), np.tile(np.arange(n), (count, 1)))
         assert time.perf_counter() - start < 1.0
 
 

@@ -26,7 +26,7 @@ from bosonsim.probability import (
     truncation_error,
 )
 from bosonsim.randgen import gaussian_matrix, haar_unitary
-from conftest import glynn_permanent
+from conftest import exact_permanent, glynn_permanent
 
 BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -528,6 +528,22 @@ class TestTruncation:
         inst = ExperimentInstance.from_matrix(gaussian_matrix(16, 256, seed=2), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 16))))
         assert len(truncated_probability(inst, 2).per_order) == 3
 
+    def test_walk_orders_at_fourteen_against_the_exact_oracle(self):
+        # Only photons 0..2 are partly indistinguishable, so order 2 is their three transpositions with
+        # weight x_a x_b and order 0 is perm(|M|^2), each within 1e-13 of its summed |terms| of the
+        # exact permanents of the same float product matrices.
+        x = (0.9, 0.7, 0.5) + (0.0,) * 11
+        matrix = gaussian_matrix(14, 196, seed=3)
+        per_order = truncated_probability(ExperimentInstance.from_matrix(matrix, GeneralizedOBBModel(x)), 2).per_order
+        terms = []
+        for a, b in itertools.combinations(range(3), 2):
+            tau = np.arange(14)
+            tau[[a, b]] = b, a
+            terms.append(x[a] * x[b] * exact_permanent(matrix * np.conj(matrix[tau, :])))
+        zero = exact_permanent(np.abs(matrix) ** 2).real
+        assert abs(per_order[0] - zero) <= 1e-13 * zero
+        assert abs(per_order[2] - sum(terms).real) <= 1e-13 * sum(map(abs, terms))
+
     def test_rejects_bad_order(self):
         rng = np.random.default_rng(12)
         inst = _haar_instance(rng, 2, 4)
@@ -685,7 +701,7 @@ class TestWorkBudget:
         def no_work(*args):
             raise AssertionError("work started before the cost check")
 
-        for name in ("_class_table", "_pair_permanents", "hadamard_permanent", "laplace_split_permanent", "_subset_sums"):
+        for name in ("_class_table", "_pair_permanents", "hadamard_permanent", "_laplace_split", "_subset_sums"):
             monkeypatch.setattr(probability, name, no_work)
         n = int(call.split("-")[-2 if call.startswith(("direct", "laplace")) else -1])
         model = ExplicitModel(np.eye(n)) if "explicit" in call else HomogeneousModel(0.5)
