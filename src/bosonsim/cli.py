@@ -109,8 +109,11 @@ def _cmd_bound(setting) -> dict:
 
 
 def _cmd_curves(setting) -> str:
-    rows = truncation_order_curves(setting("sigma", required=True), setting("epsilon", required=True),
-                                   setting("mu", required=True))
+    sigma, epsilon, mu = (setting(name, required=True) for name in ("sigma", "epsilon", "mu"))
+    for name, grid in (("epsilon", epsilon), ("mu", mu)):
+        if not grid:  # "," or a stop below the start, which would print the header alone
+            raise ValueError(f"setting {name!r} has no value")
+    rows = truncation_order_curves(sigma, epsilon, mu)
     lines = ["mu,epsilon,k_max_bound,k_m2_bound"]
     for row in rows:
         k_max = "divergent" if row["k_max_bound"] is None else str(row["k_max_bound"])

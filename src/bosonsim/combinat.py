@@ -36,8 +36,6 @@ def _subfactorial(j: int) -> int:
     """Number of derangements of j points, exact integer."""
     if j == 0:
         return 1
-    if j == 1:
-        return 0
     prev2, prev1 = 1, 0
     for i in range(2, j + 1):
         prev2, prev1 = prev1, (i - 1) * (prev1 + prev2)
@@ -80,11 +78,6 @@ def partial_derangements(n: int, moved: int):
     """
     if not 0 <= moved <= n:
         raise ValueError(f"need 0 <= moved <= n, got n={n}, moved={moved}")
-    if moved == 0:
-        yield identity(n)
-        return
-    if moved == 1:
-        return
     for support in itertools.combinations(range(n), moved):
         for images in _derangements_of(support):
             word = list(range(n))
@@ -142,9 +135,5 @@ def overlap_class_sum(x, moved: int) -> float:
     n = v.size
     if not 0 <= moved <= n:
         raise ValueError(f"need 0 <= moved <= n, got {moved}")
-    if moved == 0:
-        return 1.0
-    if moved == 1:
-        return 0.0
     means = symmetric_means(v * v).means
     return float(rencontres(n, n - moved) * means[moved])

@@ -13,15 +13,16 @@ rows and, but for one Hadamard permanent's product matrix, forms row-pair
 products M_ic conj(M_lc), so one matrix's signed pair sums serve every
 permutation: the Hadamard tables and stacks, the direct walk of
 ``probability`` and the j x j blocks of the Laplace split.  That
-split and the mixture engine in ``probability`` sum small complex permanents
-times non-negative ones read from ``_lattice``, every sub-permanent of |M|^2
-built by row expansion.  Every loop over a stack, signings, picks,
-permutations, row sets or lattice rows, here and in ``probability``, goes in
-passes of as many items as fit one byte budget, ``_BUDGET``.  Each public
-call and each walk block is refused over ``_WORK`` before any work, once, at
-one price per evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not,
-twice the n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work``
-or ``_lattice_work`` (none above n = 12).
+split and ``_subset_sums``, the input of the mixture engine in
+``probability``, sum small complex permanents times non-negative ones read
+from ``_lattice``, every sub-permanent of |M|^2 built by row expansion; they
+alone read its ranking and its complement order.  Every loop over a stack,
+signings, picks, permutations, row sets or lattice rows goes in passes of as
+many items as fit one byte budget, ``_BUDGET``.  Each public call and each
+walk block is refused over ``_WORK`` before any work, once, at one price per
+evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not, twice the
+n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work`` or
+``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ __all__ = [
     "submatrix",
 ]
 
-# Bytes that one pass of any loop here or in ``probability`` holds at once, and the largest signing
-# table that is cached (with its weights, 917,504 B at n = 13 and 1,966,080 B at n = 14).
+# Bytes that one pass of any loop here holds at once, and the largest signing table that is cached (with its
+# weights, 917,504 B at n = 13 and 1,966,080 B at n = 14).
 _BUDGET = 1 << 20
 # Largest n whose sub-permanent lattice is built: its widest level holds C(n, n // 2)^2 entries per matrix,
 # 6.8 MB of float64 at n = 12 but 94 MB at n = 14, and the mixture holds all levels (83 MB at n = 13).
@@ -113,13 +114,12 @@ def _glynn(count: int, n: int, block, picks: np.ndarray | None = None) -> np.nda
     lo..hi-1 rows first, as a (rows, hi - lo, n) complex array, and the
     (count, T) result holds per item the T permanents of its rows picks[t].
     Each row's signed sums are formed once and serve every permanent that
-    picks it, gathered from whole (items, signings) slabs.  A caller can
-    build the items pass by pass.  While the signing table is cached
-    (n <= 13) its chunks are free slices, so the passes over the items are
-    the outer loop and ``block`` is called once per pass; above that the
-    chunks are the outer loop, so each is built once per call and ``block``
-    is called once per chunk and pass.  Every item adds its chunks in signing
-    order either way.
+    picks it, gathered from whole (items, signings) slabs.  The chunks of
+    signings are the outer loop, each sliced from the cached table (n <= 13)
+    or built once per call, and the passes over the items the inner one, so
+    ``block`` builds the items once per chunk and pass (a gather of about
+    1/width of the chunk's matrix product) and every item adds its chunks in
+    signing order.
     """
     shape = (count,) if picks is None else (count, len(picks))
     if n == 0 or 0 in shape:  # the empty product, or no permanent at all
@@ -131,18 +131,12 @@ def _glynn(count: int, n: int, block, picks: np.ndarray | None = None) -> np.nda
     width = min(signings, _per_pass(64 * rows))
     step = _per_pass(64 * rows * width)
     table = _signing_table(n)
-    chunks, passes = range(0, signings, width), range(0, count, step)
     out = np.zeros(shape, dtype=complex)
-    chunk_start = pass_start = None  # what ``signs`` and ``items`` hold
-    for outer in passes if table else chunks:
-        for inner in chunks if table else passes:
-            start, lo = (inner, outer) if table else (outer, inner)
-            if chunk_start != start:
-                stop = min(start + width, signings)
-                signs, weights = (table[0][:, start:stop], table[1][start:stop]) if table else _signings(n, start, stop)
-                chunk_start = start
-            if pass_start != lo:
-                items, pass_start = block(lo, min(lo + step, count)), lo
+    for start in range(0, signings, width):
+        stop = min(start + width, signings)
+        signs, weights = (table[0][:, start:stop], table[1][start:stop]) if table else _signings(n, start, stop)
+        for lo in range(0, count, step):
+            items = block(lo, min(lo + step, count))
             sums = (items.reshape(-1, n) @ signs).reshape(len(items), -1, len(weights))
             if picks is None:
                 out[lo : lo + step] += sums.prod(axis=1) @ weights
@@ -272,14 +266,6 @@ def _ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
 
 
-@functools.lru_cache(maxsize=64)
-def _sets(n: int, s: int) -> np.ndarray:
-    """The s-subsets of range(n) in lexicographic order, as a read-only (C(n, s), s) array."""
-    sets = np.array(list(itertools.combinations(range(n), s)), dtype=int).reshape(math.comb(n, s), s)
-    sets.setflags(write=False)
-    return sets
-
-
 @functools.lru_cache(maxsize=16)
 def _lattice_tables(n: int) -> tuple[np.ndarray, list]:
     """The rank of each subset bit mask among the subsets of its size, and per size s = 0..n
@@ -290,7 +276,7 @@ def _lattice_tables(n: int) -> tuple[np.ndarray, list]:
     """
     rank, levels = np.zeros(1 << n, dtype=int), []
     for s in range(n + 1):
-        sets = _sets(n, s)
+        sets = np.array(list(itertools.combinations(range(n), s)), dtype=int).reshape(math.comb(n, s), s)
         masks = (1 << sets).sum(axis=1)
         rank[masks] = np.arange(len(sets))
         levels.append((sets, masks, rank[masks ^ (1 << sets[:, :1]).sum(axis=1)], rank[masks ^ (1 << sets.T)]))
@@ -347,40 +333,69 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     n = len(rows)
     sizes = np.bincount((words != np.arange(n)).sum(axis=1)).tolist()
     _afford(len(cols) * _laplace_work(n, sizes), "{} Laplace splits at n = {}", len(cols), n)
-    values = _laplace_split(rows, cols, words)
+    values = _laplace_split(rows, cols, np.arange(n) * n + words)
     return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 
-def _laplace_split(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """``laplace_split_permanent`` of the matrices rows[:, cols[b]], (B, T), without argument checks or price."""
+def _laplace_split(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``laplace_split_permanent`` of the matrices rows[:, cols[b]], (B, T), without argument checks or price.
+
+    Row t of the (T, n) table ``codes`` names a permutation tau by its row pairs i n + tau(i), as
+    ``_pair_permanents`` takes them: row i is fixed where its code is i (n + 1), and the j x j block's
+    pairs are the codes of the moved rows.
+    """
     n = cols.shape[1]
-    fixed = taus == np.arange(n)
+    fixed = codes == np.arange(n) * (n + 1)
     counts = n - fixed.sum(axis=1)
     sizes = np.bincount(counts)
-    values = np.zeros((len(cols), len(taus)), dtype=complex)
+    values = np.zeros((len(cols), len(codes)), dtype=complex)
     moved_counts = np.flatnonzero(sizes)
     # Per matrix: the lattice, its row-pair products, then a complex block and a complement per permutation and C.
     width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)
     group = _per_pass(8 * math.comb(2 * n, n) + 16 * n**3 + 24 * width)
+    rank, by_size = _lattice_tables(n)
     plans = []  # per count: its permutations, their moved row pairs, the j-sets and the ranks of the fixed-row sets
     for j in moved_counts:
         which = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
         moved, kept = np.split(np.argsort(fixed[which], axis=1, kind="stable"), [j], axis=1)
-        codes = moved * n + np.take_along_axis(taus[which], moved, axis=1)
-        plans.append((j, which, codes, _sets(n, j), _lattice_tables(n)[0][(1 << kept).sum(1)]))
+        pairs = np.take_along_axis(codes[which], moved, axis=1)
+        plans.append((j, which, pairs, by_size[j][0], rank[(1 << kept).sum(1)]))
     reads = {n - j for j in moved_counts}
     for lo in range(0, len(cols), group):
         local = cols[lo : lo + group]
         levels = _lattice(_finite(np.abs(rows[:, local].transpose(1, 0, 2)) ** 2), max(reads, default=0))
         held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j, which, codes, sets, ranks in plans:
+        for j, which, pairs, sets, ranks in plans:
             # Item (matrix b, j-set c) is the columns local[b, sets[c]] of the block.
             items = local[:, sets].reshape(len(local) * len(sets), j)
-            blocks = _pair_permanents(rows, items, codes).reshape(len(local), len(sets), len(which))
+            blocks = _pair_permanents(rows, items, pairs).reshape(len(local), len(sets), len(which))
             # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
             values[lo : lo + group, which] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
     return values
+
+
+def _subset_sums(matrices: np.ndarray) -> np.ndarray:
+    """F(B) for every row subset B (as a bit mask) of each matrix in a (B, n, n) stack, the mixture's input.
+
+    F(B) = sum over the column subsets C with |C| = |B| of |perm M_{B,C}|^2
+    times perm(|M|^2) over the complementary rows and columns: the summed
+    Hadamard permanents of all permutations that move only photons in B.
+    The factors are read from the lattices of M and of |M|^2, whose
+    complementary level lists the complements in reverse order.
+    """
+    count, n = matrices.shape[0], matrices.shape[-1]
+    levels = _lattice_tables(n)[1]
+    sums = np.zeros((count, 1 << n))
+    group = _per_pass(8 * math.comb(2 * n, n) + 32 * math.comb(n, n // 2) ** 2)  # all of Q, two levels of P
+    for lo in range(0, count, group):
+        stack = matrices[lo : lo + group]
+        large = list(_lattice(_finite(np.abs(stack) ** 2), n))
+        for size, small in enumerate(_lattice(stack, n)):
+            terms = small.real**2 + small.imag**2
+            terms *= large[n - size][::-1, ::-1]
+            sums[lo : lo + group, levels[size][1]] = terms.sum(axis=1).T
+    return sums
 
 
 def submatrix(matrix, input_modes, output_modes) -> np.ndarray:

@@ -90,6 +90,21 @@ class TestCurvesCommand:
         assert code == 0
         assert target.read_text().startswith("mu,epsilon,")
 
+    @pytest.mark.parametrize("name, given", [("mu", ("--mu", "0.9:0.5:0.1")), ("epsilon", ("--epsilon", ",")),
+                                             ("mu", {"mu": []})])
+    def test_empty_grid_is_config_error(self, capsys, tmp_path, name, given):
+        # A grid without a value would print the CSV header alone; the flag or config field is named instead.
+        if isinstance(given, dict):
+            config = tmp_path / "curves.json"
+            config.write_text(json.dumps({"schema": 1, "command": "curves", "sigma": 0.02, "epsilon": [0.05], **given}))
+            argv = ["curves", "--config", str(config)]
+        else:
+            flags = {"--sigma": "0.02", "--epsilon": "0.05", "--mu": "0.5"} | dict([given])
+            argv = ["curves", *(part for flag in flags.items() for part in flag)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"setting {name!r} has no value" in err
+
 
 class TestVerifyCommand:
     def test_report_round_trip(self, capsys):

@@ -528,6 +528,15 @@ class TestTruncation:
         inst = ExperimentInstance.from_matrix(gaussian_matrix(16, 256, seed=2), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 16))))
         assert len(truncated_probability(inst, 2).per_order) == 3
 
+    def test_order_three_residue_at_thirteen(self, monkeypatch):
+        # Above the Laplace limit only the direct walk serves k = 3; orders 0, 2 and 3 gave 1.9e-17 to
+        # 1.3e-16 of their summed |terms| here.
+        import bosonsim.probability as probability
+
+        monkeypatch.setattr(probability, "_RESIDUE", 1e-13)
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(13, 169, seed=1), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
+        assert len(truncated_probability(inst, 3).per_order) == 4
+
     def test_walk_orders_at_fourteen_against_the_exact_oracle(self):
         # Only photons 0..2 are partly indistinguishable, so order 2 is their three transpositions with
         # weight x_a x_b and order 0 is perm(|M|^2), each within 1e-13 of its summed |terms| of the
@@ -659,7 +668,6 @@ class TestWorkBudget:
 
         monkeypatch.setattr(linalg, "_glynn", counting_glynn)
         monkeypatch.setattr(linalg, "_lattice", counting_lattice)
-        monkeypatch.setattr(probability, "_lattice", counting_lattice)
         monkeypatch.setattr(linalg, "_afford", recording_afford)
         monkeypatch.setattr(probability, "_afford", recording_afford)
         return tally
