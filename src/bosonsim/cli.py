@@ -148,10 +148,10 @@ def _cmd_sample(setting) -> str:
     chain = ChainConfig(num_samples=setting("num_samples", required=True), seed=_seed(setting),
                         **{name: value for name, value in given.items() if value is not None})
     samples = metropolis_sample(inst.unitary, inst.input_occupation, inst.model, k, chain)
-    if fmt == "jsonl":
-        return "\n".join(json.dumps(list(sample)) for sample in samples) + "\n"
-    header = ",".join(f"mode_{i}" for i in range(inst.m))
-    return "\n".join([header] + [",".join(str(c) for c in sample) for sample in samples]) + "\n"
+    lines = {sample: json.dumps(list(sample)) if fmt == "jsonl" else ",".join(map(str, sample))
+             for sample in dict.fromkeys(samples)}  # each distinct sample formatted once
+    head = [] if fmt == "jsonl" else [",".join(f"mode_{i}" for i in range(inst.m))]
+    return "\n".join(head + [lines[sample] for sample in samples]) + "\n"
 
 
 # The settings of every subcommand, name -> (kind, help).  A setting is the flag of its name with "-"

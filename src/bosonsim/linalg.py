@@ -232,7 +232,8 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     if shape == ():  # one matrix and one permutation, as in ``exact_probability``'s loop
         return complex(_glynn(1, n, lambda lo, hi: _finite(a * np.conj(a[words[0], :]))[None])[0])
     values, codes = np.zeros((len(flat), len(words)), dtype=complex), np.arange(n) * n + words
-    group = _per_pass(48 * n**3)  # per matrix: its pair products (up to n^2 rows of n) and their two gathers
+    used = np.count_nonzero(np.bincount(codes.ravel()))  # the row pairs the permutations use, at most n^2
+    group = _per_pass(48 * n * used)  # per matrix: the used pairs' products and their two gathers
     for lo in range(0, len(flat), group):
         values[lo : lo + group] = _pair_permanents(*_side_by_side(flat[lo : lo + group]), codes)
     return values.reshape(shape)

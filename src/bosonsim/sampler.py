@@ -8,22 +8,31 @@ must be non-negative, so clamping is the policy here (the probability layer
 reports truncated values unclamped).  The chain therefore samples the
 clamped, implicitly normalized truncated distribution.
 
-Targets are evaluated in blocks: the independence chain draws ``_BLOCK``
-steps (a proposal, then one uniform, per step), evaluates their new states
-in one stacked walk, then decides; single-mode swaps run blocks of one.
-The uniform is drawn on every step, so once a chain meets a zero-weight
-state its seeded sequence differs from releases that drew the uniform only
-on positive weights; seeded reruns are identical.
+Inside the chain a state is the sorted tuple of its n occupied modes,
+which is also the row the truncation walk takes as ``cols``; only the
+returned samples are m-long occupation tuples.  Targets are evaluated in
+blocks: the independence chain draws ``_BLOCK`` steps, evaluates their new
+states in one stacked walk, then decides; single-mode swaps run blocks of
+one.
+
+Stream contract: ``rng = np.random.default_rng(seed)`` draws the initial
+state as ``rng.choice(m, size=n, replace=False)``, then per step the
+proposal (the same ``choice``, or for a swap ``rng.integers(n)`` for the
+photon and then ``rng.integers(m - n)`` for the empty mode) and then one
+``rng.random()``.  The uniform is drawn on every step, so once a chain
+meets a zero-weight state its seeded sequence differs from releases that
+drew the uniform only on positive weights; seeded reruns are identical.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import SEED, own
-from .probability import ExperimentInstance, _truncation_walk, output_configurations
+from .probability import ExperimentInstance, _truncation_walk
 
 __all__ = [
     "DegenerateTargetError",
@@ -88,11 +97,12 @@ def _occupation_from_modes(modes, m: int) -> tuple[int, ...]:
 
 
 def _chain_target(base: ExperimentInstance, k: int):
-    """The chain's batched target: ``weights(states)`` for a list of output occupations.
+    """The chain's batched target: ``weights(states)`` for a list of sorted mode tuples.
 
     Each weight is ``max(truncated_probability(...).total, 0)`` of that
     output.  The overlap weights, class tables and input rows are fixed once
-    per chain; the outputs go through the walk ``_BLOCK`` at a time.
+    per chain; the states, which are the walk's ``cols`` rows, go through the
+    walk ``_BLOCK`` at a time.
     """
     walk = _truncation_walk(base.model, base.n, k, "direct")
     rows = base.unitary[base.input_modes]
@@ -100,26 +110,52 @@ def _chain_target(base: ExperimentInstance, k: int):
     def weights(states) -> list[float]:
         out = []
         for lo in range(0, len(states), _BLOCK):
-            cols = np.nonzero(np.array(states[lo : lo + _BLOCK]))[1].reshape(-1, base.n)
-            orders = walk(rows, cols).tolist()
+            orders = walk(rows, np.array(states[lo : lo + _BLOCK])).tolist()
             out.extend(max(math.fsum(row), 0.0) for row in orders)
         return out
 
     return weights
 
 
-def _metropolis_chain(weights, propose, initial, rng, block, num_samples, burn_in, thinning):
+def _proposal(kind: str, rng, m: int, n: int):
+    """``propose(current, size)``: the next ``size`` steps' (state, uniform) pairs, in stream order.
+
+    The swap indexes ``current`` and then the empty modes in ascending order;
+    it reads ``current``, so its chain runs blocks of one step.
+    """
+    uniform = rng.random
+    if kind == "uniform_noncollisional":
+        # m and n as 0-d arrays: ``Generator.choice`` then skips converting them (about 1 of
+        # its 6 us per call at m = 8), and draws exactly what it draws for the ints.
+        choice, modes, photons = rng.choice, np.array(m), np.array(n)
+
+        def independence(current, size):
+            picks, uniforms = zip(*[(choice(modes, size=photons, replace=False), uniform()) for _ in range(size)])
+            return list(zip(map(tuple, np.sort(picks, axis=1).tolist()), uniforms))
+
+        return independence
+    integers = rng.integers
+
+    def swap(current, size):
+        vacated = current[integers(n)]
+        filled = [mode for mode in range(m) if mode not in current][integers(m - n)]
+        return [(tuple(sorted([mode for mode in current if mode != vacated] + [filled])), uniform())]
+
+    return swap
+
+
+def _metropolis_chain(weights, propose, initial, block, num_samples, burn_in, thinning):
     """Generic Metropolis walk for a symmetric proposal kernel, in blocks of steps.
 
-    Each step draws ``propose(current)`` and then one uniform.  A block's
-    states that have no weight yet go to ``weights`` (a list of states in, a
-    list of weights out) in one call before its decisions run, so every
-    distinct state is evaluated once per chain; with ``block > 1`` the
-    proposals are drawn ahead of the decisions and must not depend on the
-    current state.  A move is accepted with probability
-    min(1, target(s') / target(s)); zero-weight proposals are rejected, and a
-    run of more than 10^4 of them in a row (a chain stranded in a dead
-    region) aborts.
+    ``propose(current, size)`` returns the next ``size`` steps' (state,
+    uniform) pairs.  A block's states that have no weight yet go to
+    ``weights`` (a list of states in, a list of weights out) in one call
+    before its decisions run, so every distinct state is evaluated once per
+    chain; with ``block > 1`` the proposals are drawn ahead of the decisions
+    and must not depend on the current state.  A move is accepted with
+    probability min(1, target(s') / target(s)); zero-weight proposals are
+    rejected, and a run of more than 10^4 of them in a row (a chain stranded
+    in a dead region) aborts.
     """
     current = initial
     targets = {}
@@ -127,7 +163,7 @@ def _metropolis_chain(weights, propose, initial, rng, block, num_samples, burn_i
     zero_streak = 0
     total_steps = burn_in + num_samples * thinning
     for first in range(0, total_steps, block):
-        moves = [(propose(current), rng.random()) for _ in range(min(block, total_steps - first))]
+        moves = propose(current, min(block, total_steps - first))
         fresh = [s for s in dict.fromkeys([current] + [c for c, _ in moves]) if s not in targets]
         if fresh:
             targets.update(zip(fresh, weights(fresh)))
@@ -157,30 +193,26 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     clamped target; zero-weight states are never accepted (the chain can
     only emit one if it started there and stays during early steps).
     Targets are evaluated in blocks of up to 256 outputs, and the work
-    budget applies to each block (ValueError before its kernel work); every
-    step draws one uniform (see the module docstring), and identical (seed,
-    config) pairs reproduce the exact sequence.
+    budget applies to each block (ValueError before its kernel work).
+
+    The stream contract is the module's: from ``default_rng(config.seed)``,
+    the initial ``choice``, then per step the proposal's draws (the swap's
+    photon before its empty mode) and one uniform.  A chain state is the
+    sorted tuple of its occupied modes, and each distinct sample becomes its
+    occupation tuple once.  Identical (seed, config) pairs reproduce the
+    exact sequence.
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n
-    weights = _chain_target(base, k)
     rng = np.random.default_rng(config.seed)
     proposal = config.resolved_proposal(m)
-
-    def propose(state: tuple[int, ...]) -> tuple[int, ...]:
-        if proposal == "uniform_noncollisional":
-            return _occupation_from_modes(rng.choice(m, size=n, replace=False), m)
-        occupied = [i for i, c in enumerate(state) if c]
-        empty = [i for i, c in enumerate(state) if not c]
-        nxt = list(state)
-        nxt[occupied[rng.integers(len(occupied))]] = 0
-        nxt[empty[rng.integers(len(empty))]] = 1
-        return tuple(nxt)
-
+    propose = _proposal(proposal, rng, m, n)
+    initial = tuple(sorted(rng.choice(m, size=n, replace=False).tolist()))
     block = _BLOCK if proposal == "uniform_noncollisional" else 1
-    initial = _occupation_from_modes(rng.choice(m, size=n, replace=False), m)
-    return _metropolis_chain(weights, propose, initial, rng, block,
-                             config.num_samples, config.burn_in, config.thinning)
+    samples = _metropolis_chain(_chain_target(base, k), propose, initial, block,
+                                config.num_samples, config.burn_in, config.thinning)
+    occupations = {state: _occupation_from_modes(state, m) for state in dict.fromkeys(samples)}
+    return [occupations[state] for state in samples]
 
 
 def output_distribution(unitary, input_occupation, model, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -195,9 +227,9 @@ def output_distribution(unitary, input_occupation, model, k: int) -> tuple[list[
     m, n = base.m, base.n
     if math.comb(m, n) > _ENUMERATION_LIMIT:
         raise ValueError(f"too many outputs to enumerate: C({m}, {n}) > {_ENUMERATION_LIMIT}")
-    states = list(output_configurations(m, n, noncollisional=True))
-    weights = np.array(_chain_target(base, k)(states))
+    modes = list(itertools.combinations(range(m), n))  # the order of output_configurations
+    weights = np.array(_chain_target(base, k)(modes))
     mass = weights.sum()
     if mass <= 0.0:
         raise DegenerateTargetError("all truncated output weights are zero")
-    return states, weights / mass
+    return [_occupation_from_modes(state, m) for state in modes], weights / mass

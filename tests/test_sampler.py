@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,6 +11,7 @@ from bosonsim.distinguishability import GeneralizedOBBModel, HomogeneousModel
 from bosonsim.linalg import permanent, submatrix
 from bosonsim.probability import output_configurations, truncated_probability, ExperimentInstance
 from bosonsim.randgen import haar_unitary
+from bosonsim.cli import main
 import bosonsim.sampler as sampler
 from bosonsim.sampler import (
     ChainConfig,
@@ -101,9 +104,8 @@ class TestChain:
         rng = np.random.default_rng(9)
         samples = _metropolis_chain(
             weights=lambda batch: [1.0] * len(batch),
-            propose=lambda s: int(rng.integers(6)),
+            propose=lambda s, size: [(int(rng.integers(6)), rng.random()) for _ in range(size)],
             initial=0,
-            rng=rng,
             block=_BLOCK,
             num_samples=12_000,
             burn_in=100,
@@ -175,11 +177,9 @@ class TestChain:
         runs = []
         for block in (_BLOCK, 1):
             rng = np.random.default_rng(21)
-
-            def propose(state):
-                return sampler._occupation_from_modes(rng.choice(7, size=3, replace=False), 7)
-
-            runs.append(_metropolis_chain(weights, propose, propose(None), rng, block, 7, 3, 50))
+            initial = tuple(sorted(rng.choice(7, size=3, replace=False).tolist()))
+            propose = sampler._proposal("uniform_noncollisional", rng, 7, 3)
+            runs.append(_metropolis_chain(weights, propose, initial, block, 7, 3, 50))
         assert (353 % _BLOCK) and len(runs[0]) == 7
         assert runs[0] == runs[1]
 
@@ -200,11 +200,11 @@ class TestChain:
 
         def run(steps):
             moves = iter(script)
+            rng = np.random.default_rng(24)
             return _metropolis_chain(
                 weights=lambda batch: [float(s >= 0) for s in batch],
-                propose=lambda s: next(moves),
+                propose=lambda s, size: [(next(moves), rng.random()) for _ in range(size)],
                 initial=0,
-                rng=np.random.default_rng(24),
                 block=4,
                 num_samples=steps,
                 burn_in=0,
@@ -238,14 +238,27 @@ class TestChain:
         monkeypatch.setattr(sampler, "_chain_target", recording)
         cfg = ChainConfig(num_samples=300, burn_in=50, thinning=2, proposal=proposal, seed=25)
         samples = metropolis_sample(u, occ_in, model, 2, cfg)
-        counts = Counter(state for state, _ in seen)
+        # The chain's states are sorted mode tuples; its samples are occupations.
+        counts = Counter(sampler._occupation_from_modes(modes, 6) for modes, _ in seen)
         assert set(counts.values()) == {1}
         assert set(samples) <= set(counts)
         assert any(weight == 0.0 for _, weight in seen)
-        for state, weight in seen:
+        for modes, weight in seen:
+            state = sampler._occupation_from_modes(modes, 6)
             result = truncated_probability(ExperimentInstance(u, occ_in, state, model), 2)
             scale = float(np.abs(result.per_order).sum())
             assert abs(weight - max(result.total, 0.0)) <= 1e-12 * scale
+
+    def test_independence_proposal_above_64_modes(self):
+        # The independence proposal is accepted at any m; a state key of fixed width
+        # (a 64-bit mode mask, say) would break here.
+        u = haar_unitary(70, seed=26)
+        occ_in = (1, 1) + (0,) * 68
+        cfg = ChainConfig(num_samples=20, proposal="uniform_noncollisional", seed=27)
+        samples = metropolis_sample(u, occ_in, HomogeneousModel(0.5), 2, cfg)
+        assert len(samples) == 20
+        assert all(len(s) == 70 and sum(s) == 2 and set(s) <= {0, 1} for s in samples)
+        assert samples == metropolis_sample(u, occ_in, HomogeneousModel(0.5), 2, cfg)
 
     def test_proposal_auto_selection(self):
         assert ChainConfig(num_samples=1, seed=0).resolved_proposal(64) == "uniform_noncollisional"
@@ -269,3 +282,26 @@ class TestChain:
             ChainConfig(num_samples=1, burn_in=-1)
         with pytest.raises(ValueError):
             ChainConfig(num_samples=1, proposal="teleport")
+
+
+class TestSeededStream:
+    # The sha256 of seeded ``sample`` stdout.  Each step draws its proposal (the
+    # independence proposal's ``choice``, or the swap's photon slot and then its empty
+    # mode), then one uniform; a change to the draws or to their order changes these
+    # bytes, which a rerun-equality check cannot see.
+    _INSTANCE = {"schema": 1, "ensemble": {"kind": "haar_unitary", "m": 16, "seed": 3}, "input": [1] * 5 + [0] * 11,
+                 "model": {"type": "obb", "x": [0.95, 0.85, 0.75, 0.65, 0.55]}}
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "b4186f3f05cae2a31845adc4ddccf73ccb3884dfb2ccbc5a2afd9dc857cbdfce"),
+        (["--proposal", "single_mode_swap"], "ce78c0e66c1323b9b8d8cc74247659237c82a06783e6160f895f85ee7af8e980"),
+        (["--format", "csv"], "3a3cc3d917fc0210e8131df631bb91f15f46b39628be74215735bec837768864"),
+    ], ids=["independence", "single_mode_swap", "csv"])
+    def test_sample_stdout_is_pinned(self, tmp_path, capsys, flags, digest):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(self._INSTANCE))
+        argv = ["sample", "--instance", str(path), "--k", "2", "--num-samples", "300", "--seed", "4"]
+        assert main(argv + flags) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 300 + (flags[:1] == ["--format"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
