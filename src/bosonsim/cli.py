@@ -195,7 +195,7 @@ _COMMANDS = {
         "num_samples": (ChainConfig._kinds["num_samples"], "samples to emit"),
         "burn_in": (ChainConfig._kinds["burn_in"], f"burn-in steps (default {ChainConfig.burn_in})"),
         "thinning": (ChainConfig._kinds["thinning"], f"keep every thinning-th state (default {ChainConfig.thinning})"),
-        "proposal": (ChainConfig._kinds["proposal"], "chain proposal (default by mode count)"),
+        "proposal": (ChainConfig._kinds["proposal"], "chain proposal (default uniform_noncollisional)"),
         "format": (["jsonl", "csv"], "sample stream format (default jsonl)"),
         "seed": _SEED,
     }),

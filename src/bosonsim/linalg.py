@@ -9,10 +9,9 @@ row sum as one product ``a @ signs``, and the weights prod(delta) / 2^(n - 1)
 such as |M|^2 its terms cancel by up to about (e/2)^n, Ryser's by e^n.  The
 public functions accept stacks (with a 2-d permutation array, one Hadamard
 permanent per matrix and row).  Only ``_pair_permanents`` has ``_glynn`` pick
-rows and, but for one Hadamard permanent's product matrix, forms row-pair
-products M_ic conj(M_lc), so one matrix's signed pair sums serve every
-permutation: the Hadamard tables and stacks, the direct walk of
-``probability`` and the j x j blocks of the Laplace split.  That
+rows and forms row-pair products M_ic conj(M_lc), so one matrix's signed
+pair sums serve every permutation: every Hadamard permanent, the direct walk
+of ``probability`` and the j x j blocks of the Laplace split.  That
 split and ``_subset_sums``, the input of the mixture engine in
 ``probability``, sum small complex permanents times non-negative ones read
 from ``_lattice``, every sub-permanent of |M|^2 built by row expansion; they
@@ -163,8 +162,8 @@ def _square(matrix) -> np.ndarray:
     return a
 
 
-def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """The square ``matrix``, its (count, n, n) stack, the rows of ``perm`` and the result shape of a Hadamard
+def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The (count, n, n) stack of the square ``matrix``, the rows of ``perm`` and the result shape of a Hadamard
     kernel; raises ValueError unless ``perm`` is one word or a 2-d table of words, each a permutation of range(n)."""
     a = _square(matrix)
     n = a.shape[-1]
@@ -175,7 +174,7 @@ def _hadamard_args(matrix, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray, tu
     # Rows sort to the identity; the bytes compare skips a reduction, which costs more than the sort on one word.
     if np.sort(words, axis=1).tobytes() != np.arange(n, dtype=int).tobytes() * len(words):
         raise ValueError(f"every row of perm must be a permutation of range({n})")
-    return a, a.reshape(math.prod(a.shape[:-2]), n, n), words, a.shape[:-2] + word.shape[:-1]
+    return a.reshape(math.prod(a.shape[:-2]), n, n), words, a.shape[:-2] + word.shape[:-1]
 
 
 def _side_by_side(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,23 +219,21 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     work); ``matrix`` is one n x n matrix or a stack (..., n, n).  The
     result has shape (stack shape) + (rows of ``perm``), one Hadamard
     permanent per matrix and permutation, and is a ``complex`` for one
-    matrix and one permutation, taken from its product matrix; anything more
-    goes to ``_pair_permanents``, the matrices side by side.  A call priced
-    over ``_WORK`` raises ValueError before any work.  With the identity
-    permutation the value is the permanent of the squared moduli, a
-    non-negative real; permuting by the inverse conjugates it.
+    matrix and one permutation.  Every call goes to ``_pair_permanents``,
+    the matrices side by side.  A call priced over ``_WORK`` raises
+    ValueError before any work.  With the identity permutation the value is
+    the permanent of the squared moduli, a non-negative real; permuting by
+    the inverse conjugates it.
     """
-    a, flat, words, shape = _hadamard_args(matrix, perm)
-    n, count = a.shape[-1], len(flat) * len(words)
+    flat, words, shape = _hadamard_args(matrix, perm)
+    n, count = flat.shape[-1], len(flat) * len(words)
     _afford(_ryser_work(n, count), "{} Hadamard permanents at n = {}", count, n)
-    if shape == ():  # one matrix and one permutation, as in ``exact_probability``'s loop
-        return complex(_glynn(1, n, lambda lo, hi: _finite(a * np.conj(a[words[0], :]))[None])[0])
     values, codes = np.zeros((len(flat), len(words)), dtype=complex), np.arange(n) * n + words
     used = np.count_nonzero(np.bincount(codes.ravel()))  # the row pairs the permutations use, at most n^2
     group = _per_pass(48 * n * used)  # per matrix: the used pairs' products and their two gathers
     for lo in range(0, len(flat), group):
         values[lo : lo + group] = _pair_permanents(*_side_by_side(flat[lo : lo + group]), codes)
-    return values.reshape(shape)
+    return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 
 def _pair_permanents(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -329,7 +326,7 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     ValueError before any work.  Matrices go in groups whose lattices and
     tables fit ``_BUDGET``, and share one set of row choices.
     """
-    a, flat, words, shape = _hadamard_args(matrix, perm)
+    flat, words, shape = _hadamard_args(matrix, perm)
     rows, cols = _side_by_side(flat)
     n = len(rows)
     sizes = np.bincount((words != np.arange(n)).sum(axis=1)).tolist()

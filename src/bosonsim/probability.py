@@ -45,8 +45,8 @@ import numpy as np
 from .combinat import partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
-from .linalg import _afford, _laplace_split, _laplace_work, _lattice_work, _pair_permanents, _ryser_work, _subset_sums
-from .linalg import hadamard_permanent, submatrix
+from .linalg import _afford, _laplace_split, _laplace_work, _lattice_work, _pair_permanents, _per_pass, _ryser_work
+from .linalg import _subset_sums, permanent, submatrix
 from .randgen import EnsembleSpec
 
 __all__ = [
@@ -83,16 +83,10 @@ def output_configurations(m: int, n: int, noncollisional: bool = False):
     With ``noncollisional=True`` only configurations with at most one photon
     per mode are produced (C(m, n) of them).
     """
-    if noncollisional:
-        if n > m:
-            raise ValueError("noncollisional outputs need n <= m")
-        for modes in itertools.combinations(range(m), n):
-            occ = [0] * m
-            for mode in modes:
-                occ[mode] = 1
-            yield tuple(occ)
-        return
-    for modes in itertools.combinations_with_replacement(range(m), n):
+    if noncollisional and n > m:
+        raise ValueError("noncollisional outputs need n <= m")
+    choose = itertools.combinations if noncollisional else itertools.combinations_with_replacement
+    for modes in choose(range(m), n):
         occ = [0] * m
         for mode in modes:
             occ[mode] += 1
@@ -242,12 +236,19 @@ def _real_part(values, magnitudes) -> np.ndarray:
     return values.real
 
 
-@functools.lru_cache(maxsize=32)
-def _class_table(n: int, moved: int) -> np.ndarray:
-    """The permutations of n points that move exactly ``moved``, one per row, in generator order."""
+def _class_rows(n: int, moved: int) -> np.ndarray:
+    """The permutations of n points that move exactly ``moved``, one per row, in generator order, read-only."""
     table = np.array(list(partial_derangements(n, moved)), dtype=int).reshape(-1, n)
     table.setflags(write=False)
     return table
+
+
+_cached_class_rows = functools.lru_cache(maxsize=32)(_class_rows)
+
+
+def _class_table(n: int, moved: int) -> np.ndarray:
+    """``_class_rows``, cached for the classes whose table fits one pass of the byte budget (all up to n = 8)."""
+    return (_cached_class_rows if rencontres(n, n - moved) <= _per_pass(8 * n) else _class_rows)(n, moved)
 
 
 def _check_order(k: int, n: int) -> None:
@@ -343,7 +344,8 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
 def exact_probability(inst: ExperimentInstance) -> float:
     """Probability of the instance's detection outcome, by direct sum.
 
-    Sums over the full symmetric group, independently of the per-order walk,
+    Sums over the full symmetric group, independently of the per-order walk:
+    each term is the ``permanent`` of one product matrix M * conj(M[sigma, :]),
     at n! * n * 2^n kernel operations (``_ryser_work``), so n = 10 is over
     ``_WORK`` and raises ValueError before any work.  The result is real, and
     in [0, 1] up to roundoff for a unitary transfer matrix.
@@ -358,7 +360,7 @@ def exact_probability(inst: ExperimentInstance) -> float:
         weight = overlap_product(overlaps, sigma)
         if weight == 0.0:
             continue
-        term = weight * hadamard_permanent(matrix, sigma)
+        term = weight * permanent(matrix * np.conj(matrix[sigma, :]))
         total += term
         magnitude += abs(term)
     norm = inst.normalization

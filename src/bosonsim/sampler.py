@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SEED, own
-from .probability import ExperimentInstance, _truncation_walk
+from .probability import ExperimentInstance, _truncation_walk, output_configurations
 
 __all__ = [
     "DegenerateTargetError",
@@ -43,7 +43,6 @@ __all__ = [
 
 _MAX_ZERO_STREAK = 10_000
 _ENUMERATION_LIMIT = 100_000
-_INDEPENDENCE_PROPOSAL_MAX_MODES = 64
 # Independence-chain steps per block, and outputs per stacked walk.
 _BLOCK = 256
 
@@ -56,29 +55,22 @@ class DegenerateTargetError(RuntimeError):
 class ChainConfig:
     """Metropolis chain parameters, checked once at construction and read-only after.
 
-    ``proposal`` is "uniform_noncollisional" (independence proposals,
-    default for m <= 64) or "single_mode_swap" (move one photon to an empty
-    mode, default above that); ``None`` picks by mode count.  ``thinning``
-    keeps every thinning-th state after ``burn_in`` steps.
+    ``proposal`` is "uniform_noncollisional" (independence proposals, the
+    default at any m) or "single_mode_swap" (move one photon to an empty
+    mode, so refused when every mode is occupied).  ``thinning`` keeps every
+    thinning-th state after ``burn_in`` steps.
     """
 
     num_samples: int
     burn_in: int = 1000
     thinning: int = 10
-    proposal: str | None = None
+    proposal: str = "uniform_noncollisional"
     seed: int = 0
     _kinds = {"num_samples": (int, 1), "burn_in": (int, 0), "thinning": (int, 1),
               "proposal": ["uniform_noncollisional", "single_mode_swap"], "seed": SEED}
 
     def __post_init__(self):
         own(self, "chain", self._kinds)
-
-    def resolved_proposal(self, m: int) -> str:
-        if self.proposal is not None:
-            return self.proposal
-        if m <= _INDEPENDENCE_PROPOSAL_MAX_MODES:
-            return "uniform_noncollisional"
-        return "single_mode_swap"
 
 
 def _validate_input(unitary, input_occupation, model) -> ExperimentInstance:
@@ -193,7 +185,8 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     clamped target; zero-weight states are never accepted (the chain can
     only emit one if it started there and stays during early steps).
     Targets are evaluated in blocks of up to 256 outputs, and the work
-    budget applies to each block (ValueError before its kernel work).
+    budget applies to each block (ValueError before its kernel work).  The
+    swap proposal with every mode occupied raises ValueError before any draw.
 
     The stream contract is the module's: from ``default_rng(config.seed)``,
     the initial ``choice``, then per step the proposal's draws (the swap's
@@ -204,11 +197,12 @@ def metropolis_sample(unitary, input_occupation, model, k: int, config: ChainCon
     """
     base = _validate_input(unitary, input_occupation, model)
     m, n = base.m, base.n
+    if config.proposal == "single_mode_swap" and n == m:
+        raise ValueError(f"proposal 'single_mode_swap' has no empty mode: all {m} modes are occupied")
     rng = np.random.default_rng(config.seed)
-    proposal = config.resolved_proposal(m)
-    propose = _proposal(proposal, rng, m, n)
+    propose = _proposal(config.proposal, rng, m, n)
     initial = tuple(sorted(rng.choice(m, size=n, replace=False).tolist()))
-    block = _BLOCK if proposal == "uniform_noncollisional" else 1
+    block = _BLOCK if config.proposal == "uniform_noncollisional" else 1
     samples = _metropolis_chain(_chain_target(base, k), propose, initial, block,
                                 config.num_samples, config.burn_in, config.thinning)
     occupations = {state: _occupation_from_modes(state, m) for state in dict.fromkeys(samples)}
@@ -232,4 +226,4 @@ def output_distribution(unitary, input_occupation, model, k: int) -> tuple[list[
     mass = weights.sum()
     if mass <= 0.0:
         raise DegenerateTargetError("all truncated output weights are zero")
-    return [_occupation_from_modes(state, m) for state in modes], weights / mass
+    return list(output_configurations(m, n, noncollisional=True)), weights / mass

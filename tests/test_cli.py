@@ -268,6 +268,17 @@ class TestSampleCommand:
         assert err.startswith("error:") and "6.24e+10 kernel operations, over the budget" in err
         assert "Traceback" not in err
 
+    def test_swap_with_every_mode_occupied_exit_code(self, capsys, tmp_path):
+        # Three photons in three modes leave the swap no empty mode; numpy's "high <= 0" was the message.
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"ensemble": {"kind": "haar_unitary", "m": 3, "seed": 3}, "input": [1, 1, 1],
+                                    "model": {"type": "homogeneous", "x": 0.5}}))
+        argv = ["sample", "--instance", str(path), "--k", "2", "--num-samples", "5", "--seed", "1"]
+        assert main(argv + ["--proposal", "single_mode_swap"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: proposal 'single_mode_swap' has no empty mode") and "Traceback" not in err
+        assert main(argv) == 0
+
     def test_degenerate_target_exit_code(self, capsys, tmp_path):
         data = {
             "schema": 1,

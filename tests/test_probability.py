@@ -231,6 +231,25 @@ class TestClassTables:
                 assert [tuple(row) for row in table] == list(partial_derangements(n, j))
                 assert not table.flags.writeable
 
+    def test_only_classes_within_the_budget_are_cached(self, monkeypatch):
+        # A class whose table does not fit one pass of the byte budget is built again per call and not
+        # kept: walks over all orders at n = 9 left 25 MiB of cached classes behind.  At the full budget
+        # every class up to n = 8 fits (14,833 rows of 8 at most).
+        import bosonsim.linalg as linalg
+        import bosonsim.probability as probability
+
+        assert all(rencontres(8, 8 - j) * 8 * 8 <= linalg._BUDGET for j in range(9))
+        probability._cached_class_rows.cache_clear()
+        monkeypatch.setattr(linalg, "_BUDGET", 512)  # 12 rows of 5 points: 10 move 2 of 5, 20 move 3
+        try:
+            assert _class_table(5, 2) is _class_table(5, 2)
+            large = _class_table(5, 3)
+            assert large is not _class_table(5, 3) and not large.flags.writeable
+            assert probability._cached_class_rows.cache_info().currsize == 1
+            assert [tuple(row) for row in large] == list(partial_derangements(5, 3))
+        finally:
+            probability._cached_class_rows.cache_clear()
+
 
 def _term_scale(orders) -> float:
     return float(np.abs(orders).sum())
@@ -709,7 +728,7 @@ class TestWorkBudget:
         def no_work(*args):
             raise AssertionError("work started before the cost check")
 
-        for name in ("_class_table", "_pair_permanents", "hadamard_permanent", "_laplace_split", "_subset_sums"):
+        for name in ("_class_table", "_pair_permanents", "permanent", "_laplace_split", "_subset_sums"):
             monkeypatch.setattr(probability, name, no_work)
         n = int(call.split("-")[-2 if call.startswith(("direct", "laplace")) else -1])
         model = ExplicitModel(np.eye(n)) if "explicit" in call else HomogeneousModel(0.5)

@@ -260,9 +260,21 @@ class TestChain:
         assert all(len(s) == 70 and sum(s) == 2 and set(s) <= {0, 1} for s in samples)
         assert samples == metropolis_sample(u, occ_in, HomogeneousModel(0.5), 2, cfg)
 
-    def test_proposal_auto_selection(self):
-        assert ChainConfig(num_samples=1, seed=0).resolved_proposal(64) == "uniform_noncollisional"
-        assert ChainConfig(num_samples=1, seed=0).resolved_proposal(65) == "single_mode_swap"
+    def test_default_proposal_at_70_modes(self):
+        # One proposal rule at every m: the default chain is the independence chain, above 64 modes too.
+        u = haar_unitary(70, seed=26)
+        occ_in = (1, 1) + (0,) * 68
+        default = metropolis_sample(u, occ_in, HomogeneousModel(0.5), 2, ChainConfig(num_samples=20, seed=28))
+        cfg = ChainConfig(num_samples=20, proposal="uniform_noncollisional", seed=28)
+        assert default == metropolis_sample(u, occ_in, HomogeneousModel(0.5), 2, cfg)
+
+    def test_swap_with_every_mode_occupied_refused(self, monkeypatch):
+        # The swap moves a photon to an empty mode; with m = n there is none, so the chain is
+        # refused before any draw (numpy raised "high <= 0" at the first swap).
+        u, cfg = haar_unitary(3, seed=3), ChainConfig(num_samples=5, proposal="single_mode_swap", seed=1)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("a draw before the refusal"))
+        with pytest.raises(ValueError, match="^proposal 'single_mode_swap' has no empty mode: all 3 modes"):
+            metropolis_sample(u, (1, 1, 1), HomogeneousModel(0.5), 2, cfg)
 
     def test_config_is_read_only(self):
         # The field rule runs at construction, so a field set afterwards would skip it: thinning 0
@@ -282,6 +294,8 @@ class TestChain:
             ChainConfig(num_samples=1, burn_in=-1)
         with pytest.raises(ValueError):
             ChainConfig(num_samples=1, proposal="teleport")
+        with pytest.raises(ValueError):
+            ChainConfig(num_samples=1, proposal=None)
 
 
 class TestSeededStream:
