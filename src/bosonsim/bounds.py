@@ -154,9 +154,15 @@ def predicted_variance(n: int, m: int, k: int, model) -> float:
         raise ValueError("n and m must be positive integers")
     if k < 0:
         raise ValueError("k must be non-negative")
-    ratio = quadratic_mean_visibility(model)
-    model.visibilities(n)  # an OBB vector must carry n visibilities
-    return _geometric_variance(n, m, k, ratio)
+    return _geometric_variance(n, m, k, _ratio(model, n))
+
+
+def _ratio(model, n: int) -> float:
+    """The model's quadratic-mean ratio, once an OBB vector is checked to carry n visibilities (the count
+    goes first: a one-entry vector would otherwise be refused for its pairwise mean)."""
+    if isinstance(model, GeneralizedOBBModel):
+        model.visibilities(n)
+    return quadratic_mean_visibility(model)
 
 
 def _geometric_variance(n: int, m: int, k: int, ratio: float) -> float:
@@ -246,7 +252,7 @@ def validate_bound_monte_carlo(n: int, m: int, k: int, model, trials: int, seed:
     if m < n:  # C(m, n) = 0 would scale every L1 estimate to 0
         raise ValueError("need at least as many modes as photons")
     _mixture_work(n, trials)
-    spec = BoundSpec(kind="quadratic_mean", parameter=quadratic_mean_visibility(model), k=k)
+    spec = BoundSpec(kind="quadratic_mean", parameter=_ratio(model, n), k=k)
     x = model.visibilities(n)
 
     matrices = np.array([gaussian_matrix(n, m, trial_rng(seed, trial)) for trial in range(trials)])

@@ -14,22 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "identity",
     "rencontres",
     "partial_derangements",
     "SymmetricMeans",
     "symmetric_means",
     "overlap_class_sum",
 ]
-
-
-def identity(n: int) -> tuple[int, ...]:
-    """The identity permutation of n points.
-
-    >>> identity(3)
-    (0, 1, 2)
-    """
-    return tuple(range(n))
 
 
 def _subfactorial(j: int) -> int:

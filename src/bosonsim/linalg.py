@@ -11,16 +11,18 @@ public functions accept stacks (with a 2-d permutation array, one Hadamard
 permanent per matrix and row).  Only ``_pair_permanents`` has ``_glynn`` pick
 rows and forms row-pair products M_ic conj(M_lc), so one matrix's signed
 pair sums serve every permutation: every Hadamard permanent, the direct walk
-of ``probability`` and the j x j blocks of the Laplace split.  That
-split and ``_subset_sums``, the input of the mixture engine in
-``probability``, sum small complex permanents times non-negative ones read
-from ``_lattice``, every sub-permanent of |M|^2 built by row expansion; they
-alone read its ranking and its complement order.  Every loop over a stack,
-signings, picks, permutations, row sets or lattice rows goes in passes of as
-many items as fit one byte budget, ``_BUDGET``.  Each public call and each
-walk block is refused over ``_WORK`` before any work, once, at one price per
-evaluator: ``_ryser_work`` (n 2^n per permanent, picked or not, twice the
-n 2^(n - 1) factors Glynn's formula multiplies), ``_laplace_work`` or
+of ``probability`` and both factors of the Laplace split, the j x j blocks
+over the moved rows and the complements over the fixed rows' pairs (i, i),
+entries |M_ic|^2.  Only ``_subset_sums``, the input of the mixture engine in
+``probability``, reads ``_lattice``, every sub-permanent of M and of |M|^2
+built by row expansion, with its ranking and its complement order.  Every
+loop over a stack, signings, picks, permutations, row sets or lattice rows
+goes in passes of as many items as fit one byte budget, ``_BUDGET``.  Each
+public call and each walk block is refused over ``_WORK`` before any work,
+once, at one price per evaluator: ``_ryser_work`` (n 2^n per permanent,
+picked or not, twice the n 2^(n - 1) factors Glynn's formula multiplies),
+``_laplace_work`` (the same per block and complement, j 2^j + (n - j)
+2^(n - j) per permutation moving j rows and j-set of columns) or
 ``_lattice_work`` (none above n = 12).
 """
 from __future__ import annotations
@@ -61,22 +63,20 @@ def _ryser_work(n: int, count: int) -> int:
     return count * n << n
 
 
-def _lattice_work(n: int, what: str) -> int:
-    """Kernel operations of one sub-permanent lattice, sum_s C(n, s)^2 s = n C(2n, n) / 2, for ``what``.
+def _lattice_work(n: int) -> int:
+    """Kernel operations of one sub-permanent lattice, sum_s C(n, s)^2 s = n C(2n, n) / 2.
 
     Raises ValueError, before any work, above n = ``_LATTICE_N``.
     """
     if n > _LATTICE_N:
-        raise ValueError(f"{what} holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
+        raise ValueError(f"the mixture holds every sub-permanent of |M|^2, so it is limited to n <= {_LATTICE_N}")
     return n * math.comb(2 * n, n) // 2
 
 
 def _laplace_work(n: int, moved) -> int:
-    """Kernel operations of the Laplace split of one n x n matrix over ``moved[j]`` permutations moving j rows.
-
-    sum_j moved_j C(n, j) j 2^j, plus the whole lattice of |M|^2 (an upper bound without the identity).
-    """
-    return sum(c * math.comb(n, j) * j << j for j, c in enumerate(moved)) + _lattice_work(n, "the Laplace split")
+    """Kernel operations of the Laplace split of one n x n matrix over ``moved[j]`` permutations moving j rows:
+    sum_j moved_j C(n, j) (j 2^j + (n - j) 2^(n - j)), a block and a complement per permutation and column set."""
+    return sum(c * math.comb(n, j) * ((j << j) + (n - j << n - j)) for j, c in enumerate(moved))
 
 
 def _per_pass(item_bytes: int) -> int:
@@ -316,15 +316,14 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     rows are expanded over all C(n, j) column subsets C: each term is the
     j x j complex permanent of the product rows over C times the permanent
     of squared moduli over the fixed rows and the other columns.  Per count
-    j the complex blocks are one ``_pair_permanents`` call, one item per
-    matrix and C, each permutation naming its j moved row pairs (i, tau(i)).
-    The non-negative blocks are level n - j of the ``_lattice`` of |M|^2,
-    built once for every count, keeping only the levels read.  The price,
-    ``_laplace_work``, holds the whole lattice even for the identity alone:
-    the split checks the order expansion and is not a faster path than
-    ``hadamard_permanent``.  Above n = 12 or over ``_WORK`` it raises
-    ValueError before any work.  Matrices go in groups whose lattices and
-    tables fit ``_BUDGET``, and share one set of row choices.
+    j both factors come from ``_pair_permanents``, one item per matrix and
+    C: the blocks name each permutation's j moved row pairs (i, tau(i)), the
+    complements its n - j fixed ones (i, i).  The price, ``_laplace_work``,
+    counts both: the split checks the order expansion and is not a faster
+    path than ``hadamard_permanent`` (the identity alone is one whole
+    complement).  Over ``_WORK``, at order 2 from n = 17, it raises
+    ValueError before any work.  Matrices go in groups whose tables fit
+    ``_BUDGET``.
     """
     flat, words, shape = _hadamard_args(matrix, perm)
     rows, cols = _side_by_side(flat)
@@ -339,37 +338,31 @@ def _laplace_split(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.
     """``laplace_split_permanent`` of the matrices rows[:, cols[b]], (B, T), without argument checks or price.
 
     Row t of the (T, n) table ``codes`` names a permutation tau by its row pairs i n + tau(i), as
-    ``_pair_permanents`` takes them: row i is fixed where its code is i (n + 1), and the j x j block's
-    pairs are the codes of the moved rows.
+    ``_pair_permanents`` takes them: row i is fixed where its code is i (n + 1).  Per moved count j, one
+    call gives the j x j blocks (the moved rows' pairs over each j-set of columns) and one the complements
+    (the fixed rows' pairs i (n + 1), entries |M_ic|^2, over the other n - j columns).
     """
     n = cols.shape[1]
     fixed = codes == np.arange(n) * (n + 1)
     counts = n - fixed.sum(axis=1)
-    sizes = np.bincount(counts)
     values = np.zeros((len(cols), len(codes)), dtype=complex)
-    moved_counts = np.flatnonzero(sizes)
-    # Per matrix: the lattice, its row-pair products, then a complex block and a complement per permutation and C.
-    width = max((int(sizes[j]) * math.comb(n, j) for j in moved_counts), default=0)
-    group = _per_pass(8 * math.comb(2 * n, n) + 16 * n**3 + 24 * width)
-    rank, by_size = _lattice_tables(n)
-    plans = []  # per count: its permutations, their moved row pairs, the j-sets and the ranks of the fixed-row sets
-    for j in moved_counts:
+    for j in np.flatnonzero(np.bincount(counts)).tolist():  # not np.unique, which imports numpy.ma (about 1 MB)
         which = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
         moved, kept = np.split(np.argsort(fixed[which], axis=1, kind="stable"), [j], axis=1)
-        pairs = np.take_along_axis(codes[which], moved, axis=1)
-        plans.append((j, which, pairs, by_size[j][0], rank[(1 << kept).sum(1)]))
-    reads = {n - j for j in moved_counts}
-    for lo in range(0, len(cols), group):
-        local = cols[lo : lo + group]
-        levels = _lattice(_finite(np.abs(rows[:, local].transpose(1, 0, 2)) ** 2), max(reads, default=0))
-        held = {s: level for s, level in enumerate(levels) if s in reads}
-        for j, which, pairs, sets, ranks in plans:
-            # Item (matrix b, j-set c) is the columns local[b, sets[c]] of the block.
-            items = local[:, sets].reshape(len(local) * len(sets), j)
-            blocks = _pair_permanents(rows, items, pairs).reshape(len(local), len(sets), len(which))
-            # Complement columns: the rest of the c-th j-set is the (C - 1 - c)-th (n - j)-set.
-            values[lo : lo + group, which] = np.einsum("bct,tcb->bt", blocks, held[n - j][ranks, ::-1])
+        # The j-sets of columns in lexicographic order; the (n - j)-sets in reverse order are their complements.
+        sets = np.array(list(itertools.combinations(range(n), j)), dtype=int).reshape(math.comb(n, j), j)
+        rest = np.array(list(itertools.combinations(range(n), n - j))[::-1], dtype=int).reshape(len(sets), n - j)
+        parts = [(j, sets, np.take_along_axis(codes[which], moved, axis=1)), (n - j, rest, kept * (n + 1))]
+        # Per matrix: its row-pair products, then a product and one factor per permutation and column set.
+        group = _per_pass(16 * n**3 + 32 * len(sets) * len(which))
+        for lo in range(0, len(cols), group):
+            local = cols[lo : lo + group]
+            terms = np.ones((len(local), len(sets), len(which)), dtype=complex)
+            for size, columns, pairs in parts:
+                if size:  # a block or complement without rows is the empty product, 1
+                    terms *= _pair_permanents(rows, local[:, columns].reshape(-1, size), pairs).reshape(terms.shape)
+            values[lo : lo + group, which] = terms.sum(axis=1)
     return values
 
 

@@ -20,18 +20,20 @@ Glynn's formula once and multiplies n of them per permutation, about
 2^(n - 1) x (n^3 + n x (permutations)) per matrix, priced twice its factors,
 n 2^n per permutation.  The Laplace one (``linalg._laplace_split``, the core
 of ``laplace_split_permanent``) expands about the rows whose codes are not
-fixed, i (n + 1); it is an independent check of the expansion, not a faster
-path: it pays a whole |M|^2 lattice per matrix even at k <= 1, so it runs up
-to n = 12, and the direct strategy serves n >= 13.  For the homogeneous and
-OBB models a permutation's overlap weight depends only on the set A of
-photons it moves, x_A = prod_{i in A} x_i, so the probability is a
-multilinear polynomial in the visibilities (the mixture formula of Renema et
-al., PRL 120, 220502 (2018)).  The mixture engine gets all n + 1 orders from
-one sum over the 2^n photon subsets, Moebius-inverted from
-``linalg._subset_sums`` (C(2n, n) pairs of sub-permanents of M and |M|^2 per
-matrix) instead of n! Hadamard permanents, for a whole stack of matrices at
-once (a 50-trial n = 5 ensemble in about 1 ms, one n = 10 matrix in about
-25 ms, on 2 cores).
+fixed, i (n + 1), through the same evaluator: per permutation moving j rows
+and per j-set of columns, a j x j block over the moved rows' pairs and an
+(n - j) x (n - j) complement over the fixed rows' pairs (i, i).  It shares
+the Glynn kernel with the direct one but not its expansion, so it checks the
+expansion; it is not a faster path, and at k = 2 it runs up to n = 16
+within ``_WORK``.  For the homogeneous and OBB models a permutation's
+overlap weight depends only on the set A of photons it moves,
+x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
+the visibilities (the mixture formula of Renema et al., PRL 120, 220502
+(2018)).  The mixture engine gets all n + 1 orders from one sum over the
+2^n photon subsets, Moebius-inverted from ``linalg._subset_sums``
+(C(2n, n) pairs of sub-permanents of M and |M|^2 per matrix) instead of n!
+Hadamard permanents, for a whole stack of matrices at once (a 50-trial
+n = 5 ensemble in about 1 ms, one n = 10 matrix in about 25 ms, on 2 cores).
 """
 from __future__ import annotations
 
@@ -304,7 +306,7 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
 
 def _mixture_work(n: int, count: int) -> None:
     """Refuse, before any work, the mixture of ``count`` n x n matrices: two lattices each (n <= 12)."""
-    _afford(2 * count * _lattice_work(n, "the mixture"), "the mixture of {} matrices at n = {}", count, n)
+    _afford(2 * count * _lattice_work(n), "the mixture of {} matrices at n = {}", count, n)
 
 
 def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
@@ -394,15 +396,15 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     ``strategy="direct"`` evaluates each permanent whole; ``strategy="laplace"``
     expands every term about the moved rows so the complex permanents never
     exceed size k, at the price of C(n, j)-term inner sums over non-negative
-    permanents read from one lattice of |M|^2 (see ``truncation_cost_estimate``
-    for the kernel-operation count).  The Laplace walk is an independent check
-    of the direct one, and slower: it builds the whole lattice even for
-    k <= 1, and n >= 13 is refused (the direct walk serves it).  Both
+    permanents of the fixed rows (see ``truncation_cost_estimate`` for the
+    kernel-operation count).  The Laplace walk is an independent check of the
+    direct one, and slower (at k = 2, 0.05 s at n = 12 and 2.3 s at n = 16
+    with one BLAS thread on a 2-core host, against 5 ms and 0.14 s).  Both
     strategies agree up to roundoff; k = n reproduces the exact probability,
     and a walk over ``_WORK`` (``linalg._ryser_work`` per permutation for the
-    direct one) raises ValueError before any work.  Each order's imaginary
-    residue must stay within 1e-10 of its summed |terms| (ArithmeticError
-    above).
+    direct one, at k = 2 the Laplace one from n = 17) raises ValueError
+    before any work.  Each order's imaginary residue must stay within 1e-10
+    of its summed |terms| (ArithmeticError above).
 
     Numerics: the worst imaginary residue of orders 0 and 2 over their summed
     |terms|, direct walk, 2 complex Gaussian matrices per size (m = n^2, OBB
@@ -434,11 +436,10 @@ def truncation_cost_estimate(n: int, k: int) -> int:
     """Kernel operations for the Laplace evaluation of an order-k truncation.
 
     ``linalg._laplace_work`` over the R(n, n-j) permutations moving j <= k
-    points: R(n, n-j) * C(n, j) * 2^j * j for the small complex permanents,
-    plus the whole lattice of |M|^2, shared by every order even at k <= 1.
-    So (3, 2) costs 72 + 30 = 102, (4, 3) costs 288 + 768 + 140 = 1196,
-    (12, 0) costs 16224936 for the lattice alone, and n >= 13 raises
-    ValueError: no lattice is built there.
+    points: R(n, n-j) * C(n, j) * (j 2^j + (n - j) 2^(n - j)) for the small
+    complex permanents and their complements.  So (3, 2) costs 24 + 90 = 114,
+    (4, 3) costs 64 + 576 + 832 = 1472, (12, 0) costs 12 * 2^12 = 49152 for
+    one whole complement, and (18, 2) costs 2.46e10, over ``linalg._WORK``.
     """
     _check_order(k, n)
     return _laplace_work(n, [rencontres(n, n - j) for j in range(k + 1)])

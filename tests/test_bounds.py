@@ -231,6 +231,13 @@ class TestPredictedVariance:
         with pytest.raises(ValueError):
             predicted_variance(3, 9, 1, ExplicitModel(np.eye(3)))
 
+    def test_short_vector_names_the_count(self):
+        # One visibility for two photons: the count is wrong before any pairwise mean is.
+        for call in (lambda model: predicted_variance(2, 4, 0, model),
+                     lambda model: validate_bound_monte_carlo(2, 4, 0, model, trials=50, seed=1)):
+            with pytest.raises(ValueError, match="model carries 1 visibilities, instance has n=2"):
+                call(GeneralizedOBBModel((0.5,)))
+
 
 class TestMonteCarloValidation:
     def test_full_truncation_reports_zeros(self):

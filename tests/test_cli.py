@@ -136,6 +136,12 @@ class TestVerifyCommand:
     def test_rejects_both_visibility_forms(self, capsys):
         assert main(["verify", "--n", "3", "--m", "9", "--x", "0.5", "--x-vec", "0.5,0.5,0.5", "--k", "1", "--trials", "50"]) == 2
 
+    def test_short_visibility_vector_names_the_count(self, capsys):
+        assert main(["verify", "--n", "2", "--m", "4", "--x-vec", "0.5", "--k", "0", "--trials", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "model carries 1 visibilities, instance has n=2" in err
+        assert "pairwise mean" not in err
+
     def test_divergent_model_exit_code(self, capsys):
         assert main(["verify", "--n", "3", "--m", "9", "--x", "1", "--k", "1", "--trials", "50"]) == 3
 
@@ -201,20 +207,20 @@ class TestProbAndTruncate:
     def test_missing_instance(self, capsys):
         assert main(["prob"]) == 2
 
-    def test_laplace_refused_above_the_lattice_limit(self, capsys, tmp_path):
-        # At n = 13 the Laplace walk has no lattice, a usage error; the direct walk runs.
-        u = haar_unitary(26, seed=13)
-        inst = ExperimentInstance(u, (1,) * 13 + (0,) * 13, (0,) * 13 + (1,) * 13, HomogeneousModel(0.8))
-        path = tmp_path / "instance13.json"
+    def test_laplace_refused_over_the_work_budget(self, capsys, tmp_path):
+        # At n = 18 the order-2 Laplace walk is priced 2.46e10 kernel operations, a usage error; the direct walk runs.
+        u = haar_unitary(36, seed=18)
+        inst = ExperimentInstance(u, (1,) * 18 + (0,) * 18, (0,) * 18 + (1,) * 18, HomogeneousModel(0.8))
+        path = tmp_path / "instance18.json"
         path.write_text(json.dumps(inst.to_dict()))
         argv = ["truncate", "--instance", str(path), "--k", "2"]
         assert main(argv + ["--strategy", "laplace"]) == 2
         err = capsys.readouterr().err
-        assert "sub-permanent of |M|^2, so it is limited to n <= 12" in err
+        assert "would take 2.46e+10 kernel operations, over the budget" in err
         assert "Traceback" not in err
         code, out = _run(capsys, argv + ["--strategy", "direct"])
         assert code == 0
-        assert json.loads(out)["n"] == 13
+        assert json.loads(out)["n"] == 18
 
 
 class TestSampleCommand:

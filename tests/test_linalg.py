@@ -93,16 +93,14 @@ class TestPermanent:
     @pytest.mark.parametrize("kernel", ["permanent", "hadamard_permanent", "laplace_split_permanent"])
     def test_refused_over_the_work_budget(self, monkeypatch, kernel):
         # About twice the budget each, so every public kernel refuses its whole call before the kernel starts:
-        # 29 * 2^29 = 1.56e10 for a 29 x 29 permanent (the Hadamard one with the identity), and
-        # 1,100 * 12 * C(23, 11) = 1,100 * 16,224,936 = 1.78e10 for the lattices of 1,100 split matrices.
+        # 29 * 2^29 = 1.56e10 for a 29 x 29 permanent (the Hadamard one with the identity, and the Laplace
+        # split's one complement).
         import bosonsim.linalg as linalg
 
-        shape, predicted = ((1100, 12, 12), "1.78e\\+10") if kernel.startswith("laplace") else ((29, 29), "1.56e\\+10")
-        for name in ("_glynn", "_lattice"):
-            monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("kernel started over the budget"))
-        args = (np.ones(shape),) if kernel == "permanent" else (np.ones(shape), np.arange(shape[-1]))
+        monkeypatch.setattr(linalg, "_glynn", lambda *args: pytest.fail("kernel started over the budget"))
+        args = (np.ones((29, 29)),) if kernel == "permanent" else (np.ones((29, 29)), np.arange(29))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"{predicted} kernel operations"):
+        with pytest.raises(ValueError, match="1.56e\\+10 kernel operations"):
             getattr(linalg, kernel)(*args)
         assert time.perf_counter() - start < 1.0
 
@@ -550,13 +548,14 @@ class TestLaplaceSplit:
     def test_lattice_work_is_one_price_and_one_limit(self):
         # sum_s C(n, s)^2 s in closed form, 12 * C(23, 11) = 16,224,936 at n = 12; no lattice above.
         for n in range(13):
-            assert _lattice_work(n, "a lattice") == sum(math.comb(n, s) ** 2 * s for s in range(n + 1))
-        assert _lattice_work(12, "a lattice") == 16224936
+            assert _lattice_work(n) == sum(math.comb(n, s) ** 2 * s for s in range(n + 1))
+        assert _lattice_work(12) == 16224936
         with pytest.raises(ValueError, match="sub-permanent of \\|M\\|\\^2, so it is limited to n <= 12"):
-            _lattice_work(13, "a lattice")
+            _lattice_work(13)
 
     def test_large_n_in_bounded_memory(self):
-        # n = 12, all 66 transpositions: only the lattice level read is kept (all levels would be 21.6 MB).
+        # n = 12, all 66 transpositions: blocks and complements go in passes within the byte budget (the
+        # widest level of the |M|^2 lattice alone would hold 6.8 MB).
         rng = np.random.default_rng(22)
         a = _random_complex(rng, 12)
         taus = _class_table(12, 2)
@@ -566,25 +565,31 @@ class TestLaplaceSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 4e6
         for tau, value in zip(taus[:2], values):
             scale = TERM_TOL * _term_scale(a * np.conj(a[tau, :]))
             assert abs(value - hadamard_permanent(a, tau)) <= scale
 
-    def test_refused_at_thirteen_photons(self, monkeypatch):
-        # No lattice above n = 12, so the split and the Laplace walk refuse before any work.
+    def test_refused_above_sixteen_photons(self, monkeypatch):
+        # Order 2 over n = 17 and 18 is priced n 2^n + C(n, 2)^2 (2 * 2^2 + (n - 2) 2^(n - 2)), 9.09e9 and
+        # 2.46e10, over ``_WORK`` (8.59e9), so the split and the Laplace walk refuse before any work.
         import bosonsim.linalg as linalg
         import bosonsim.probability as probability
 
-        for module, name in ((linalg, "_lattice"), (linalg, "_glynn"), (probability, "_class_table")):
-            monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started above the lattice limit"))
+        for module, name in ((linalg, "_glynn"), (probability, "_class_table")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started over the budget"))
         rng = np.random.default_rng(24)
-        inst = ExperimentInstance.from_matrix(_random_complex(rng, 13) / np.sqrt(13), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
         start = time.perf_counter()
-        for call in (lambda: laplace_split_permanent(inst.interference_matrix, np.arange(13)),
-                     lambda: truncated_probability(inst, 2, "laplace")):
-            with pytest.raises(ValueError, match="so it is limited to n <= 12"):
-                call()
+        for n in (17, 18):
+            inst = ExperimentInstance.from_matrix(_random_complex(rng, n) / np.sqrt(n), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, n))))
+            taus = np.tile(np.arange(n), (math.comb(n, 2) + 1, 1))
+            for tau, (a, b) in zip(taus[1:], itertools.combinations(range(n), 2)):
+                tau[[a, b]] = b, a
+            predicted = (n << n) + math.comb(n, 2) ** 2 * (8 + (n - 2 << n - 2))
+            for call in (lambda: laplace_split_permanent(inst.interference_matrix, taus),
+                         lambda: truncated_probability(inst, 2, "laplace")):
+                with pytest.raises(ValueError, match=f"{predicted:.3g} kernel operations".replace("+", "\\+")):
+                    call()
         assert time.perf_counter() - start < 1.0
 
     def test_stack_over_shared_pairs(self):

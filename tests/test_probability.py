@@ -548,13 +548,22 @@ class TestTruncation:
         assert len(truncated_probability(inst, 2).per_order) == 3
 
     def test_order_three_residue_at_thirteen(self, monkeypatch):
-        # Above the Laplace limit only the direct walk serves k = 3; orders 0, 2 and 3 gave 1.9e-17 to
-        # 1.3e-16 of their summed |terms| here.
+        # Orders 0, 2 and 3 of the direct walk gave 1.9e-17 to 1.3e-16 of their summed |terms| here.
         import bosonsim.probability as probability
 
         monkeypatch.setattr(probability, "_RESIDUE", 1e-13)
         inst = ExperimentInstance.from_matrix(gaussian_matrix(13, 169, seed=1), GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, 13))))
         assert len(truncated_probability(inst, 3).per_order) == 4
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_strategies_agree_above_twelve(self, n):
+        # The Laplace walk checks the direct one above n = 12: orders 0 and 2 within 1e-12 of their summed
+        # |orders|, as in the stacked walks.
+        model = GeneralizedOBBModel(tuple(np.linspace(0.95, 0.55, n)))
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, seed=n), model)
+        direct = truncated_probability(inst, 2, "direct").per_order
+        split = truncated_probability(inst, 2, "laplace").per_order
+        assert np.all(np.abs(np.subtract(split, direct)) <= 1e-12 * _term_scale(direct))
 
     def test_walk_orders_at_fourteen_against_the_exact_oracle(self):
         # Only photons 0..2 are partly indistinguishable, so order 2 is their three transpositions with
@@ -627,18 +636,17 @@ class TestModelConsistency:
 
 class TestCostEstimate:
     def test_small_case_by_hand(self):
-        # n=3, k=2: order 0 contributes 1 * 1 * 1*0 = 0 and order 2
-        # contributes 3 * C(3,2) * 4*2 = 72; the lattice of |M|^2 costs
-        # C(3,1)^2 * 1 + C(3,2)^2 * 2 + C(3,3)^2 * 3 = 9 + 18 + 3 = 30
-        assert truncation_cost_estimate(3, 2) == 72 + 30
-        # n=4, k=3: order 0 gives 0, order 2 gives 6 * 6 * 4*2 = 288, order 3
-        # gives 8 * 4 * 8*3 = 768; the lattice costs 16*1 + 36*2 + 16*3 + 1*4 = 140
-        assert truncation_cost_estimate(4, 3) == 288 + 768 + 140
-        # n=12, k=0: the identity alone still builds the whole lattice, 12 * C(23, 11) = 16224936
-        assert truncation_cost_estimate(12, 0) == 16224936
-        # n=13: no lattice above n = 12, so the Laplace walk has no price there
-        with pytest.raises(ValueError, match="so it is limited to n <= 12"):
-            truncation_cost_estimate(13, 2)
+        # Per permutation moving j rows and per j-set of columns, a j x j block and an (n - j) x (n - j)
+        # complement, j 2^j + (n - j) 2^(n - j).  n=3, k=2: order 0 is one complement, 3 * 8 = 24, and
+        # order 2 is 3 permutations * C(3,2) sets * (2*4 + 1*2) = 90
+        assert truncation_cost_estimate(3, 2) == 24 + 90
+        # n=4, k=3: order 0 gives 4 * 16 = 64, order 2 gives 6 * 6 * (2*4 + 2*4) = 576, order 3
+        # gives 8 * 4 * (3*8 + 1*2) = 832
+        assert truncation_cost_estimate(4, 3) == 64 + 576 + 832
+        # n=12, k=0: the identity alone is one whole complement, 12 * 2^12
+        assert truncation_cost_estimate(12, 0) == 49152
+        # n=13, k=2: 13 * 2^13 + 78 * 78 * (2*4 + 11 * 2^11), finite above n = 12
+        assert truncation_cost_estimate(13, 2) == 106496 + 6084 * 22536
 
     def test_rejects_order_outside_zero_to_n(self):
         for k in (-1, 6):
@@ -653,9 +661,8 @@ class TestCostEstimate:
 class TestWorkBudget:
     """Every expensive call predicts its kernel operations and refuses above ``linalg._WORK``."""
 
-    # Predicted over counted work: every case below has no zero overlap weight, and
-    # every split stack holds the identity, so each prediction counts exactly the
-    # permanents and lattices that run.
+    # Predicted over counted work: every case below has no zero overlap weight, so
+    # each prediction counts exactly the permanents and lattices that run.
     SLACK = 1.0
 
     @pytest.fixture
