@@ -22,6 +22,7 @@ from .bounds import (
 )
 from .combinat import (
     SymmetricMeans,
+    inverse_pairs,
     overlap_class_sum,
     partial_derangements,
     rencontres,
@@ -71,6 +72,7 @@ __all__ = [
     "gaussian_matrix",
     "haar_unitary",
     "hadamard_permanent",
+    "inverse_pairs",
     "l1_bound",
     "laplace_split_permanent",
     "metropolis_sample",

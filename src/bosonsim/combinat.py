@@ -3,7 +3,8 @@
 Permutations are word-form tuples over 0-based positions: ``perm[i]`` is the
 image of position ``i``.  The central objects are the classes of permutations
 with a prescribed number of moved (non-fixed) points, their exact counts
-(rencontres numbers), and elementary symmetric means of visibility vectors.
+(rencontres numbers) and the counts of their inverse pairs {tau, tau^-1},
+and elementary symmetric means of visibility vectors.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "rencontres",
+    "inverse_pairs",
     "partial_derangements",
     "SymmetricMeans",
     "symmetric_means",
@@ -46,6 +48,25 @@ def rencontres(n: int, fixed: int) -> int:
     if n < 0 or fixed < 0 or fixed > n:
         raise ValueError(f"need 0 <= fixed <= n, got n={n}, fixed={fixed}")
     return math.comb(n, fixed) * _subfactorial(n - fixed)
+
+
+def inverse_pairs(n: int, moved: int) -> int:
+    """Count the pairs {tau, tau^-1} among the permutations of n points that move exactly ``moved``.
+
+    A permutation and its inverse move the same points, and an involution is
+    a pair of its own, so the count is (R(n, n - moved) + C(n, moved) F) / 2,
+    with F the fixed-point-free involutions of the moved points ((moved - 1)!!
+    for an even count, 0 for an odd one).  Summed over moved = 0..n it is
+    (n! + I_n) / 2, I_n the involutions of n points: the permanents that a sum
+    over the whole group evaluates, one per pair.
+
+    >>> inverse_pairs(4, 3), inverse_pairs(4, 4)
+    (4, 6)
+    >>> sum(inverse_pairs(5, j) for j in range(6))
+    73
+    """
+    matchings = 0 if moved % 2 else math.prod(range(moved - 1, 0, -2))
+    return (rencontres(n, n - moved) + math.comb(n, moved) * matchings) // 2
 
 
 def _derangements_of(points: tuple[int, ...]):

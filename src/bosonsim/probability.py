@@ -7,18 +7,27 @@ Grouping permutations by how many points they move splits the probability
 into interference orders; order j collects every contribution in which
 exactly j photons interfere while the rest undergo classical transmission.
 Truncating at order k keeps the at-most-k-photon interference terms, and the
-neglected tail is the truncation error.
+neglected tail is the truncation error.  A permutation and its inverse move
+the same photons, and their Hadamard permanents are conjugate, h(tau^-1) =
+conj(h(tau)) for every matrix, so every sum here evaluates one permanent per
+pair {tau, tau^-1}, the one that comes first in lexicographic order: the pair
+adds w(tau) h + w(tau^-1) conj(h), with |terms| (|w(tau)| + |w(tau^-1)|) |h|,
+and an involution is a pair of its own, with w(tau^-1) = 0.  Both weights
+enter, so overlaps without Hermitian symmetry still leave an imaginary
+residue.  Prices count pairs (``combinat.inverse_pairs``): the exact sum
+takes (n! + I_n) / 2 permanents, I_n the involutions (73, 398 and 2,636 at
+n = 5, 6 and 7).
 
-Two engines evaluate the orders.  The walk visits every permutation of each
-order it needs, with one evaluator call for all orders of a block of
+Two engines evaluate the orders.  The walk visits one permutation per pair
+of each order it needs, with one evaluator call for all orders of a block of
 matrices; it serves truncation at any k (the sampler's targets included)
 and the by-order split of explicit overlap matrices.  Both strategies take
 the same block (rows and each output's columns) and one table, built once
-per walk, of each permutation tau's row-pair codes i n + tau(i).  The direct
-one (``linalg._pair_permanents``) forms the row-pair sums of each signing of
-Glynn's formula once and multiplies n of them per permutation, about
-2^(n - 1) x (n^3 + n x (permutations)) per matrix, priced twice its factors,
-n 2^n per permutation.  The Laplace one (``linalg._laplace_split``, the core
+per walk, of each kept permutation tau's row-pair codes i n + tau(i).  The
+direct one (``linalg._pair_permanents``) forms the row-pair sums of each
+signing of Glynn's formula once and multiplies n of them per permutation,
+about 2^(n - 1) x (n^3 + n x (pairs)) per matrix, priced twice its factors,
+n 2^n per pair.  The Laplace one (``linalg._laplace_split``, the core
 of ``laplace_split_permanent``) expands about the rows whose codes are not
 fixed, i (n + 1), through the same evaluator: per permutation moving j rows
 and per j-set of columns, a j x j block over the moved rows' pairs and an
@@ -31,9 +40,10 @@ x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
 the visibilities (the mixture formula of Renema et al., PRL 120, 220502
 (2018)).  The mixture engine gets all n + 1 orders from one sum over the
 2^n photon subsets, Moebius-inverted from ``linalg._subset_sums``
-(C(2n, n) pairs of sub-permanents of M and |M|^2 per matrix) instead of n!
-Hadamard permanents, for a whole stack of matrices at once (a 50-trial
-n = 5 ensemble in about 1 ms, one n = 10 matrix in about 25 ms, on 2 cores).
+(C(2n, n) pairs of sub-permanents of M and |M|^2 per matrix) instead of
+(n! + I_n) / 2 Hadamard permanents, for a whole stack of matrices at once
+(a 50-trial n = 5 ensemble in about 1 ms, one n = 10 matrix in about 25 ms,
+on 2 cores).
 """
 from __future__ import annotations
 
@@ -44,7 +54,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .combinat import partial_derangements, rencontres
+from .combinat import inverse_pairs, partial_derangements, rencontres
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
 from .linalg import _afford, _laplace_split, _laplace_work, _lattice_work, _pair_permanents, _per_pass, _ryser_work
@@ -231,8 +241,9 @@ def _check_residue(residues: np.ndarray, magnitudes: np.ndarray, kind: str) -> N
 
 
 def _real_part(values, magnitudes) -> np.ndarray:
-    # The imaginary parts cancel in conjugate pairs (tau with its inverse), so
-    # what is left is roundoff relative to the summed term magnitudes.
+    # Each pair {tau, tau^-1} adds w(tau) h + w(tau^-1) conj(h), which is real when the overlaps are
+    # Hermitian (w(tau^-1) = conj(w(tau))), so what is left is roundoff relative to the summed
+    # (|w(tau)| + |w(tau^-1)|) |h|; overlaps without that symmetry leave a residue that raises.
     values = np.asarray(values, dtype=complex)
     _check_residue(values.imag, np.asarray(magnitudes), "imaginary")
     return values.real
@@ -266,15 +277,18 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     (B, n) table ``cols`` of distinct column indices.  One matrix is
     ``walk(matrix, np.arange(n)[None])``; a block of outputs from one input is
     the input's rows of the transfer matrix with each output's modes.  Once the
-    cost per matrix is within ``_WORK``, the overlap weights and one table of
-    row-pair codes i n + tau(i), a row per nonzero-weight permutation moving 0,
-    2..k points, are fixed here for either strategy.  ``walk`` refuses a block
-    over ``_WORK``, else takes its (B, T) Hadamard permanents in one evaluator
-    call and checks each order of each matrix against its own summed |terms|;
+    cost per matrix (``inverse_pairs`` per class) is within ``_WORK``, the
+    overlap weights and one table of row-pair codes i n + tau(i) are fixed
+    here for either strategy: a row per pair {tau, tau^-1} moving 0, 2..k
+    points, tau the first in lexicographic order, kept where w(tau) or
+    w(tau^-1) is nonzero (an involution's partner weight is 0).  ``walk``
+    refuses a block over ``_WORK``, else takes its (B, T) Hadamard permanents
+    h in one evaluator call, adds w(tau) h + w(tau^-1) conj(h) and checks each
+    order of each matrix against its own summed (|w(tau)| + |w(tau^-1)|) |h|;
     orders with no permutation, 1 among them, stay zero.
     """
     _check_order(k, n)
-    classes = [rencontres(n, n - j) for j in range(k + 1)]  # permutations moving j points
+    classes = [inverse_pairs(n, j) for j in range(k + 1)]  # pairs {tau, tau^-1} moving j points
     if strategy == "direct":  # every column signing's Glynn terms, shared by the permutations and the block
         evaluate, work = _pair_permanents, lambda sizes: _ryser_work(n, sum(sizes))
     elif strategy == "laplace":
@@ -284,21 +298,31 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     _afford(work(classes), "the order-{} {} walk at n = {}", k, strategy, n)
     overlaps = np.asarray(model.overlap_matrix(n))
     taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
-    weights = np.ones(len(taus), dtype=overlaps.dtype)
-    for i, row in enumerate(overlaps):  # a product over rows, without a (T, n) gather
+    inverses = np.argsort(taus, axis=1)
+    # tau stands for its pair when it comes first in lexicographic order; an involution is its own pair.
+    first = np.arange(len(taus)), (taus != inverses).argmax(axis=1)  # where they first differ (0 if nowhere)
+    lead = taus[first] <= inverses[first]
+    taus, inverses = taus[lead], inverses[lead]
+    weights, partners = np.ones((2, len(taus)), dtype=overlaps.dtype)
+    for i, row in enumerate(overlaps):  # products over rows, without a (T, n) gather
         weights *= row[taus[:, i]]
-    taus, weights = taus[weights != 0.0], weights[weights != 0.0]
-    # The classes go j = 0..k and the filter keeps their order, so each order is one run of the permutations.
+        partners *= row[inverses[:, i]]
+    partners[(taus == inverses).all(axis=1)] = 0.0
+    keep = (weights != 0.0) | (partners != 0.0)
+    taus, weights, partners = taus[keep], weights[keep], partners[keep]
+    scales = np.abs(weights) + np.abs(partners)
+    # The classes go j = 0..k and the filters keep their order, so each order is one run of the permutations.
     moved = (taus != np.arange(n)).sum(axis=1)
     present, starts = np.unique(moved, return_index=True)
     codes, price = np.arange(n) * n + taus, work(np.bincount(moved).tolist())
 
     def walk(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         _afford(len(cols) * price, "a block of {} order-{} walks at n = {}", len(cols), k, n)
-        terms = weights * evaluate(rows, cols, codes)
+        values = evaluate(rows, cols, codes)  # h(tau); h(tau^-1) is its conjugate
+        terms = weights * values + partners * values.conj()
         orders, magnitudes = np.zeros((len(terms), k + 1), dtype=complex), np.zeros((len(terms), k + 1))
         orders[:, present] = np.add.reduceat(terms, starts, axis=1)
-        magnitudes[:, present] = np.add.reduceat(np.abs(terms), starts, axis=1)
+        magnitudes[:, present] = np.add.reduceat(scales * np.abs(values), starts, axis=1)
         return _real_part(orders, magnitudes)
 
     return walk
@@ -346,25 +370,38 @@ def _mixture_orders(matrices: np.ndarray, x) -> np.ndarray:
 def exact_probability(inst: ExperimentInstance) -> float:
     """Probability of the instance's detection outcome, by direct sum.
 
-    Sums over the full symmetric group, independently of the per-order walk:
-    each term is the ``permanent`` of one product matrix M * conj(M[sigma, :]),
-    at n! * n * 2^n kernel operations (``_ryser_work``), so n = 10 is over
+    Sums over the full symmetric group, independently of the per-order walk,
+    one permutation sigma at a time from ``itertools.permutations``: sigma is
+    skipped when its inverse comes first in lexicographic order, else one
+    ``permanent`` h of the product matrix M * conj(M[sigma, :]) adds
+    w(sigma) h + w(sigma^-1) conj(h), the weights ``overlap_product`` over
+    the overlaps as nested lists (an involution adds w(sigma) h alone).  That
+    is (n! + I_n) / 2 permanents, I_n the involutions of n points (73, 398
+    and 2,636 at n = 5, 6 and 7), priced n 2^n each (``_ryser_work``): n = 9
+    at 8.4e8 kernel operations is admitted, n = 10 at 1.86e10 is over
     ``_WORK`` and raises ValueError before any work.  The result is real, and
-    in [0, 1] up to roundoff for a unitary transfer matrix.
+    in [0, 1] up to roundoff for a unitary transfer matrix; its imaginary
+    residue must stay within 1e-10 of the summed (|w(sigma)| +
+    |w(sigma^-1)|) |h| (ArithmeticError above).
     """
     n = inst.n
-    _afford(_ryser_work(n, math.factorial(n)), "exact evaluation at n = {}", n)
-    overlaps = inst.model.overlap_matrix(n)
+    _afford(_ryser_work(n, sum(inverse_pairs(n, j) for j in range(n + 1))), "exact evaluation at n = {}", n)
+    overlaps = np.asarray(inst.model.overlap_matrix(n)).tolist()
     matrix = inst.interference_matrix
+    conj = np.conj(matrix)
     total = 0.0 + 0.0j
     magnitude = 0.0
     for sigma in itertools.permutations(range(n)):
-        weight = overlap_product(overlaps, sigma)
-        if weight == 0.0:
+        inverse = tuple(sorted(range(n), key=sigma.__getitem__))
+        if inverse < sigma:  # the pair's first member was summed already
             continue
-        term = weight * permanent(matrix * np.conj(matrix[sigma, :]))
-        total += term
-        magnitude += abs(term)
+        weight = overlap_product(overlaps, sigma)
+        partner = overlap_product(overlaps, inverse) if inverse != sigma else 0.0
+        if weight == 0.0 and partner == 0.0:
+            continue
+        value = permanent(matrix * conj[sigma, :])
+        total += weight * value + partner * value.conjugate()
+        magnitude += (abs(weight) + abs(partner)) * abs(value)
     norm = inst.normalization
     return float(_real_part(total / norm, magnitude / norm))
 
@@ -377,8 +414,8 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     probability.  Homogeneous and OBB models take the mixture engine, about
     C(2n, n) pairs of sub-permanents (n = 7 in about 1 ms, n = 9 in about
     8 ms and n = 12 in about 0.4 s on a 2-core host) up to n = 12; explicit
-    overlap matrices take the walk over all n! permutations, up to n = 9 by
-    the ``_WORK`` budget.  Beyond these, ValueError is raised before any work.
+    overlap matrices take the walk over one permutation of each of the
+    (n! + I_n) / 2 inverse pairs, up to n = 9 by the ``_WORK`` budget.  Beyond these, ValueError is raised before any work.
     """
     visibilities = getattr(inst.model, "visibilities", None)
     if visibilities is None:
@@ -401,10 +438,10 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     direct one, and slower (at k = 2, 0.05 s at n = 12 and 2.3 s at n = 16
     with one BLAS thread on a 2-core host, against 5 ms and 0.14 s).  Both
     strategies agree up to roundoff; k = n reproduces the exact probability,
-    and a walk over ``_WORK`` (``linalg._ryser_work`` per permutation for the
-    direct one, at k = 2 the Laplace one from n = 17) raises ValueError
-    before any work.  Each order's imaginary residue must stay within 1e-10
-    of its summed |terms| (ArithmeticError above).
+    and a walk over ``_WORK`` (``linalg._ryser_work`` per pair {tau, tau^-1}
+    for the direct one, at k = 2 the Laplace one from n = 17) raises
+    ValueError before any work.  Each order's imaginary residue must stay
+    within 1e-10 of its summed |terms| (ArithmeticError above).
 
     Numerics: the worst imaginary residue of orders 0 and 2 over their summed
     |terms|, direct walk, 2 complex Gaussian matrices per size (m = n^2, OBB
@@ -413,10 +450,12 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     Orders 0, 2 and 3 (k = 3), same matrices, seeds 1 / 2:
 
         n        13       14       15       16
-        seed 1   1.3e-16  2.2e-17  3.7e-16  3.9e-17
-        seed 2   9.1e-17  5.7e-17  5.2e-16  1.4e-16
+        seed 1   1.3e-16  2.2e-17  3.7e-16  3.0e-17
+        seed 2   9.1e-17  5.7e-17  5.2e-16  1.2e-16
 
-    (n = 16 at k = 3 took 0.8 s with one BLAS thread on a 2-core host.)
+    Order 3 read at most 4.2e-18: a pair of 3-cycles adds w h + w' conj(h)
+    with real weights w and w' that differ in their last bits only.  (n = 16
+    at k = 3 took 0.7 s with one BLAS thread on a 2-core host.)
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     per_order = (walk(inst.interference_matrix, np.arange(inst.n)[None])[0] / inst.normalization).tolist()
@@ -435,11 +474,13 @@ def truncation_error(inst: ExperimentInstance, k: int, strategy: str = "direct")
 def truncation_cost_estimate(n: int, k: int) -> int:
     """Kernel operations for the Laplace evaluation of an order-k truncation.
 
-    ``linalg._laplace_work`` over the R(n, n-j) permutations moving j <= k
-    points: R(n, n-j) * C(n, j) * (j 2^j + (n - j) 2^(n - j)) for the small
-    complex permanents and their complements.  So (3, 2) costs 24 + 90 = 114,
-    (4, 3) costs 64 + 576 + 832 = 1472, (12, 0) costs 12 * 2^12 = 49152 for
+    ``linalg._laplace_work`` over the P_j = ``inverse_pairs(n, j)`` pairs
+    {tau, tau^-1} moving j <= k points, one evaluated per pair:
+    P_j * C(n, j) * (j 2^j + (n - j) 2^(n - j)) for the small complex
+    permanents and their complements.  A transposition is its own pair, and
+    the 8 three-cycles of 4 points are 4 pairs, so (3, 2) costs 24 + 90 = 114,
+    (4, 3) costs 64 + 576 + 416 = 1056, (12, 0) costs 12 * 2^12 = 49152 for
     one whole complement, and (18, 2) costs 2.46e10, over ``linalg._WORK``.
     """
     _check_order(k, n)
-    return _laplace_work(n, [rencontres(n, n - j) for j in range(k + 1)])
+    return _laplace_work(n, [inverse_pairs(n, j) for j in range(k + 1)])

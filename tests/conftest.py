@@ -5,8 +5,9 @@ oracles sum the full symmetric group with numpy products, use Ryser's
 formula over explicit 0/1 column subsets (the library's kernel is Glynn's
 formula), spell Glynn's formula out one signing at a time, or run Ryser's
 formula over exact Python integers; class sums are built by filtering
-itertools.permutations, and distances are computed directly from
-definitions.
+itertools.permutations, the probability sums take every permutation
+without pairing it with its inverse, and distances are computed directly
+from definitions.
 """
 from __future__ import annotations
 
@@ -95,6 +96,24 @@ def glynn_permanent(matrix) -> complex:
         delta = np.array((1.0,) + signs)
         total += np.prod(delta) * np.prod(delta @ a)
     return complex(total / 2 ** (n - 1))
+
+
+def group_sum_by_order(matrix, overlaps) -> tuple[np.ndarray, float]:
+    """Orders 0..n of the sum over all n! permutations sigma of w(sigma) perm(M * conj(M[sigma, :])), and the
+    summed |terms|, without the occupation normalization.
+
+    One weight w(sigma) = prod_i S[i, sigma(i)] and one ``ryser_permanent`` per sigma: sigma is never paired
+    with its inverse, so this checks the library's sums, which evaluate one permanent per pair.
+    """
+    a, s = np.asarray(matrix, dtype=complex), np.asarray(overlaps, dtype=complex)
+    n = a.shape[0]
+    rows = np.arange(n)
+    orders, magnitude = np.zeros(n + 1, dtype=complex), 0.0
+    for sigma in itertools.permutations(range(n)):
+        term = np.prod(s[rows, sigma]) * ryser_permanent(a * np.conj(a[list(sigma), :]))
+        orders[np.count_nonzero(rows != sigma)] += term
+        magnitude += abs(term)
+    return orders, magnitude
 
 
 def inverse_permutation(perm) -> tuple[int, ...]:

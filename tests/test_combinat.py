@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from bosonsim.combinat import (
+    inverse_pairs,
     overlap_class_sum,
     partial_derangements,
     rencontres,
     symmetric_means,
 )
-from conftest import perms_with_moved_count
+from conftest import inverse_permutation, perms_with_moved_count
 
 
 class TestRencontres:
@@ -38,6 +39,26 @@ class TestRencontres:
             rencontres(3, 4)
         with pytest.raises(ValueError):
             rencontres(3, -1)
+
+
+class TestInversePairs:
+    def test_matches_brute_force_count(self):
+        # oracle: per class, the permutations that come no later than their inverse in lexicographic order
+        for n in range(1, 8):
+            for j in range(n + 1):
+                leads = [p for p in perms_with_moved_count(n, j) if p <= inverse_permutation(p)]
+                assert inverse_pairs(n, j) == len(leads), (n, j)
+
+    def test_sum_over_classes_counts_pairs_of_the_group(self):
+        for n in range(1, 8):
+            involutions = sum(1 for p in itertools.permutations(range(n)) if p == inverse_permutation(p))
+            assert 2 * sum(inverse_pairs(n, j) for j in range(n + 1)) == math.factorial(n) + involutions
+        assert [sum(inverse_pairs(n, j) for j in range(n + 1)) for n in (5, 6, 7)] == [73, 398, 2636]
+
+    def test_rejects_bad_arguments(self):
+        for moved in (-1, 4):
+            with pytest.raises(ValueError):
+                inverse_pairs(3, moved)
 
 
 class TestPartialDerangements:

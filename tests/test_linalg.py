@@ -13,6 +13,7 @@ from bosonsim.distinguishability import GeneralizedOBBModel
 from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
 from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, _truncation_walk, truncated_probability
+from bosonsim.randgen import haar_unitary
 from conftest import brute_permanent, exact_permanent, inverse_permutation, partitions, perm_from_cycle_lengths, ryser_permanent
 
 # Agreement tolerance relative to the largest term either formula can sum.
@@ -335,6 +336,20 @@ class TestHadamardPermanent:
             assert forward == pytest.approx(np.conj(backward), rel=1e-10)
             pair_sum = forward + backward
             assert abs(pair_sum.imag) <= 1e-12 * max(1.0, abs(pair_sum))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "collisional"])
+    def test_inverse_conjugates_over_every_permutation_of_five(self, kind):
+        # h(sigma^-1) = conj(h(sigma)) for every M, which lets the probability sums evaluate one
+        # permanent per pair; each within 1e-13 of perm(|M * conj(M[sigma, :])|), the size of its terms.
+        if kind == "gaussian":
+            a = _random_complex(np.random.default_rng(8), 5)
+        else:  # repeated input and output modes repeat rows and columns
+            a = submatrix(haar_unitary(6, seed=9), [0, 0, 1, 2, 3], [1, 1, 2, 4, 4])
+        sigmas = np.array(list(itertools.permutations(range(5))))
+        values = hadamard_permanent(a, sigmas)
+        inverses = hadamard_permanent(a, np.argsort(sigmas, axis=1))
+        sizes = permanent(np.abs(a[None] * np.conj(a[sigmas, :])))
+        assert np.all(np.abs(inverses - np.conj(values)) <= 1e-13 * sizes.real)
 
     def test_matches_brute_force_double_sum(self):
         # oracle: expand both the product matrix and its permanent explicitly

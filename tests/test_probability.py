@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsim.combinat import partial_derangements, rencontres
+from bosonsim.combinat import inverse_pairs, partial_derangements, rencontres
 from bosonsim.distinguishability import ExplicitModel, GeneralizedOBBModel, HomogeneousModel
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent
 from bosonsim.probability import (
@@ -26,7 +26,7 @@ from bosonsim.probability import (
     truncation_error,
 )
 from bosonsim.randgen import gaussian_matrix, haar_unitary
-from conftest import exact_permanent, glynn_permanent
+from conftest import exact_permanent, glynn_permanent, group_sum_by_order, inverse_permutation
 
 BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -192,6 +192,81 @@ class TestExactProbability:
             for strategy in ("direct", "laplace"):
                 with pytest.raises(ArithmeticError):
                     truncated_probability(inst, 3, strategy)
+
+
+def _gram_model(rng, n):
+    """An explicit model: the complex Gram matrix of n random unit vectors."""
+    vectors = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return ExplicitModel(vectors @ vectors.conj().T)
+
+
+def _oracle(inst):
+    """``group_sum_by_order`` of an instance, normalized: per-order sums and the summed |terms|."""
+    orders, magnitude = group_sum_by_order(inst.interference_matrix, inst.model.overlap_matrix(inst.n))
+    return orders / inst.normalization, magnitude / inst.normalization
+
+
+class TestPairedSums:
+    """The sums evaluate one permanent per pair {sigma, sigma^-1}; the oracle takes all n!, unpaired."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("kind", ["homogeneous", "obb", "explicit"])
+    def test_exact_against_the_full_group_sum(self, kind, n):
+        rng = np.random.default_rng(50 + n)
+        model = {"homogeneous": lambda: HomogeneousModel(0.7), "explicit": lambda: _gram_model(rng, n),
+                 "obb": lambda: GeneralizedOBBModel(tuple(rng.uniform(0.05, 0.98, n)))}[kind]()
+        inst = _haar_instance(rng, n, n + 3, model)
+        orders, magnitude = _oracle(inst)
+        assert abs(exact_probability(inst) - orders.sum()) <= 1e-12 * magnitude
+
+    def test_collisional_exact_against_the_full_group_sum(self):
+        rng = np.random.default_rng(57)
+        inst = ExperimentInstance(haar_unitary(5, rng), (2, 1, 1, 1, 0), (0, 2, 0, 1, 2), _gram_model(rng, 5))
+        orders, magnitude = _oracle(inst)
+        assert abs(exact_probability(inst) - orders.sum()) <= 1e-12 * magnitude
+
+    @pytest.mark.parametrize("strategy", ["direct", "laplace"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_truncated_orders_against_the_full_group_sum(self, k, strategy):
+        rng = np.random.default_rng(58)
+        inst = _haar_instance(rng, 6, 9)
+        orders, magnitude = _oracle(inst)
+        per_order = truncated_probability(inst, k, strategy).per_order
+        assert np.all(np.abs(np.subtract(per_order, orders[: k + 1])) <= 1e-12 * magnitude)
+
+    def test_explicit_by_order_against_the_full_group_sum(self):
+        rng = np.random.default_rng(59)
+        inst = _haar_instance(rng, 6, 9, _gram_model(rng, 6))
+        orders, magnitude = _oracle(inst)
+        assert np.all(np.abs(exact_probability_by_order(inst) - orders) <= 1e-12 * magnitude)
+
+    def test_exact_takes_one_permanent_per_pair(self, monkeypatch):
+        import bosonsim.probability as probability
+
+        calls = []
+        monkeypatch.setattr(probability, "permanent", lambda a: calls.append(a) or permanent(a))
+        for n, pairs in ((5, 73), (6, 398), (7, 2636)):
+            calls.clear()
+            exact_probability(ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, seed=n), HomogeneousModel(0.5)))
+            assert len(calls) == pairs
+
+    @pytest.mark.parametrize("strategy", ["direct", "laplace"])
+    def test_walk_takes_one_permutation_per_pair(self, monkeypatch, strategy):
+        import bosonsim.probability as probability
+
+        tables = []
+        name = "_pair_permanents" if strategy == "direct" else "_laplace_split"
+        evaluate = getattr(probability, name)
+        monkeypatch.setattr(probability, name, lambda rows, cols, codes: tables.append(codes) or evaluate(rows, cols, codes))
+        n = 6
+        inst = ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, seed=60), _gram_model(np.random.default_rng(60), n))
+        truncated_probability(inst, n, strategy)
+        taus = [tuple(row) for row in tables[0] - np.arange(n) * n]
+        leads = {tau for tau in itertools.permutations(range(n)) if tau <= inverse_permutation(tau)}
+        assert len(taus) == len(set(taus)) and set(taus) == leads
+        moved = np.bincount([np.count_nonzero(np.array(tau) != np.arange(n)) for tau in taus], minlength=n + 1)
+        assert moved.tolist() == [inverse_pairs(n, j) for j in range(n + 1)]
 
 
 class TestByOrderDecomposition:
@@ -636,13 +711,13 @@ class TestModelConsistency:
 
 class TestCostEstimate:
     def test_small_case_by_hand(self):
-        # Per permutation moving j rows and per j-set of columns, a j x j block and an (n - j) x (n - j)
-        # complement, j 2^j + (n - j) 2^(n - j).  n=3, k=2: order 0 is one complement, 3 * 8 = 24, and
-        # order 2 is 3 permutations * C(3,2) sets * (2*4 + 1*2) = 90
+        # Per pair {tau, tau^-1} moving j rows and per j-set of columns, a j x j block and an
+        # (n - j) x (n - j) complement, j 2^j + (n - j) 2^(n - j).  n=3, k=2: order 0 is one complement,
+        # 3 * 8 = 24, and order 2 is 3 transpositions (each its own pair) * C(3,2) sets * (2*4 + 1*2) = 90
         assert truncation_cost_estimate(3, 2) == 24 + 90
         # n=4, k=3: order 0 gives 4 * 16 = 64, order 2 gives 6 * 6 * (2*4 + 2*4) = 576, order 3
-        # gives 8 * 4 * (3*8 + 1*2) = 832
-        assert truncation_cost_estimate(4, 3) == 64 + 576 + 832
+        # gives 4 pairs of 3-cycles * 4 * (3*8 + 1*2) = 416
+        assert truncation_cost_estimate(4, 3) == 64 + 576 + 416
         # n=12, k=0: the identity alone is one whole complement, 12 * 2^12
         assert truncation_cost_estimate(12, 0) == 49152
         # n=13, k=2: 13 * 2^13 + 78 * 78 * (2*4 + 11 * 2^11), finite above n = 12
@@ -727,10 +802,11 @@ class TestWorkBudget:
     def test_refused_before_any_work(self, monkeypatch, call):
         import bosonsim.probability as probability
 
-        # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes all 12!
-        # permutations, each priced as 12 x 2^12 (``_ryser_work``).
-        predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": math.factorial(10) * 10 << 10}.get(
-            call, math.factorial(12) * 12 << 12)
+        # A walk over all orders at n = 12 (explicit overlaps by order, or k = 12) takes one of each of
+        # the (12! + I_12) / 2 pairs {tau, tau^-1}, I_12 = 140,152 involutions, each priced as 12 x 2^12
+        # (``_ryser_work``); the exact sum at n = 10 the same, (10! + 9,496) / 2 = 1,819,148 at 1.86e10.
+        predicted = {"laplace-12-12": truncation_cost_estimate(12, 12), "exact-10": 1_819_148 * 10 << 10}.get(
+            call, (math.factorial(12) + 140_152) // 2 * 12 << 12)
 
         def no_work(*args):
             raise AssertionError("work started before the cost check")
