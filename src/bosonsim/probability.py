@@ -54,10 +54,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .combinat import inverse_pairs, partial_derangements, rencontres
+from .combinat import inverse_pairs, partial_derangements
 from .distinguishability import model_from_dict, overlap_product
 from .fields import joined, listed, matrix, own, read
-from .linalg import _afford, _laplace_split, _laplace_work, _lattice_work, _pair_permanents, _per_pass, _ryser_work
+from .linalg import _afford, _laplace_split, _laplace_work, _lattice_work, _pair_permanents, _ryser_work
 from .linalg import _subset_sums, permanent, submatrix
 from .randgen import EnsembleSpec
 
@@ -249,19 +249,17 @@ def _real_part(values, magnitudes) -> np.ndarray:
     return values.real
 
 
-def _class_rows(n: int, moved: int) -> np.ndarray:
-    """The permutations of n points that move exactly ``moved``, one per row, in generator order, read-only."""
-    table = np.array(list(partial_derangements(n, moved)), dtype=int).reshape(-1, n)
+@functools.lru_cache(maxsize=32)
+def _class_table(n: int, moved: int) -> np.ndarray:
+    """Read-only (2, pairs, n) int8 table, built once, of the pairs {tau, tau^-1} moving ``moved`` of n points:
+    each pair's first in lexicographic order (``partial_derangements`` order) over its inverse; n <= 28 by ``_WORK``."""
+    taus = np.array(list(partial_derangements(n, moved)), dtype=np.int8).reshape(-1, n)
+    inverses = np.argsort(taus, axis=1).astype(np.int8)
+    first = np.arange(len(taus)), (taus != inverses).argmax(axis=1)  # where they first differ (0 if nowhere)
+    lead = taus[first] <= inverses[first]
+    table = np.stack([taus[lead], inverses[lead]])
     table.setflags(write=False)
     return table
-
-
-_cached_class_rows = functools.lru_cache(maxsize=32)(_class_rows)
-
-
-def _class_table(n: int, moved: int) -> np.ndarray:
-    """``_class_rows``, cached for the classes whose table fits one pass of the byte budget (all up to n = 8)."""
-    return (_cached_class_rows if rencontres(n, n - moved) <= _per_pass(8 * n) else _class_rows)(n, moved)
 
 
 def _check_order(k: int, n: int) -> None:
@@ -279,8 +277,8 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     the input's rows of the transfer matrix with each output's modes.  Once the
     cost per matrix (``inverse_pairs`` per class) is within ``_WORK``, the
     overlap weights and one table of row-pair codes i n + tau(i) are fixed
-    here for either strategy: a row per pair {tau, tau^-1} moving 0, 2..k
-    points, tau the first in lexicographic order, kept where w(tau) or
+    here for either strategy, from the cached pair tables (``_class_table``):
+    a row per pair {tau, tau^-1} moving 0, 2..k points, kept where w(tau) or
     w(tau^-1) is nonzero (an involution's partner weight is 0).  ``walk``
     refuses a block over ``_WORK``, else takes its (B, T) Hadamard permanents
     h in one evaluator call, adds w(tau) h + w(tau^-1) conj(h) and checks each
@@ -297,12 +295,8 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
         raise ValueError(f"unknown strategy {strategy!r}")
     _afford(work(classes), "the order-{} {} walk at n = {}", k, strategy, n)
     overlaps = np.asarray(model.overlap_matrix(n))
-    taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
-    inverses = np.argsort(taus, axis=1)
-    # tau stands for its pair when it comes first in lexicographic order; an involution is its own pair.
-    first = np.arange(len(taus)), (taus != inverses).argmax(axis=1)  # where they first differ (0 if nowhere)
-    lead = taus[first] <= inverses[first]
-    taus, inverses = taus[lead], inverses[lead]
+    # Widened once: each of the 2n gathers below would cast an int8 index again (about 0.6 us each).
+    taus, inverses = np.concatenate([_class_table(n, j) for j in range(k + 1)], axis=1, dtype=np.intp)
     weights, partners = np.ones((2, len(taus)), dtype=overlaps.dtype)
     for i, row in enumerate(overlaps):  # products over rows, without a (T, n) gather
         weights *= row[taus[:, i]]

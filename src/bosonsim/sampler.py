@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SEED, own
-from .probability import ExperimentInstance, _truncation_walk, output_configurations
+from .probability import ExperimentInstance, _truncation_walk
 
 __all__ = [
     "DegenerateTargetError",
@@ -221,9 +221,9 @@ def output_distribution(unitary, input_occupation, model, k: int) -> tuple[list[
     m, n = base.m, base.n
     if math.comb(m, n) > _ENUMERATION_LIMIT:
         raise ValueError(f"too many outputs to enumerate: C({m}, {n}) > {_ENUMERATION_LIMIT}")
-    modes = list(itertools.combinations(range(m), n))  # the order of output_configurations
+    modes = list(itertools.combinations(range(m), n))  # lexicographic, as output_configurations
     weights = np.array(_chain_target(base, k)(modes))
     mass = weights.sum()
     if mass <= 0.0:
         raise DegenerateTargetError("all truncated output weights are zero")
-    return list(output_configurations(m, n, noncollisional=True)), weights / mass
+    return [_occupation_from_modes(s, m) for s in modes], weights / mass

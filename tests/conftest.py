@@ -7,7 +7,8 @@ formula), spell Glynn's formula out one signing at a time, or run Ryser's
 formula over exact Python integers; class sums are built by filtering
 itertools.permutations, the probability sums take every permutation
 without pairing it with its inverse, and distances are computed directly
-from definitions.
+from definitions.  ``class_words`` lists a whole class from the library's
+generator, whose counts ``tests/test_combinat.py`` checks.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from bosonsim.combinat import partial_derangements
 
 
 def brute_permanent(matrix) -> complex:
@@ -119,6 +122,11 @@ def group_sum_by_order(matrix, overlaps) -> tuple[np.ndarray, float]:
 def inverse_permutation(perm) -> tuple[int, ...]:
     """Inverse of a word-form permutation: position perm[i] maps back to i."""
     return tuple(int(i) for i in np.argsort(perm))
+
+
+def class_words(n: int, moved: int) -> np.ndarray:
+    """Every permutation of n points moving exactly ``moved``, one per row, in ``partial_derangements`` order."""
+    return np.array(list(partial_derangements(n, moved)), dtype=int).reshape(-1, n)
 
 
 def perms_with_moved_count(n: int, moved: int) -> list[tuple[int, ...]]:

@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import arrays
 from bosonsim.distinguishability import GeneralizedOBBModel
 from bosonsim.linalg import _lattice, _lattice_tables, _lattice_work, _pair_permanents
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent, submatrix
-from bosonsim.probability import ExperimentInstance, _class_table, _mixture_orders, _truncation_walk, truncated_probability
+from bosonsim.probability import ExperimentInstance, _mixture_orders, _truncation_walk, truncated_probability
 from bosonsim.randgen import haar_unitary
-from conftest import brute_permanent, exact_permanent, inverse_permutation, partitions, perm_from_cycle_lengths, ryser_permanent
+from conftest import brute_permanent, class_words, exact_permanent, inverse_permutation, partitions, perm_from_cycle_lengths, ryser_permanent
 
 # Agreement tolerance relative to the largest term either formula can sum.
 # perm(|A|) is no such bound: Ryser's subset terms need not vanish when it
@@ -288,7 +288,7 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
 
     rng = np.random.default_rng(31)
     stack = _random_complex(rng, 6, (3,))
-    taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3, 4)])
+    taus = np.concatenate([class_words(6, j) for j in (0, 2, 3, 4)])
     codes = np.arange(6) * 6 + taus
     x = rng.uniform(0.0, 1.0, 6)
 
@@ -457,14 +457,14 @@ class TestPairPermanents:
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (6, 4)])
     def test_single_matrix_route(self, n, k):
         # A single matrix over every permutation of orders 0 and 2..k: one ``_glynn`` item picking each one's pairs.
-        taus = np.concatenate([_class_table(n, j) for j in [0] + list(range(2, k + 1))])
+        taus = np.concatenate([class_words(n, j) for j in [0] + list(range(2, k + 1))])
         self._check(_random_complex(np.random.default_rng(70 + n), n), [np.arange(n)], taus)
 
     def test_block_sharing_columns(self):
         # Sampler blocks whose outputs share most column subsets: 40 outputs of 4 photons over 7 modes,
         # and all 70 outputs of 4 photons over 8 modes.
         rng = np.random.default_rng(74)
-        taus = np.concatenate([_class_table(4, j) for j in (0, 2, 3, 4)])
+        taus = np.concatenate([class_words(4, j) for j in (0, 2, 3, 4)])
         rows = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
         self._check(rows, np.sort([rng.choice(7, 4, replace=False) for _ in range(40)], axis=1), taus)
         rows = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
@@ -473,8 +473,8 @@ class TestPairPermanents:
     def test_collisional_output(self):
         # Two photons in one output mode repeat a column; by position, the copies stay two columns.
         matrix = _random_complex(np.random.default_rng(75), 4)[:3][:, [1, 1, 3]]
-        self._check(matrix, [np.arange(3)], np.concatenate([_class_table(3, j) for j in range(4)]))
-        self._check(matrix, [np.arange(3)] * 3, np.concatenate([_class_table(3, j) for j in range(4)]))
+        self._check(matrix, [np.arange(3)], np.concatenate([class_words(3, j) for j in range(4)]))
+        self._check(matrix, [np.arange(3)] * 3, np.concatenate([class_words(3, j) for j in range(4)]))
 
     @pytest.mark.parametrize("m", [64, 70, 81])
     def test_block_over_many_modes(self, m):
@@ -484,7 +484,7 @@ class TestPairPermanents:
         order = rng.permutation(m)
         cover = np.append(order, order[: -m % 3]).reshape(-1, 3)
         cols = np.sort(np.concatenate([cover, [rng.choice(m, 3, replace=False) for _ in range(5)]]), axis=1)
-        self._check(rows, cols, np.concatenate([_class_table(3, j) for j in range(4)]))
+        self._check(rows, cols, np.concatenate([class_words(3, j) for j in range(4)]))
 
     def test_permutations_that_skip_row_pairs(self):
         # The walk drops zero-weight permutations; here none moves row 0, so only 10 of the 16 row
@@ -573,7 +573,7 @@ class TestLaplaceSplit:
         # widest level of the |M|^2 lattice alone would hold 6.8 MB).
         rng = np.random.default_rng(22)
         a = _random_complex(rng, 12)
-        taus = _class_table(12, 2)
+        taus = class_words(12, 2)
         tracemalloc.start()
         try:
             values = laplace_split_permanent(a, taus)
@@ -613,7 +613,7 @@ class TestLaplaceSplit:
         # its own Hadamard permanent.
         rng = np.random.default_rng(23)
         stack = _random_complex(rng, 6, (2,))
-        taus = np.concatenate([_class_table(6, j) for j in (0, 2, 3)])
+        taus = np.concatenate([class_words(6, j) for j in (0, 2, 3)])
         values = laplace_split_permanent(stack, taus)
         assert values.shape == (2, len(taus))
         for a, row in zip(stack, values):
@@ -625,7 +625,7 @@ class TestLaplaceSplit:
         # once, the small-permanent table alone is 256 x 112 x 56 complex (26 MB).
         rng = np.random.default_rng(20)
         stack = _random_complex(rng, 8, (256,))
-        taus = _class_table(8, 3)
+        taus = class_words(8, 3)
         tracemalloc.start()
         try:
             values = laplace_split_permanent(stack, taus)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsim.combinat import inverse_pairs, partial_derangements, rencontres
+from bosonsim.combinat import inverse_pairs, partial_derangements
 from bosonsim.distinguishability import ExplicitModel, GeneralizedOBBModel, HomogeneousModel
 from bosonsim.linalg import hadamard_permanent, laplace_split_permanent, permanent
 from bosonsim.probability import (
@@ -26,7 +26,7 @@ from bosonsim.probability import (
     truncation_error,
 )
 from bosonsim.randgen import gaussian_matrix, haar_unitary
-from conftest import exact_permanent, glynn_permanent, group_sum_by_order, inverse_permutation
+from conftest import class_words, exact_permanent, glynn_permanent, group_sum_by_order, inverse_permutation
 
 BEAMSPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -299,31 +299,16 @@ class TestByOrderDecomposition:
 
 class TestClassTables:
     def test_tables_match_the_generator(self):
-        for n in range(1, 8):
+        # Each pair's first member in lexicographic order over its inverse, in generator order.
+        for n in range(1, 9):
             for j in range(n + 1):
                 table = _class_table(n, j)
-                assert table.shape == (rencontres(n, n - j), n)
-                assert [tuple(row) for row in table] == list(partial_derangements(n, j))
-                assert not table.flags.writeable
-
-    def test_only_classes_within_the_budget_are_cached(self, monkeypatch):
-        # A class whose table does not fit one pass of the byte budget is built again per call and not
-        # kept: walks over all orders at n = 9 left 25 MiB of cached classes behind.  At the full budget
-        # every class up to n = 8 fits (14,833 rows of 8 at most).
-        import bosonsim.linalg as linalg
-        import bosonsim.probability as probability
-
-        assert all(rencontres(8, 8 - j) * 8 * 8 <= linalg._BUDGET for j in range(9))
-        probability._cached_class_rows.cache_clear()
-        monkeypatch.setattr(linalg, "_BUDGET", 512)  # 12 rows of 5 points: 10 move 2 of 5, 20 move 3
-        try:
-            assert _class_table(5, 2) is _class_table(5, 2)
-            large = _class_table(5, 3)
-            assert large is not _class_table(5, 3) and not large.flags.writeable
-            assert probability._cached_class_rows.cache_info().currsize == 1
-            assert [tuple(row) for row in large] == list(partial_derangements(5, 3))
-        finally:
-            probability._cached_class_rows.cache_clear()
+                assert table.dtype == np.int8 and not table.flags.writeable
+                assert table.shape == (2, inverse_pairs(n, j), n)
+                taus = [tau for tau in partial_derangements(n, j) if tau <= inverse_permutation(tau)]
+                assert [tuple(row) for row in table[0]] == taus
+                assert [tuple(row) for row in table[1]] == [inverse_permutation(tau) for tau in taus]
+                assert _class_table(n, j) is table
 
 
 def _term_scale(orders) -> float:
@@ -789,7 +774,7 @@ class TestWorkBudget:
         elif case.startswith(("hadamard", "split")):
             # A stack of 3 matrices over the identity and the permutations moving 2 and 3 points.
             stack = np.array([gaussian_matrix(n, n * n, rng) for _ in range(3)])
-            taus = np.concatenate([_class_table(n, j) for j in (0, 2, 3)])
+            taus = np.concatenate([class_words(n, j) for j in (0, 2, 3)])
             (hadamard_permanent if case.startswith("hadamard") else laplace_split_permanent)(stack, taus)
         else:
             truncated_probability(inst, 3, case.split("-")[0])
