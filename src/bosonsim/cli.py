@@ -58,6 +58,8 @@ def _grid(value) -> tuple[float, ...]:
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = int(round((stop - start) / step)) + 1
+    if count > 10**6:  # refused before the list is built
+        raise ValueError(f"grid {value} has {count:,} values, over the limit of 1,000,000")
     grid = [round(start + i * step, 10) for i in range(count)]
     return tuple(v for v in grid if v <= stop + 1e-12)
 

@@ -228,32 +228,33 @@ def hadamard_permanent(matrix, perm) -> complex | np.ndarray:
     flat, words, shape = _hadamard_args(matrix, perm)
     n, count = flat.shape[-1], len(flat) * len(words)
     _afford(_ryser_work(n, count), "{} Hadamard permanents at n = {}", count, n)
-    values, codes = np.zeros((len(flat), len(words)), dtype=complex), np.arange(n) * n + words
-    used = np.count_nonzero(np.bincount(codes.ravel()))  # the row pairs the permutations use, at most n^2
+    values = np.zeros((len(flat), len(words)), dtype=complex)
+    used = np.count_nonzero(np.bincount((np.arange(n) * n + words).ravel()))  # the row pairs used, at most n^2
     group = _per_pass(48 * n * used)  # per matrix: the used pairs' products and their two gathers
     for lo in range(0, len(flat), group):
-        values[lo : lo + group] = _pair_permanents(*_side_by_side(flat[lo : lo + group]), codes)
+        values[lo : lo + group] = _pair_permanents(*_side_by_side(flat[lo : lo + group]), np.arange(n), words)
     return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 
-def _pair_permanents(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The (B, T) permanents of row-pair products of the matrices M = rows[:, cols[b]], named by ``codes``.
+def _pair_permanents(rows: np.ndarray, cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (B, T) permanents of the row-pair products named by ``left`` and ``right``, of M = rows[:, cols[b]].
 
     ``rows`` is an (r, w) block; row b of the (B, n) table ``cols`` holds n
     distinct column indices into it (a collisional output passes range(n)),
-    and row t of the (T, n) table ``codes`` n row pairs (i, l) as i r + l:
-    (i, tau(i)) over all rows gives the Hadamard permanent of M * conj(M[tau, :]),
-    over the rows tau moves a Laplace block.  Per column signing delta (see
-    ``permanent``), permanent [b, t] multiplies n row-pair sums W_il(delta) =
-    sum_c delta_c M_ic conj(M_lc): one ``_glynn`` item per matrix picks each
-    code row's pairs.  The products over all used columns are held at once
-    and must be finite; callers size their blocks and price their calls.
+    and row t of the (T, n) integer tables ``left`` and ``right`` (``left``
+    may be one row that broadcasts) n row pairs (left[t, i], right[t, i]):
+    (range(n), tau) gives the Hadamard permanent of M * conj(M[tau, :]), the
+    rows tau moves and their images a Laplace block.  Per column signing delta
+    (see ``permanent``), permanent [b, t] multiplies n row-pair sums W_il(delta)
+    = sum_c delta_c M_ic conj(M_lc): one ``_glynn`` item per matrix picks each
+    row's pairs, numbered i r + l here.  The products over all used columns are
+    held at once and must be finite; callers size their blocks and price their calls.
     """
     count, n = cols.shape
-    pairs, picks = _ranks(codes, len(rows) ** 2)
+    pairs, picks = _ranks(left * len(rows) + right, len(rows) ** 2)
     used, local = _ranks(cols, rows.shape[1])
-    left, right = np.divmod(pairs[:, None], len(rows))
-    sums = _finite(rows[left, used] * np.conj(rows[right, used]))  # (pairs, columns)
+    first, second = np.divmod(pairs[:, None], len(rows))
+    sums = _finite(rows[first, used] * np.conj(rows[second, used]))  # (pairs, columns)
     return _glynn(count, n, lambda lo, hi: sums[:, local[lo:hi]], picks)
 
 
@@ -330,22 +331,22 @@ def laplace_split_permanent(matrix, perm) -> complex | np.ndarray:
     n = len(rows)
     sizes = np.bincount((words != np.arange(n)).sum(axis=1)).tolist()
     _afford(len(cols) * _laplace_work(n, sizes), "{} Laplace splits at n = {}", len(cols), n)
-    values = _laplace_split(rows, cols, np.arange(n) * n + words)
+    values = _laplace_split(rows, cols, words)
     return complex(values[0, 0]) if shape == () else values.reshape(shape)
 
 
-def _laplace_split(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _laplace_split(rows: np.ndarray, cols: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """``laplace_split_permanent`` of the matrices rows[:, cols[b]], (B, T), without argument checks or price.
 
-    Row t of the (T, n) table ``codes`` names a permutation tau by its row pairs i n + tau(i), as
-    ``_pair_permanents`` takes them: row i is fixed where its code is i (n + 1).  Per moved count j, one
-    call gives the j x j blocks (the moved rows' pairs over each j-set of columns) and one the complements
-    (the fixed rows' pairs i (n + 1), entries |M_ic|^2, over the other n - j columns).
+    Row t of the (T, n) table ``taus`` is a permutation tau, row i fixed where tau(i) = i.  Per moved count
+    j, one ``_pair_permanents`` call gives the j x j blocks (the moved rows and their images, (moved,
+    tau[moved]), over each j-set of columns) and one the complements (the fixed rows' pairs (kept, kept),
+    entries |M_ic|^2, over the other n - j columns).
     """
     n = cols.shape[1]
-    fixed = codes == np.arange(n) * (n + 1)
+    fixed = taus == np.arange(n)
     counts = n - fixed.sum(axis=1)
-    values = np.zeros((len(cols), len(codes)), dtype=complex)
+    values = np.zeros((len(cols), len(taus)), dtype=complex)
     for j in np.flatnonzero(np.bincount(counts)).tolist():  # not np.unique, which imports numpy.ma (about 1 MB)
         which = np.flatnonzero(counts == j)
         # Moved rows first, then fixed rows, each in ascending order.
@@ -353,7 +354,7 @@ def _laplace_split(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.
         # The j-sets of columns in lexicographic order; the (n - j)-sets in reverse order are their complements.
         sets = np.array(list(itertools.combinations(range(n), j)), dtype=int).reshape(math.comb(n, j), j)
         rest = np.array(list(itertools.combinations(range(n), n - j))[::-1], dtype=int).reshape(len(sets), n - j)
-        parts = [(j, sets, np.take_along_axis(codes[which], moved, axis=1)), (n - j, rest, kept * (n + 1))]
+        parts = [(j, sets, (moved, np.take_along_axis(taus[which], moved, axis=1))), (n - j, rest, (kept, kept))]
         # Per matrix: its row-pair products, then a product and one factor per permutation and column set.
         group = _per_pass(16 * n**3 + 32 * len(sets) * len(which))
         for lo in range(0, len(cols), group):
@@ -361,7 +362,7 @@ def _laplace_split(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> np.
             terms = np.ones((len(local), len(sets), len(which)), dtype=complex)
             for size, columns, pairs in parts:
                 if size:  # a block or complement without rows is the empty product, 1
-                    terms *= _pair_permanents(rows, local[:, columns].reshape(-1, size), pairs).reshape(terms.shape)
+                    terms *= _pair_permanents(rows, local[:, columns].reshape(-1, size), *pairs).reshape(terms.shape)
             values[lo : lo + group, which] = terms.sum(axis=1)
     return values
 

@@ -18,32 +18,31 @@ residue.  Prices count pairs (``combinat.inverse_pairs``): the exact sum
 takes (n! + I_n) / 2 permanents, I_n the involutions (73, 398 and 2,636 at
 n = 5, 6 and 7).
 
-Two engines evaluate the orders.  The walk visits one permutation per pair
-of each order it needs, with one evaluator call for all orders of a block of
-matrices; it serves truncation at any k (the sampler's targets included)
-and the by-order split of explicit overlap matrices.  Both strategies take
-the same block (rows and each output's columns) and one table, built once
-per walk, of each kept permutation tau's row-pair codes i n + tau(i).  The
-direct one (``linalg._pair_permanents``) forms the row-pair sums of each
-signing of Glynn's formula once and multiplies n of them per permutation,
-about 2^(n - 1) x (n^3 + n x (pairs)) per matrix, priced twice its factors,
-n 2^n per pair.  The Laplace one (``linalg._laplace_split``, the core
-of ``laplace_split_permanent``) expands about the rows whose codes are not
-fixed, i (n + 1), through the same evaluator: per permutation moving j rows
-and per j-set of columns, a j x j block over the moved rows' pairs and an
-(n - j) x (n - j) complement over the fixed rows' pairs (i, i).  It shares
-the Glynn kernel with the direct one but not its expansion, so it checks the
-expansion; it is not a faster path, and at k = 2 it runs up to n = 16
-within ``_WORK``.  For the homogeneous and OBB models a permutation's
-overlap weight depends only on the set A of photons it moves,
-x_A = prod_{i in A} x_i, so the probability is a multilinear polynomial in
-the visibilities (the mixture formula of Renema et al., PRL 120, 220502
-(2018)).  The mixture engine gets all n + 1 orders from one sum over the
-2^n photon subsets, Moebius-inverted from ``linalg._subset_sums``
-(C(2n, n) pairs of sub-permanents of M and |M|^2 per matrix) instead of
-(n! + I_n) / 2 Hadamard permanents, for a whole stack of matrices at once
-(a 50-trial n = 5 ensemble in about 1 ms, one n = 10 matrix in about 25 ms,
-on 2 cores).
+Two engines evaluate the orders.  The walk visits one permutation per pair of
+each order it needs, with one evaluator call for all orders of a block of
+matrices; it serves truncation at any k (the sampler's targets included) and
+the by-order split of explicit overlap matrices.  Both strategies take the
+same block (rows and each output's columns) and one int8 table of the kept
+permutations tau, with no inverse: w(tau^-1) = prod_i S[tau(i), i].  The
+direct one (``linalg._pair_permanents``) forms the sums over the row pairs
+(i, tau(i)) of each signing of Glynn's formula once and multiplies n of them
+per permutation, about 2^(n - 1) x (n^3 + n x (pairs)) per matrix, priced
+twice its factors, n 2^n per pair.  The Laplace one
+(``linalg._laplace_split``, the core of ``laplace_split_permanent``) expands
+about the rows tau moves, through the same evaluator: per permutation moving j
+rows and per j-set of columns, a j x j block over the moved rows' pairs and an
+(n - j) x (n - j) complement over the fixed rows' pairs (i, i).  It shares the
+Glynn kernel with the direct one but not its expansion, so it checks the
+expansion; it is not a faster path, and at k = 2 it runs up to n = 16 within
+``_WORK``.  For the homogeneous and OBB models a permutation's overlap weight
+depends only on the set A of photons it moves, x_A = prod_{i in A} x_i, so the
+probability is a multilinear polynomial in the visibilities (the mixture
+formula of Renema et al., PRL 120, 220502 (2018)).  The mixture engine gets
+all n + 1 orders from one sum over the 2^n photon subsets, Moebius-inverted
+from ``linalg._subset_sums`` (C(2n, n) pairs of sub-permanents of M and |M|^2
+per matrix) instead of (n! + I_n) / 2 Hadamard permanents, for a whole stack
+of matrices at once (a 50-trial n = 5 ensemble in about 1 ms, one n = 10
+matrix in about 25 ms, on 2 cores).
 """
 from __future__ import annotations
 
@@ -251,13 +250,12 @@ def _real_part(values, magnitudes) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _class_table(n: int, moved: int) -> np.ndarray:
-    """Read-only (2, pairs, n) int8 table, built once, of the pairs {tau, tau^-1} moving ``moved`` of n points:
-    each pair's first in lexicographic order (``partial_derangements`` order) over its inverse; n <= 28 by ``_WORK``."""
+    """Read-only (pairs, n) int8 table, built once, of the pairs {tau, tau^-1} moving ``moved`` of n points:
+    each pair's first member in lexicographic order, in ``partial_derangements`` order; n <= 28 by ``_WORK``."""
     taus = np.array(list(partial_derangements(n, moved)), dtype=np.int8).reshape(-1, n)
-    inverses = np.argsort(taus, axis=1).astype(np.int8)
+    inverses = np.argsort(taus, axis=1)
     first = np.arange(len(taus)), (taus != inverses).argmax(axis=1)  # where they first differ (0 if nowhere)
-    lead = taus[first] <= inverses[first]
-    table = np.stack([taus[lead], inverses[lead]])
+    table = taus[taus[first] <= inverses[first]]
     table.setflags(write=False)
     return table
 
@@ -276,14 +274,14 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
     ``walk(matrix, np.arange(n)[None])``; a block of outputs from one input is
     the input's rows of the transfer matrix with each output's modes.  Once the
     cost per matrix (``inverse_pairs`` per class) is within ``_WORK``, the
-    overlap weights and one table of row-pair codes i n + tau(i) are fixed
-    here for either strategy, from the cached pair tables (``_class_table``):
-    a row per pair {tau, tau^-1} moving 0, 2..k points, kept where w(tau) or
-    w(tau^-1) is nonzero (an involution's partner weight is 0).  ``walk``
-    refuses a block over ``_WORK``, else takes its (B, T) Hadamard permanents
-    h in one evaluator call, adds w(tau) h + w(tau^-1) conj(h) and checks each
-    order of each matrix against its own summed (|w(tau)| + |w(tau^-1)|) |h|;
-    orders with no permutation, 1 among them, stay zero.
+    weights and one int8 table of permutations are fixed here for either
+    strategy, from the cached class tables (``_class_table``): one tau per pair
+    {tau, tau^-1} moving 0, 2..k points, kept where w(tau) or w(tau^-1) =
+    prod_i S[tau(i), i] is nonzero (0 for an involution, tau o tau = id).
+    ``walk`` refuses a block over ``_WORK``, else takes its (B, T) Hadamard
+    permanents h in one evaluator call, adds w(tau) h + w(tau^-1) conj(h) and
+    checks each order of each matrix against its own summed (|w(tau)| +
+    |w(tau^-1)|) |h|; orders with no permutation, 1 among them, stay zero.
     """
     _check_order(k, n)
     classes = [inverse_pairs(n, j) for j in range(k + 1)]  # pairs {tau, tau^-1} moving j points
@@ -295,24 +293,25 @@ def _truncation_walk(model, n: int, k: int, strategy: str):
         raise ValueError(f"unknown strategy {strategy!r}")
     _afford(work(classes), "the order-{} {} walk at n = {}", k, strategy, n)
     overlaps = np.asarray(model.overlap_matrix(n))
-    # Widened once: each of the 2n gathers below would cast an int8 index again (about 0.6 us each).
-    taus, inverses = np.concatenate([_class_table(n, j) for j in range(k + 1)], axis=1, dtype=np.intp)
+    taus = np.concatenate([_class_table(n, j) for j in range(k + 1)])
+    index = taus.astype(np.intp)  # each of the 2n gathers below would cast an int8 index again (about 0.6 us each)
     weights, partners = np.ones((2, len(taus)), dtype=overlaps.dtype)
-    for i, row in enumerate(overlaps):  # products over rows, without a (T, n) gather
-        weights *= row[taus[:, i]]
-        partners *= row[inverses[:, i]]
-    partners[(taus == inverses).all(axis=1)] = 0.0
+    for i, (row, column) in enumerate(zip(overlaps, overlaps.T)):  # products over rows, without a (T, n) gather
+        weights *= row[index[:, i]]
+        partners *= column[index[:, i]]  # S[tau(i), i], so w(tau^-1) = prod_i S[i, tau^-1(i)]
+    partners[(index[np.arange(len(taus))[:, None], index] == np.arange(n)).all(axis=1)] = 0.0  # tau o tau = id
     keep = (weights != 0.0) | (partners != 0.0)
     taus, weights, partners = taus[keep], weights[keep], partners[keep]
     scales = np.abs(weights) + np.abs(partners)
     # The classes go j = 0..k and the filters keep their order, so each order is one run of the permutations.
     moved = (taus != np.arange(n)).sum(axis=1)
     present, starts = np.unique(moved, return_index=True)
-    codes, price = np.arange(n) * n + taus, work(np.bincount(moved).tolist())
+    price = work(np.bincount(moved).tolist())
+    pairs = (np.arange(n), taus) if strategy == "direct" else (taus,)  # the row pairs (i, tau(i)), or tau itself
 
     def walk(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         _afford(len(cols) * price, "a block of {} order-{} walks at n = {}", len(cols), k, n)
-        values = evaluate(rows, cols, codes)  # h(tau); h(tau^-1) is its conjugate
+        values = evaluate(rows, cols, *pairs)  # h(tau); h(tau^-1) is its conjugate
         terms = weights * values + partners * values.conj()
         orders, magnitudes = np.zeros((len(terms), k + 1), dtype=complex), np.zeros((len(terms), k + 1))
         orders[:, present] = np.add.reduceat(terms, starts, axis=1)
@@ -413,12 +412,9 @@ def exact_probability_by_order(inst: ExperimentInstance) -> np.ndarray:
     """
     visibilities = getattr(inst.model, "visibilities", None)
     if visibilities is None:
-        walk = _truncation_walk(inst.model, inst.n, inst.n, "direct")
-        orders = walk(inst.interference_matrix, np.arange(inst.n)[None])
-    else:
-        _mixture_work(inst.n, 1)
-        orders = _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))
-    return orders[0] / inst.normalization
+        return np.array(truncated_probability(inst, inst.n).per_order)
+    _mixture_work(inst.n, 1)
+    return _mixture_orders(inst.interference_matrix[None], visibilities(inst.n))[0] / inst.normalization
 
 
 def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "direct") -> TruncationResult:
@@ -441,15 +437,15 @@ def truncated_probability(inst: ExperimentInstance, k: int, strategy: str = "dir
     |terms|, direct walk, 2 complex Gaussian matrices per size (m = n^2, OBB
     visibilities from 0.95 down to 0.55), at n = 12 / 14 / 16 / 18 / 20 was
     2.7e-16 / 5.7e-17 / 1.2e-16 / 5.3e-16 / 9.3e-16 (1.3e-15 at n = 19).
-    Orders 0, 2 and 3 (k = 3), same matrices, seeds 1 / 2:
+    Orders 0, 2 and 3 (k = 3), seeds 1 / 2, Gram overlaps of n unit vectors:
 
         n        13       14       15       16
-        seed 1   1.3e-16  2.2e-17  3.7e-16  3.0e-17
-        seed 2   9.1e-17  5.7e-17  5.2e-16  1.2e-16
+        seed 1   1.5e-16  1.7e-16  5.6e-16  1.9e-16
+        seed 2   2.4e-16  8.1e-17  4.8e-16  4.7e-16
 
-    Order 3 read at most 4.2e-18: a pair of 3-cycles adds w h + w' conj(h)
-    with real weights w and w' that differ in their last bits only.  (n = 16
-    at k = 3 took 0.7 s with one BLAS thread on a 2-core host.)
+    Order 3 read at most 6.4e-18 there, and is exactly 0 for OBB and
+    homogeneous overlaps: real and symmetric, they give a pair of 3-cycles
+    one weight w, w h + w conj(h).  (n = 16 at k = 3: 0.7 s, one BLAS thread.)
     """
     walk = _truncation_walk(inst.model, inst.n, k, strategy)
     per_order = (walk(inst.interference_matrix, np.arange(inst.n)[None])[0] / inst.normalization).tolist()

@@ -105,6 +105,14 @@ class TestCurvesCommand:
         out, err = capsys.readouterr()
         assert out == "" and f"setting {name!r} has no value" in err
 
+    def test_oversized_grid_is_config_error(self, capsys):
+        # A billion-value grid is refused by its count before any value is built.
+        start = time.perf_counter()
+        assert main(["curves", "--sigma", "0.02", "--epsilon", "0.1", "--mu", "0:1:1e-9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "1,000,000,001 values" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestVerifyCommand:
     def test_report_round_trip(self, capsys):

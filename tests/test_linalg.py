@@ -289,7 +289,6 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
     rng = np.random.default_rng(31)
     stack = _random_complex(rng, 6, (3,))
     taus = np.concatenate([class_words(6, j) for j in (0, 2, 3, 4)])
-    codes = np.arange(6) * 6 + taus
     x = rng.uniform(0.0, 1.0, 6)
 
     # The pair evaluator takes the stack side by side and its first matrix three times over.
@@ -298,7 +297,8 @@ def test_every_pass_loop_across_a_seam(monkeypatch):
 
     def evaluate():
         return [permanent(stack), hadamard_permanent(stack, taus), laplace_split_permanent(stack, taus),
-                _pair_permanents(*block, codes), _pair_permanents(*copies, codes), _mixture_orders(stack, x)]
+                _pair_permanents(*block, np.arange(6), taus), _pair_permanents(*copies, np.arange(6), taus),
+                _mixture_orders(stack, x)]
 
     whole = evaluate()
     built, signings = [], linalg._signings
@@ -436,7 +436,7 @@ class TestPairPermanents:
     def _check(rows, cols, taus):
         """Compare each value with its own Hadamard permanent."""
         cols, taus = np.asarray(cols), np.asarray(taus)
-        values = _pair_permanents(rows, cols, np.arange(len(rows)) * len(rows) + taus)
+        values = _pair_permanents(rows, cols, np.arange(len(rows)), taus)
         assert values.shape == (len(cols), len(taus))
         for c, row in zip(cols, values):
             a = rows[:, c]
@@ -503,9 +503,9 @@ class TestPairPermanents:
             broken = rows.copy()
             broken[0, 4] = broken[1, 4] = bad
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-                _pair_permanents(broken, cols, np.arange(3) * 3 + taus)
+                _pair_permanents(broken, cols, np.arange(3), taus)
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-                _pair_permanents(broken, cols[1:], np.arange(3) * 3 + taus)
+                _pair_permanents(broken, cols[1:], np.arange(3), taus)
 
     def test_block_over_the_budget_refused_before_any_work(self, monkeypatch):
         import bosonsim.linalg as linalg

@@ -258,15 +258,52 @@ class TestPairedSums:
         tables = []
         name = "_pair_permanents" if strategy == "direct" else "_laplace_split"
         evaluate = getattr(probability, name)
-        monkeypatch.setattr(probability, name, lambda rows, cols, codes: tables.append(codes) or evaluate(rows, cols, codes))
+        monkeypatch.setattr(probability, name,  # tau is the last table for either evaluator
+                            lambda rows, cols, *pairs: tables.append(pairs[-1]) or evaluate(rows, cols, *pairs))
         n = 6
         inst = ExperimentInstance.from_matrix(gaussian_matrix(n, n * n, seed=60), _gram_model(np.random.default_rng(60), n))
         truncated_probability(inst, n, strategy)
-        taus = [tuple(row) for row in tables[0] - np.arange(n) * n]
+        taus = [tuple(row) for row in tables[0]]
         leads = {tau for tau in itertools.permutations(range(n)) if tau <= inverse_permutation(tau)}
         assert len(taus) == len(set(taus)) and set(taus) == leads
         moved = np.bincount([np.count_nonzero(np.array(tau) != np.arange(n)) for tau in taus], minlength=n + 1)
         assert moved.tolist() == [inverse_pairs(n, j) for j in range(n + 1)]
+
+    @staticmethod
+    def _walk_tables(model, n, k):
+        """The kept permutations and the two weights that a direct walk closes over."""
+        walk = _truncation_walk(model, n, k, "direct")
+        bound = dict(zip(walk.__code__.co_freevars, (cell.cell_contents for cell in walk.__closure__)))
+        return bound["pairs"][-1], bound["weights"], bound["partners"]
+
+    def test_partner_weights_are_the_inverses_weights(self):
+        # The walk takes w(tau^-1) as a product along tau of the transposed overlaps; on a complex Gram
+        # matrix it must still equal prod_i S[i, tau^-1(i)], and 0 for an involution, for every tau of S_5.
+        n = 5
+        model = _gram_model(np.random.default_rng(61), n)
+        s = model.overlap_matrix(n)
+        taus, weights, partners = self._walk_tables(model, n, n)
+        assert {tuple(tau) for tau in taus} | {inverse_permutation(tuple(tau)) for tau in taus} == set(
+            itertools.permutations(range(n)))
+        for tau, weight, partner in zip(taus, weights, partners):
+            inverse = inverse_permutation(tuple(tau))
+            expected = 0.0 if inverse == tuple(tau) else np.prod(s[np.arange(n), inverse])
+            assert abs(weight - np.prod(s[np.arange(n), tau])) <= 1e-15
+            assert abs(partner - expected) <= 1e-15
+
+    def test_real_symmetric_partner_weights_are_exact(self, monkeypatch):
+        # OBB overlaps are real and symmetric: each partner weight is its own weight bit for bit, so
+        # a pair's w h + w conj(h) is real exactly and order 3 leaves no imaginary part at all.
+        import bosonsim.probability as probability
+
+        model = GeneralizedOBBModel((0.95, 0.85, 0.75, 0.65, 0.55))
+        taus, weights, partners = self._walk_tables(model, 5, 5)
+        involution = np.array([inverse_permutation(tuple(tau)) == tuple(tau) for tau in taus])
+        assert np.array_equal(partners[~involution], weights[~involution]) and not partners[involution].any()
+        seen, real_part = [], probability._real_part
+        monkeypatch.setattr(probability, "_real_part", lambda values, sizes: seen.append(values) or real_part(values, sizes))
+        truncated_probability(_haar_instance(np.random.default_rng(62), 5, 8, model), 3)
+        assert seen[0][0, 3].imag == 0.0 and seen[0][0, 3].real != 0.0
 
 
 class TestByOrderDecomposition:
@@ -299,15 +336,14 @@ class TestByOrderDecomposition:
 
 class TestClassTables:
     def test_tables_match_the_generator(self):
-        # Each pair's first member in lexicographic order over its inverse, in generator order.
+        # Each pair's first member in lexicographic order, in generator order.
         for n in range(1, 9):
             for j in range(n + 1):
                 table = _class_table(n, j)
                 assert table.dtype == np.int8 and not table.flags.writeable
-                assert table.shape == (2, inverse_pairs(n, j), n)
+                assert table.shape == (inverse_pairs(n, j), n)
                 taus = [tau for tau in partial_derangements(n, j) if tau <= inverse_permutation(tau)]
-                assert [tuple(row) for row in table[0]] == taus
-                assert [tuple(row) for row in table[1]] == [inverse_permutation(tau) for tau in taus]
+                assert [tuple(row) for row in table] == taus
                 assert _class_table(n, j) is table
 
 
